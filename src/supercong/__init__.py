@@ -11,10 +11,10 @@ from .combinat import (DivisionByZero, UnsupportedConvention, binomial,
 from .wz import (PAIRS, GridReport, WzPair, boundary_identity,
                  check_summand, check_telescoping, eval_F, eval_G, get_pair,
                  summand_sign)
-from .congruences import (CATALOG, P_FLOOR, STATUSES, BackendIneligible,
-                          CheckParams, CheckResult, CongruenceCase,
-                          PrimeBelowFloor, UnknownCase, cross_validate,
-                          evaluate_case, get_case, list_cases,
+from .congruences import (CATALOG, P_FLOOR, STATUSES, BackendDisagreement,
+                          BackendIneligible, CheckParams, CheckResult,
+                          CongruenceCase, PrimeBelowFloor, UnknownCase,
+                          cross_validate, evaluate_case, get_case, list_cases,
                           series_sum_exact, series_sum_residue)
 from .harness import (BaselineDiff, ConfigInvalid, SweepConfig, SweepReport,
                       compare_baseline, parse_config, read_report, run_sweep,
@@ -31,8 +31,9 @@ __all__ = [
     "pochhammer_half", "pochhammer_neg_half", "recip_pochhammer",
     "PAIRS", "GridReport", "WzPair", "boundary_identity", "check_summand",
     "check_telescoping", "eval_F", "eval_G", "get_pair", "summand_sign",
-    "CATALOG", "P_FLOOR", "STATUSES", "BackendIneligible", "CheckParams",
-    "CheckResult", "CongruenceCase", "PrimeBelowFloor", "UnknownCase",
+    "CATALOG", "P_FLOOR", "STATUSES", "BackendDisagreement",
+    "BackendIneligible", "CheckParams", "CheckResult", "CongruenceCase",
+    "PrimeBelowFloor", "UnknownCase",
     "cross_validate", "evaluate_case", "get_case", "list_cases",
     "series_sum_exact", "series_sum_residue",
     "BaselineDiff", "ConfigInvalid", "SweepConfig", "SweepReport",

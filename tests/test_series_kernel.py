@@ -1,0 +1,115 @@
+"""The two series kernels against the Fraction term view of the same spec."""
+from fractions import Fraction
+
+import pytest
+
+from supercong import congruences
+from supercong.cli import main
+from supercong.congruences import (SERIES, BackendDisagreement,
+                                   BackendIneligible, CheckParams, _GENERATORS,
+                                   _poly, _series_exact, _series_residue,
+                                   evaluate_case)
+from supercong.exactnum import PadicContext, residue
+from supercong.harness import SweepConfig, run_sweep
+
+POWER_OF_TWO = sorted(name for name, spec in SERIES.items() if spec.den == (1,))
+ODD_DENOMINATOR = sorted(set(SERIES) - set(POWER_OF_TWO))
+
+
+def exact(name, upper):
+    return _series_exact.__wrapped__(name, None, None, upper)
+
+
+def residue_kernel(name, upper, p, m):
+    return _series_residue.__wrapped__(name, None, None, upper, p, m)
+
+
+def test_specs_cover_the_catalog_series():
+    assert sorted(SERIES) == ["glr", "guo64", "gz10n2", "h1", "h2", "mao",
+                              "suncat", "z120n2", "z20n3-raw", "z20n3-signed"]
+    assert POWER_OF_TWO == ["glr", "guo64", "gz10n2", "z120n2", "z20n3-raw",
+                            "z20n3-signed"]
+    assert all(_GENERATORS[name] == SERIES[name].terms for name in SERIES)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_exact_kernel_equals_sum_of_terms(name):
+    spec = SERIES[name]
+    terms = list(spec.terms(60))
+    for upper in range(61):
+        got = exact(name, upper)
+        assert isinstance(got, Fraction)
+        assert got == sum(terms[:upper + 1 - spec.start], Fraction(0)), upper
+    # p^2 - 1 for p = 43, 47: the same sum over the terms' common denominator
+    terms = list(spec.terms(47 ** 2 - 1))
+    for upper in (43 ** 2 - 1, 47 ** 2 - 1):
+        den = 1
+        for k in range(spec.start, upper + 1):
+            den *= _poly(spec.den, k)
+        den <<= spec.rate * upper
+        ref = Fraction(sum(t.numerator * (den // t.denominator)
+                           for t in terms[:upper + 1 - spec.start]), den)
+        assert exact(name, upper) == ref, upper
+
+
+@pytest.mark.parametrize("name", POWER_OF_TWO)
+def test_residue_kernel_power_of_two_series(name):
+    # p-integral at every cap, including caps >= p and >= p^2
+    for p, m in ((5, 1), (5, 4), (7, 3), (11, 6), (43, 2)):
+        for upper in (0, 1, p - 1, p, 2 * p + 3, p * p - 1, p * p + 2):
+            assert residue_kernel(name, upper, p, m) == \
+                residue(exact(name, upper), PadicContext(p, m)), (p, m, upper)
+
+
+@pytest.mark.parametrize("name", ODD_DENOMINATOR)
+def test_residue_kernel_odd_denominator_series(name):
+    spec = SERIES[name]
+    for p, m in ((5, 2), (7, 3), (13, 1)):
+        first_bad = next(k for k in range(spec.start, 5 * p)
+                         if _poly(spec.den, k) % p == 0)
+        for upper in range(first_bad):
+            assert residue_kernel(name, upper, p, m) == \
+                residue(exact(name, upper), PadicContext(p, m)), (p, m, upper)
+        with pytest.raises(BackendIneligible, match=f"term k={first_bad} "):
+            residue_kernel(name, first_bad, p, m)
+
+
+def test_residue_kernel_builds_no_fraction(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction built in the residue kernel")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2)
+    for name in SERIES:
+        residue_kernel(name, 20, 43, 3)
+
+
+def test_upper_cap_past_p_is_ineligible_on_residue(capsys):
+    for backend in ("residue", "both"):
+        code = main(["verify", "--case", "WOLST-H1", "--p", "5", "--upper", "7",
+                     "--backend", backend])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "WOLST-H1" in err and "k=5" in err
+        assert "not invertible" not in err
+    code = main(["verify", "--case", "WOLST-H1", "--p", "5", "--upper", "7",
+                 "--backend", "exact"])
+    assert code == 1
+    assert "observed=-1" in capsys.readouterr().out
+
+
+def test_backend_disagreement_is_reported(monkeypatch):
+    def wrong(name, p_key, r_key, upper, p, m):
+        return 1
+
+    monkeypatch.setattr(congruences, "_series_residue", wrong)
+    with pytest.raises(BackendDisagreement, match=r"GUO-64.*p=5, r=1") as exc:
+        evaluate_case("GUO-64", CheckParams(p=5), "both")
+    assert isinstance(exc.value, AssertionError)
+    report = run_sweep(SweepConfig(primes=(5,), r_max=1, glob="GUO-64",
+                                   backend="both"))
+    assert report.results == []
+    assert [e["case_id"] for e in report.errors] == ["GUO-64"]
+    assert report.errors[0]["error"].startswith("BackendDisagreement: GUO-64")
+    assert report.failed
