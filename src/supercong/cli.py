@@ -20,8 +20,9 @@ from typing import Optional
 from . import congruences, wz
 from .congruences import (BackendIneligible, CheckParams, PrimeBelowFloor,
                           UnknownCase, evaluate_case, list_cases)
-from .harness import (ConfigInvalid, SweepConfig, compare_baseline,
-                      parse_config, run_sweep, write_report)
+from .harness import (ConfigInvalid, SweepConfig, allow_long_int_str,
+                      compare_baseline, demoted, parse_config, run_sweep,
+                      write_report)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,8 +88,8 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _fmt_value(x) -> str:
-    return str(x)
+def _point(case_id: str, p: int, r: int, delta: Optional[int]) -> str:
+    return f"{case_id} p={p} r={r}" + (f" delta={delta}" if delta else "")
 
 
 def _cmd_verify(args) -> int:
@@ -99,15 +100,12 @@ def _cmd_verify(args) -> int:
     verdict = "PASS" if res.passed else "FAIL"
     if res.informational:
         verdict += " (informational)"
-    point = f"p={args.p} r={args.r}"
-    if args.delta is not None:
-        point += f" delta={args.delta}"
+    point = _point(res.case_id, args.p, args.r, args.delta)
     if args.k is not None:
         point += f" k={args.k}"
     claimed = "exact equality" if res.claimed_exponent is None \
         else f"claimed>={res.claimed_exponent}"
-    print(f"{res.case_id} {point} backend={res.backend}: "
-          f"lhs={_fmt_value(res.lhs)} rhs={_fmt_value(res.rhs)} "
+    print(f"{point} backend={res.backend}: lhs={res.lhs!s} rhs={res.rhs!s} "
           f"observed={res.observed_valuation} {claimed} -> {verdict}")
     if res.note:
         print(f"  note: {res.note}")
@@ -175,16 +173,13 @@ def _cmd_sweep(args) -> int:
         raise ConfigInvalid(str(e)) from None
 
     report = run_sweep(config)
-    strict = config.strict_conjectures
     for res in report.results:
-        demoted = res.informational and not (strict and res.status == "conjecture")
-        if not res.passed and not demoted:
-            print(f"FAIL {res.case_id} p={res.params.p} r={res.params.r}"
-                  + (f" delta={res.params.delta}" if res.params.delta else "")
-                  + f": observed={res.observed_valuation} < "
-                  f"claimed {res.claimed_exponent}")
+        if not res.passed and not demoted(res, config.strict_conjectures):
+            print(f"FAIL {_point(res.case_id, res.params.p, res.params.r, res.params.delta)}"
+                  f": observed={res.observed_valuation} < claimed {res.claimed_exponent}")
     for err in report.errors:
-        print(f"ERROR {err['case_id']} p={err['p']} r={err['r']}: {err['error']}")
+        print(f"ERROR {_point(err['case_id'], err['p'], err['r'], err['delta'])}: "
+              f"{err['error']}")
     s = report.summary()
     print(f"checked {len(report.results)} points: {s['pass']} pass, "
           f"{s['fail']} fail, {s['informational']} informational, "
@@ -198,16 +193,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_regress(args) -> int:
     diff = compare_baseline(args.report, args.baseline)
     for ch in diff.changes:
-        cid, p, r, d = ch["key"]
-        point = f"{cid} p={p} r={r}" + (f" delta={d}" if d else "")
-        print(f"CHANGE {point} {ch['field']}: "
+        print(f"CHANGE {_point(*ch['key'])} {ch['field']}: "
               f"{ch['baseline']} -> {ch['new']}")
     for key in diff.new_keys:
-        print(f"NEW {key[0]} p={key[1]} r={key[2]}"
-              + (f" delta={key[3]}" if key[3] else ""))
+        print(f"NEW {_point(*key)}")
     for key in diff.missing_keys:
-        print(f"MISSING {key[0]} p={key[1]} r={key[2]}"
-              + (f" delta={key[3]}" if key[3] else ""))
+        print(f"MISSING {_point(*key)}")
     if diff.clean:
         print("no regressions")
         return 0
@@ -218,6 +209,7 @@ def _cmd_regress(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    allow_long_int_str()
     handlers = {"list": _cmd_list, "verify": _cmd_verify,
                 "wz-check": _cmd_wz_check, "sweep": _cmd_sweep,
                 "regress": _cmd_regress}

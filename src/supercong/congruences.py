@@ -242,7 +242,7 @@ def _pairwise_sum(terms: Iterable[Rational]) -> Rational:
     return Fraction(vals[0])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _series_exact(name: str, p_key: Optional[int], r_key: Optional[int], upper: int) -> Rational:
     """Exact kernel: one integer numerator over den(start) ... den(upper)
     2^(rate upper), and a single Fraction (the only gcd) at the end."""
@@ -409,6 +409,9 @@ def _scalar(id, status, statement, m, lhs, rhs, *, uses_r=True, p_integral=False
 
 
 def _family(id, statement, m, members, lhs, rhs, *, p_integral=True, lucas=None):
+    if p_integral and lucas is None:
+        raise ValueError(f"{id}: a p-integral family needs its digitwise (Lucas) "
+                         "lhs mod p for the backend cross-check")
     _add(CongruenceCase(id=id, status="fact-family", statement=statement,
                         kind="family", claimed_exponent=m, rhs=_rhs_zero,
                         members=members, member_lhs=lhs, member_rhs=rhs,
@@ -764,6 +767,12 @@ def _series_upper(case: CongruenceCase, params: CheckParams) -> int:
     return case.upper(params.p, params.r, params.delta or 1)
 
 
+def _require_p_integral(case: CongruenceCase) -> None:
+    if not case.p_integral:
+        raise BackendIneligible(
+            f"{case.id} has p-power denominators; use the exact backend")
+
+
 def series_sum_exact(case, params: CheckParams) -> Rational:
     """Exact value of a series case's truncated sum."""
     case = get_case(case)
@@ -778,9 +787,7 @@ def series_sum_residue(case, params: CheckParams, ctx: PadicContext) -> int:
     case = get_case(case)
     if case.kind != "series":
         raise ValueError(f"{case.id} is not a series case")
-    if not case.p_integral:
-        raise BackendIneligible(
-            f"{case.id} has p-power denominators; use the exact backend")
+    _require_p_integral(case)
     pk, rk = _series_keys(case, params.p, params.r)
     try:
         return _series_residue(case.series_name, pk, rk, _series_upper(case, params),
@@ -804,141 +811,116 @@ def _family_members(case: CongruenceCase, params: CheckParams
     return [(k, case.member_lhs(p, r, k), case.member_rhs(p, r, k)) for k in keys]
 
 
-def _saturating_residue_valuation(diff_residue: int, p: int, m: int) -> Valuation:
-    """Valuation of a residue-ring difference, capped at the ring's precision."""
-    if diff_residue % p ** m == 0:
-        return m
-    v = 0
-    x = diff_residue % p ** m
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+def _point_items(case: CongruenceCase, params: CheckParams
+                 ) -> list[tuple[Optional[int], Rational, Rational]]:
+    """Exact (k, lhs, rhs) items of a point: one per family member, and a
+    single item with k = None for every other kind."""
+    if case.kind == "family":
+        return _family_members(case, params)
+    p, r = params.p, params.r
+    lhs = series_sum_exact(case, params) if case.kind == "series" else case.lhs_scalar(p, r)
+    return [(None, lhs, case.rhs(p, r))]
+
+
+def _score(items: list, p: int, m: Optional[int], single: bool):
+    """(lhs, rhs, valuation, note) of the first item of least valuation.
+
+    Exact items (m None) are scored by vp(lhs - rhs); residue items by the
+    valuation of their difference in Z/p^m, saturated at m (a difference of
+    0 mod p^m has valuation at least m).  The note names a family's worst
+    member, or the one member asked for when single."""
+    if not items:
+        if m is None:
+            return Fraction(0), Fraction(0), INFINITE, "empty member range"
+        return 0, 0, m, "empty member range"
+    worst = None
+    for k, lhs, rhs in items:
+        obs = vp(lhs - rhs, p) if m is None else min(vp((lhs - rhs) % p ** m, p), m)
+        if worst is None or obs < worst[3]:
+            worst = (k, lhs, rhs, obs)
+    k, lhs, rhs, observed = worst
+    note = "" if k is None else f"k={k}" if single else \
+        f"worst member k={k} of {len(items)}"
+    return lhs, rhs, observed, note
+
+
+def _cross_check(case: CongruenceCase, params: CheckParams, items: list,
+                 ctx: PadicContext) -> None:
+    """Check each exact value of a point that has an independent modular path:
+    a series sum against the termwise residue kernel mod p^m, and every member
+    of a family against its digitwise Lucas product mod p.  A scalar's residue
+    is its exact value reduced, so scalars and identities have nothing to
+    check.  Raises BackendDisagreement naming the case, point and member."""
+    if case.kind == "series":
+        # the kernel runs first: it refuses a p in a denominator by name, where
+        # reducing the exact sum would fail with PNotIntegral
+        kernel = series_sum_residue(case, params, ctx)
+        exact = residue(items[0][1], ctx)
+        if exact != kernel:
+            raise BackendDisagreement(
+                f"{case.id}: exact and residue backends disagree at {params} "
+                f"mod {ctx.p}^{ctx.m}: the sum reduces to {exact} on the exact "
+                f"backend, {kernel} on the termwise residue kernel")
+    elif case.kind == "family":
+        mod_p = PadicContext(ctx.p, 1)
+        for k, lhs, _ in items:
+            exact, lucas = residue(lhs, mod_p), case.member_lucas(params.p, params.r, k)
+            if exact != lucas:
+                raise BackendDisagreement(
+                    f"{case.id}: exact and digitwise values disagree at {params}, "
+                    f"member k={k}: lhs reduces to {exact} mod {ctx.p} on the "
+                    f"exact backend, {lucas} by Lucas' theorem")
 
 
 def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
                   include_p3: bool = False) -> CheckResult:
     """Compute LHS and RHS at the given point and score the congruence.
 
-    backend "both" runs the exact path, cross-checks the residue path when the
-    case is eligible, and reports the exact values.
+    backend "both" runs the exact path, cross-checks it against the
+    independent modular paths when the case is p-integral (see
+    _cross_check), and reports the exact values.
     """
     case = get_case(case)
     if backend not in ("exact", "residue", "both"):
         raise ValueError(f"backend must be exact, residue, or both, got {backend!r}")
     _check_point(case, params, include_p3)
     t0 = time.perf_counter()
-    claimed = case.claimed(params.p, params.r)
+    p, claimed = params.p, case.claimed(params.p, params.r)
     note = ""
     informational = (case.status in ("conjecture", "informational")
-                     or params.p == 3 or params.r < case.r_floor)
-    if params.p == 3:
+                     or p == 3 or params.r < case.r_floor)
+    if p == 3:
         note = "p = 3 is below the default floor; result is informational"
     elif params.r < case.r_floor:
         note = f"statement hypotheses need r >= {case.r_floor}; r = {params.r} is informational"
 
+    m = None
     if backend == "residue":
-        if not case.p_integral:
-            raise BackendIneligible(
-                f"{case.id} has p-power denominators; use the exact backend")
-        result = _evaluate_residue(case, params, claimed)
+        _require_p_integral(case)
+        if claimed is None:
+            raise BackendIneligible(f"{case.id} is an exact identity; residue "
+                                    "reduction cannot certify equality")
+        ctx, m = PadicContext(p, claimed), claimed
+        if case.kind == "series":
+            items = [(None, series_sum_residue(case, params, ctx),
+                      residue(case.rhs(p, params.r), ctx))]
+        else:
+            items = [(k, residue(lhs, ctx), residue(rhs, ctx))
+                     for k, lhs, rhs in _point_items(case, params)]
     else:
-        result = _evaluate_exact(case, params, claimed)
+        items = _point_items(case, params)
         if backend == "both" and case.p_integral and claimed is not None:
-            ctx = PadicContext(params.p, claimed)
-            residues = _residue_pair(case, params, ctx)
-            exact = (residue(result[0], ctx), residue(result[1], ctx))
-            if exact != residues:
-                raise BackendDisagreement(
-                    f"{case.id}: exact and residue backends disagree at "
-                    f"{params} mod {params.p}^{claimed}: (lhs, rhs) "
-                    f"reduces to {exact} on the exact backend, {residues} on "
-                    "the residue backend")
-    lhs, rhs, observed, passed, member_note = result
+            _cross_check(case, params, items, PadicContext(p, claimed))
+    lhs, rhs, observed, member_note = _score(items, p, m, params.k is not None)
     if member_note:
         note = f"{member_note}; {note}" if note else member_note
 
     elapsed = (time.perf_counter() - t0) * 1000.0
     return CheckResult(case_id=case.id, params=params, lhs=lhs, rhs=rhs,
                        observed_valuation=observed, claimed_exponent=claimed,
-                       passed=passed, backend=backend, elapsed_ms=elapsed,
-                       status=case.status, informational=informational, note=note)
-
-
-def _evaluate_exact(case: CongruenceCase, params: CheckParams,
-                    claimed: Optional[int]):
-    p = params.p
-    if case.kind == "series":
-        lhs = series_sum_exact(case, params)
-        rhs = case.rhs(p, params.r)
-        observed = vp(lhs - rhs, p)
-        return lhs, rhs, observed, _passes(observed, claimed), ""
-    if case.kind in ("scalar", "identity"):
-        lhs = case.lhs_scalar(p, params.r)
-        rhs = case.rhs(p, params.r)
-        observed = vp(lhs - rhs, p)
-        if case.kind == "identity":
-            return lhs, rhs, observed, lhs == rhs, ""
-        return lhs, rhs, observed, _passes(observed, claimed), ""
-    # family: aggregate min observed valuation; report the worst member
-    members = _family_members(case, params)
-    if not members:
-        return Fraction(0), Fraction(0), INFINITE, True, "empty member range"
-    worst = None
-    for k, lhs, rhs in members:
-        obs = vp(lhs - rhs, p)
-        if worst is None or obs < worst[3]:
-            worst = (k, lhs, rhs, obs)
-    k, lhs, rhs, observed = worst
-    note = f"k={k}" if params.k is not None else \
-        f"worst member k={k} of {len(members)}"
-    return lhs, rhs, observed, _passes(observed, claimed), note
-
-
-def _residue_pair(case: CongruenceCase, params: CheckParams, ctx: PadicContext):
-    """(lhs, rhs) in Z/p^m; for series cases the lhs is accumulated termwise."""
-    if case.kind == "series":
-        return (series_sum_residue(case, params, ctx),
-                residue(case.rhs(params.p, params.r), ctx))
-    if case.kind == "scalar":
-        return (residue(case.lhs_scalar(params.p, params.r), ctx),
-                residue(case.rhs(params.p, params.r), ctx))
-    # family: reduce the worst member per the exact scoring
-    members = _family_members(case, params)
-    if not members:
-        return 0, 0
-    worst = None
-    for k, lhs, rhs in members:
-        obs = vp(lhs - rhs, params.p)
-        if worst is None or obs < worst[1]:
-            worst = ((lhs, rhs), obs)
-    (lhs, rhs), _ = worst
-    return residue(lhs, ctx), residue(rhs, ctx)
-
-
-def _evaluate_residue(case: CongruenceCase, params: CheckParams,
-                      claimed: Optional[int]):
-    if claimed is None:
-        raise BackendIneligible(f"{case.id} is an exact identity; residue "
-                                "reduction cannot certify equality")
-    ctx = PadicContext(params.p, claimed)
-    if case.kind == "family":
-        members = _family_members(case, params)
-        if not members:
-            return 0, 0, claimed, True, "empty member range"
-        worst = None
-        for k, lhs, rhs in members:
-            lr, rr = residue(lhs, ctx), residue(rhs, ctx)
-            obs = _saturating_residue_valuation(lr - rr, params.p, claimed)
-            if worst is None or obs < worst[3]:
-                worst = (k, lr, rr, obs)
-        k, lhs_res, rhs_res, observed = worst
-        note = f"k={k}" if params.k is not None else \
-            f"worst member k={k} of {len(members)}"
-        return lhs_res, rhs_res, observed, observed >= claimed, note
-    lhs_res, rhs_res = _residue_pair(case, params, ctx)
-    observed = _saturating_residue_valuation(lhs_res - rhs_res, params.p, claimed)
-    return lhs_res, rhs_res, observed, observed >= claimed, ""
+                       passed=_passes(observed, claimed), backend=backend,
+                       elapsed_ms=elapsed, status=case.status,
+                       informational=informational, note=note)
 
 
 def _passes(observed: Valuation, claimed: Optional[int]) -> bool:
@@ -948,24 +930,13 @@ def _passes(observed: Valuation, claimed: Optional[int]) -> bool:
 
 
 def cross_validate(case, params: CheckParams, ctx: PadicContext) -> bool:
-    """Check the exact and residue routes against each other.
-
-    Series cases: residue(exact sum) vs the termwise modular sum.
-    Families: each member's big-integer LHS mod p vs the digitwise Lucas
-    product. Scalars: exact value reduced twice through independent call
-    paths. Raises BackendIneligible for cases with p-power denominators.
-    """
+    """Run the cross-check of backend "both" (_cross_check) on one point;
+    False when it finds a disagreement.  Raises BackendIneligible for cases
+    with p-power denominators."""
     case = get_case(case)
-    if not case.p_integral:
-        raise BackendIneligible(
-            f"{case.id} has p-power denominators; use the exact backend")
-    if case.kind == "series":
-        return residue(series_sum_exact(case, params), ctx) == \
-            series_sum_residue(case, params, ctx)
-    if case.kind == "scalar":
-        exact = case.lhs_scalar(params.p, params.r)
-        lhs_res, _ = _residue_pair(case, params, ctx)
-        return residue(exact, ctx) == lhs_res
-    return all(residue(lhs, PadicContext(params.p, 1)) ==
-               case.member_lucas(params.p, params.r, k)
-               for k, lhs, _ in _family_members(case, params))
+    _require_p_integral(case)
+    try:
+        _cross_check(case, params, _point_items(case, params), ctx)
+    except BackendDisagreement:
+        return False
+    return True

@@ -32,14 +32,26 @@ from .congruences import (STATUSES, CheckParams, CheckResult, evaluate_case,
 TOOL = "supercong"
 TOOL_VERSION = "0.1.0"
 
-# exact numerators/denominators at large p^r run to tens of thousands of
-# digits; lift the interpreter's int-to-str guard so reports can print them
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
-
 RECORD_FIELDS = ("case_id", "p", "r", "delta", "claimed_exponent",
                  "observed_valuation", "pass", "backend", "lhs", "rhs",
                  "elapsed_ms")
+
+
+def allow_long_int_str() -> None:
+    """Lift the interpreter's int-to-str digit limit for this process.
+
+    Exact numerators and denominators at large p^r run to tens of thousands
+    of digits; the entry points that print them call this, so importing the
+    package leaves the interpreter as it was."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
+
+
+def demoted(res: CheckResult, strict_conjectures: bool) -> bool:
+    """An informational result counts neither as a pass nor as a failure,
+    except a conjecture's when strict_conjectures is set."""
+    return res.informational and not (strict_conjectures and res.status == "conjecture")
+
 
 class ConfigInvalid(ValueError):
     """Bad sweep configuration (file syntax, unknown key, or bad value)."""
@@ -172,10 +184,8 @@ class SweepReport:
 
     def summary(self) -> dict:
         counts = {"pass": 0, "fail": 0, "informational": 0, "error": len(self.errors)}
-        strict = self.config.strict_conjectures
         for res in self.results:
-            demoted = res.informational and not (strict and res.status == "conjecture")
-            if demoted:
+            if demoted(res, self.config.strict_conjectures):
                 counts["informational"] += 1
             elif res.passed:
                 counts["pass"] += 1
@@ -267,6 +277,7 @@ def _ser_record(res: CheckResult) -> dict:
 
 def write_report(report: SweepReport, path: Union[str, Path],
                  report_format: Optional[str] = None) -> Path:
+    allow_long_int_str()
     path = Path(path)
     fmt = report_format or report.config.report_format
     records = [_ser_record(r) for r in report.results]
@@ -371,6 +382,7 @@ def _key(rec: dict) -> tuple:
 
 def _records_of(source) -> list[dict]:
     if isinstance(source, SweepReport):
+        allow_long_int_str()
         return [_norm_record(_ser_record(r), "in-memory report")
                 for r in source.results]
     if isinstance(source, (str, Path)):

@@ -31,8 +31,8 @@ class WzPair:
     id: str
     f: Cell
     g: Cell
-    summand: Callable[[int], Rational]  # series term as it appears in the congruence statement
-    alternating: bool                   # True when F(n,0) = (-1)^n * summand(n)
+    series: str         # catalog series (congruences.SERIES) whose terms F(n,0) gives
+    alternating: bool   # True when F(n,0) = (-1)^n * term(n)
     definition: str
 
 
@@ -117,36 +117,17 @@ def _g_z20(n: int, k: int) -> Rational:
             / Fraction(central_binomial(k)))
 
 
-def _summand_gz(n: int) -> Rational:
-    return ((10 * n * n + 6 * n + 1) * Fraction(-4) ** n
-            * pochhammer_half(n) ** 5 * recip_pochhammer(1, n) ** 5)
-
-
-def _summand_guo(n: int) -> Rational:
-    return (4 * n + 1) * Fraction(central_binomial(n)) ** 3 / Fraction(-64) ** n
-
-
-def _summand_gl(n: int) -> Rational:
-    return ((-1) ** n * (4 * n - 1) * pochhammer_neg_half(n) ** 3
-            * recip_pochhammer(1, n) ** 3)
-
-
-def _summand_z20(n: int) -> Rational:
-    return ((20 * n + 3) * pochhammer_half(n) * pochhammer_half(2 * n)
-            * recip_pochhammer(1, n) ** 3 / Fraction(16) ** n)
-
-
 PAIRS: dict[str, WzPair] = {
     "GZ10N2": WzPair(
         id="GZ10N2",
-        f=_f_gz, g=_g_gz, summand=_summand_gz, alternating=False,
+        f=_f_gz, g=_g_gz, series="gz10n2", alternating=False,
         definition=("F(n,k) = (10n^2+12nk+6n+4k^2+4k+1) (1/2)_n (1/2+k)_n^4 / (1)_n^5 * (-1)^n 4^n ; "
                     "G(n,k) = (n+2k-1) (1/2)_n (1/2+k)_(n-1)^4 / (1)_(n-1)^5 * (-1)^n 2^(2n+1) ; "
                     "F(n,0) = (10n^2+6n+1) (-4)^n (1/2)_n^5 / (1)_n^5"),
     ),
     "GUO64": WzPair(
         id="GUO64",
-        f=_f_guo, g=_g_guo, summand=_summand_guo, alternating=False,
+        f=_f_guo, g=_g_guo, series="guo64", alternating=False,
         definition=("F(n,k) = (-1)^(n+k) (4n+1) 4^(k-3n) C(2n,n)^2 C(2n+2k,n+k) C(n+k,2k) / C(2k,k) ; "
                     "G(n,k) = (-1)^(n+k) (2n-1)^2 C(2n-2,n-1)^2 4^(k-3(n-1))/2 C(2n-2+2k,n-1+k) "
                     "C(n-1+k,2k)/(n-k) / C(2k,k), the singular factor taken in cancelled form "
@@ -154,14 +135,14 @@ PAIRS: dict[str, WzPair] = {
     ),
     "GL4K1": WzPair(
         id="GL4K1",
-        f=_f_gl, g=_g_gl, summand=_summand_gl, alternating=False,
+        f=_f_gl, g=_g_gl, series="glr", alternating=False,
         definition=("F(n,k) = (-1)^(n+k) (4n-1) (-1/2)_n^2 (-1/2)_(n+k) / ((1)_n^2 (1)_(n-k) (-1/2)_k^2) ; "
                     "G(n,k) = (-1)^(n+k) 2 (-1/2)_n^2 (-1/2)_(n+k-1) / ((1)_(n-1)^2 (1)_(n-k) (-1/2)_k^2), "
                     "with 1/(1)_m = 0 for m < 0 ; F(n,0) = (-1)^n (4n-1) (-1/2)_n^3 / (1)_n^3"),
     ),
     "Z20N3": WzPair(
         id="Z20N3",
-        f=_f_z20, g=_g_z20, summand=_summand_z20, alternating=True,
+        f=_f_z20, g=_g_z20, series="z20n3-raw", alternating=True,
         definition=("F(n,k) = (-1)^(n+k) (20n-2k+3) 4^(k-5n) C(2n,n) C(4n+2k,2n+k) C(2n+k,2k) "
                     "C(2n-k,n) / C(2k,k) ; "
                     "G(n,k) = (-1)^(n+k) 4^(k-5n+4) n C(2n-1,n-1) C(4n-2+2k,2n-1+k) C(2n-1+k,2k) "
@@ -216,14 +197,16 @@ def check_telescoping(pair, n_max: int, k_max: int) -> GridReport:
 
 
 def check_summand(pair, n_max: int) -> GridReport:
-    """Assert F(n,0) = summand_sign(n) * summand(n) for 0 <= n <= n_max."""
+    """Assert F(n,0) = summand_sign(n) * t_n for 0 <= n <= n_max, where t_n
+    is the n-th term of the pair's catalog series (SeriesSpec.terms)."""
+    from .congruences import SERIES     # congruences imports this module
     pair = get_pair(pair)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     report = GridReport(pair.id, n_max, 0)
-    for n in range(n_max + 1):
+    for n, term in enumerate(SERIES[pair.series].terms(n_max)):
         lhs = pair.f(n, 0)
-        rhs = summand_sign(pair, n) * pair.summand(n)
+        rhs = summand_sign(pair, n) * term
         report.cells_checked += 1
         if lhs != rhs:
             report.violations.append((n, 0, lhs, rhs))
