@@ -213,15 +213,41 @@ SERIES: dict[str, SeriesSpec] = {
 }
 
 
-def _terms_lem21(p: int, r: int, upper: int) -> Iterator[Rational]:
-    # F(n, K) for the five-factor pair at K = (p^r-1)/2, by the term ratio
-    # t(n+1)/t(n) = -(2n+1)(2K+2n+1)^4 / (8 (n+1)^5)
+def _ratio_sums(t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
+                ends: Iterable[int], poly: tuple[int, ...]) -> tuple[Rational, ...]:
+    """Sums of t_k = t0 poly(k) u_k over the ranges lo..e1, e1+1..e2, ... of
+    ends (e1, e2, ...; a range with e_i <= e_(i-1) sums to 0), where u_lo = 1
+    and u_(k+1) = u_k a_k / b_k for integers (a_k, b_k) = step(k), b_k != 0,
+    called for k < the last end.  u_k is an integer over the running product
+    d of the b_j and each range one numerator over d, so each range's
+    Fraction, built when the range ends, is its only gcd."""
+    t0 = Fraction(t0)
+    sums, u, d, k = [], 1, 1, lo
+    for end in ends:
+        num = 0
+        while k <= end:
+            # u / d is u_(k-1) (u_lo at k = lo); num / d is the slice so far
+            if k > lo:
+                a, b = step(k - 1)
+                u, d, num = u * a, d * b, num * b
+            num += _poly(poly, k) * u
+            k += 1
+        sums.append(Fraction(t0.numerator * num, t0.denominator * d))
+    return tuple(sums)
+
+
+def _lem21_sums(p: int, r: int, ends: Iterable[int]) -> tuple[Rational, ...]:
+    # F(n, K) for the five-factor pair at K = (p^r-1)/2: 10n^2+(12K+6)n+4K^2+4K+1
+    # times (1/2)_n (1/2+K)_n^4 (-4)^n / (1)_n^5, stepped by -(2n+1)(2K+2n+1)^4/(8(n+1)^5)
     K = (p ** r - 1) // 2
-    base = Fraction(1)
-    for n in range(upper + 1):
-        c = 10 * n * n + 12 * n * K + 6 * n + 4 * K * K + 4 * K + 1
-        yield c * base
-        base *= Fraction(-(2 * n + 1) * (2 * K + 2 * n + 1) ** 4, 8 * (n + 1) ** 5)
+    return _ratio_sums(1, lambda n: (-(2 * n + 1) * (2 * K + 2 * n + 1) ** 4,
+                                     8 * (n + 1) ** 5),
+                       0, ends, (4 * K * K + 4 * K + 1, 12 * K + 6, 10))
+
+
+def _terms_lem21(p: int, r: int, upper: int) -> Iterator[Rational]:
+    """F(n, (p^r-1)/2) for n = 0 .. upper: the kernel with one term per slice."""
+    return iter(_lem21_sums(p, r, range(upper + 1)))
 
 
 _GENERATORS: dict[str, Callable[..., Iterator[Rational]]] = {
@@ -229,25 +255,13 @@ _GENERATORS: dict[str, Callable[..., Iterator[Rational]]] = {
 _P_DEPENDENT = {"lem21"}  # generators whose terms depend on (p, r), not just the cap
 
 
-def _pairwise_sum(terms: Iterable[Rational]) -> Rational:
-    """Tree-shaped summation; far fewer giant-gcd reductions than a left fold."""
-    vals = list(terms)
-    if not vals:
-        return Fraction(0)
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return Fraction(vals[0])
-
-
 @lru_cache(maxsize=256)
 def _series_exact(name: str, p_key: Optional[int], r_key: Optional[int], upper: int) -> Rational:
     """Exact kernel: one integer numerator over den(start) ... den(upper)
-    2^(rate upper), and a single Fraction (the only gcd) at the end."""
+    2^(rate upper), and a single Fraction (the only gcd) at the end.  lem21,
+    whose terms depend on (p, r), is one slice of the ratio-stepped kernel."""
     if name in _P_DEPENDENT:
-        return _pairwise_sum(_terms_lem21(p_key, r_key, upper))
+        return _lem21_sums(p_key, r_key, (upper,))[0]
     spec = SERIES[name]
     num, odd = 0, 1
     for k, t, d in spec.parts(upper):
@@ -283,11 +297,13 @@ def _series_keys(case: CongruenceCase, p: int, r: int) -> tuple[Optional[int], O
 
 
 # --------------------------------------------------------------------------
-# certificate-row sums: one stepped pass over k = 1 .. p^r - 1 split into
-# prefix (k <= (P-1)/2), middle (k = (P+1)/2), and tail (k >= (P+3)/2).
+# certificate-row sums: one ratio-stepped pass over k = 1 .. p^r - 1 split
+# into prefix (k <= (P-1)/2), middle (k = (P+1)/2), and tail (k >= (P+3)/2).
+# Each row steps by its cell ratio G(P,k+1)/G(P,k) as an integer pair.
 
 def _theta_direct(p: int, r: int, k: int) -> Rational:
-    """Closed-form row used by the fourth pair's middle/tail evaluations."""
+    """theta(k) of LEM-4.2 in closed form: it seeds the theta row at k = 1,
+    and is the per-cell reference the stepped row is tested against."""
     P = p ** r
     pre = -Fraction(p ** (3 * r)) * Fraction(binomial(2 * P - 1, P - 1)) ** 2 \
         / ((2 * P - 1) * Fraction(4) ** (3 * P - 3))
@@ -296,72 +312,47 @@ def _theta_direct(p: int, r: int, k: int) -> Rational:
             * binomial(2 * P - 2, P - k - 1))
 
 
-def _row_slices(start: Rational, ratio: Callable[[int], Rational], P: int
+def _row_slices(start: Rational, step: Callable[[int], tuple[int, int]], P: int
                 ) -> tuple[Rational, Rational, Rational]:
     half = (P - 1) // 2
-    prefix, tail = [], []
-    mid = Fraction(0)
-    val = start
-    for k in range(1, P):
-        if k <= half:
-            prefix.append(val)
-        elif k == half + 1:
-            mid = val
-        else:
-            tail.append(val)
-        if k < P - 1:
-            val *= ratio(k)
-    return _pairwise_sum(prefix), mid, _pairwise_sum(tail)
+    return _ratio_sums(start, step, 1, (half, half + 1, P - 1), (1,))
 
 
 @lru_cache(maxsize=64)
 def _guo_row(p: int, r: int) -> tuple[Rational, Rational, Rational]:
-    P = p ** r
-
-    def ratio(k: int) -> Rational:
-        m = P - 1 + k
-        return Fraction(-2 * (2 * m + 1) * (P - k) * (P + k), (m + 1) * (2 * k + 1) ** 2)
-
-    return _row_slices(wz.eval_G("GUO64", P, 1), ratio, P)
+    P = p ** r      # the ratio's common factor P + k is cancelled
+    return _row_slices(wz.eval_G("GUO64", P, 1),
+                       lambda k: (-2 * (2 * P + 2 * k - 1) * (P - k), (2 * k + 1) ** 2), P)
 
 
 @lru_cache(maxsize=64)
 def _z20_row(p: int, r: int) -> tuple[Rational, Rational, Rational]:
     P = p ** r
-
-    def ratio(k: int) -> Rational:
-        m = 2 * P - 1 + k
-        return Fraction(-2 * (2 * m + 1) * (P - k), (2 * k + 1) ** 2)
-
-    return _row_slices(wz.eval_G("Z20N3", P, 1), ratio, P)
+    return _row_slices(wz.eval_G("Z20N3", P, 1),
+                       lambda k: (-2 * (4 * P + 2 * k - 1) * (P - k), (2 * k + 1) ** 2), P)
 
 
 @lru_cache(maxsize=64)
 def _theta_row(p: int, r: int) -> tuple[Rational, Rational, Rational]:
     P = p ** r
-
-    def ratio(k: int) -> Rational:
-        return Fraction(-2 * (2 * P + 2 * k - 1) * (P - k - 1), (2 * k + 1) ** 2)
-
-    return _row_slices(_theta_direct(p, r, 1), ratio, P)
+    return _row_slices(_theta_direct(p, r, 1),
+                       lambda k: (-2 * (2 * P + 2 * k - 1) * (P - k - 1), (2 * k + 1) ** 2), P)
 
 
 # --------------------------------------------------------------------------
-# five-factor certificate column sums at n0 = (P+1)/2 and n0 = P: integer
-# numerator assembly over the constant denominator 2^(3 n0 - 5) (n0-1)!^5,
-# using G(n0,k) = (n0+2k-1) odd(n0) (odd(k+n0-1)/odd(k))^4 (-1)^(n0) 2^(2n0+1)
-#                 / (2^(n0) 2^(4(n0-1)) (n0-1)!^5)
+# five-factor certificate column sums over k = 1 .. (P-1)/2 at n0 = (P+1)/2
+# and n0 = P: G(n0,k) = (n0+2k-1) q_k^4 (-1)^(n0) odd(n0) / (2^(3n0-5) (n0-1)!^5)
+# with odd(m) = 1 3 ... (2m-1) and q_k = odd(k+n0-1)/odd(k), which starts at
+# q_1 = odd(n0) and steps by (2k+2n0-1)/(2k+1).
 
 @lru_cache(maxsize=64)
 def _gz_column(p: int, r: int, at_top: bool) -> Rational:
     P = p ** r
     n0 = P if at_top else (P + 1) // 2
-    num = 0
-    for k in range(1, (P - 1) // 2 + 1):
-        q = odd_product(k + n0 - 1) // odd_product(k)
-        num += (n0 + 2 * k - 1) * q ** 4
-    num *= (-1) ** n0 * odd_product(n0)
-    return Fraction(num, 2 ** (3 * n0 - 5) * factorial(n0 - 1) ** 5)
+    t0 = Fraction((-1) ** n0 * odd_product(n0) ** 5,
+                  2 ** (3 * n0 - 5) * factorial(n0 - 1) ** 5)
+    return _ratio_sums(t0, lambda k: ((2 * k + 2 * n0 - 1) ** 4, (2 * k + 1) ** 4),
+                       1, ((P - 1) // 2,), (n0 - 1, 2))[0]
 
 
 # --------------------------------------------------------------------------

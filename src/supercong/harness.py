@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -225,11 +226,14 @@ def _run_task(task: tuple[str, int, int, Optional[int]], backend: str,
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Evaluate the whole grid; individual case errors are collected, never
-    raised. Results come back sorted by (case_id, p, r, delta)."""
+    raised. Results come back sorted by (case_id, p, r, delta). The pool gets
+    at most one worker per task and per CPU (a fork pool starts every worker
+    at the first submit); with one worker the sweep runs in this process."""
     t0 = time.perf_counter()
     tasks = _plan(config)
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_task, tasks, repeat(config.backend),
                                      repeat(config.include_p3), chunksize=4))
     else:
