@@ -215,6 +215,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "regress": _cmd_regress}
     try:
         return handlers[args.command](args)
+    except congruences.BackendDisagreement as e:    # a check failed, not a usage error
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except (ConfigInvalid, UnknownCase, PrimeBelowFloor, BackendIneligible,
             ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from fnmatch import fnmatch
 from functools import lru_cache
+from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .combinat import (binomial, binomial_rat, central_binomial, euler_number,
@@ -98,8 +99,8 @@ class CongruenceCase:
     lhs_scalar: Optional[Callable[[int, int], Rational]] = None
     # family
     members: Optional[Callable[[int, int], range]] = None
-    member_lhs: Optional[Callable[[int, int, int], Rational]] = None
-    member_rhs: Optional[Callable[[int, int, int], Rational]] = None
+    member_lhs: Optional[Callable[[int, int, int], tuple]] = None  # descriptions,
+    member_rhs: Optional[Callable[[int, int, int], tuple]] = None  # see _stepped
     member_lucas: Optional[Callable[[int, int, int], int]] = None  # lhs mod p, digitwise
     uses_r: bool = True
     uses_delta: bool = False
@@ -345,7 +346,6 @@ def _theta_row(p: int, r: int) -> tuple[Rational, Rational, Rational]:
 # with odd(m) = 1 3 ... (2m-1) and q_k = odd(k+n0-1)/odd(k), which starts at
 # q_1 = odd(n0) and steps by (2k+2n0-1)/(2k+1).
 
-@lru_cache(maxsize=64)
 def _gz_column(p: int, r: int, at_top: bool) -> Rational:
     P = p ** r
     n0 = P if at_top else (P + 1) // 2
@@ -365,10 +365,6 @@ def _fact_range(p: int, r: int) -> range:
 
 def _binrow_range(p: int, r: int) -> range:
     return range(1, (p ** r - 3) // 2 + 1)
-
-
-def _bin311_range(p: int, r: int) -> range:
-    return range(1, (p - 1) // 2 + 1)
 
 
 def _rhs_zero(p, r):
@@ -399,14 +395,14 @@ def _scalar(id, status, statement, m, lhs, rhs, *, uses_r=True, p_integral=False
                         uses_r=uses_r, p_integral=p_integral, r_floor=r_floor))
 
 
-def _family(id, statement, m, members, lhs, rhs, *, p_integral=True, lucas=None):
-    if p_integral and lucas is None:
-        raise ValueError(f"{id}: a p-integral family needs its digitwise (Lucas) "
-                         "lhs mod p for the backend cross-check")
+def _family(id, statement, m, members, lhs, rhs, *, p_integral=True):
+    def lucas(p, r, k):     # lhs mod p: c mod p times a digitwise product per factor
+        c, *factors = lhs(p, r, k)
+        return prod((lucas_residue(n, j, p) for n, j in factors), start=c % p) % p
     _add(CongruenceCase(id=id, status="fact-family", statement=statement,
                         kind="family", claimed_exponent=m, rhs=_rhs_zero,
                         members=members, member_lhs=lhs, member_rhs=rhs,
-                        member_lucas=lucas, uses_r=True, p_integral=p_integral))
+                        member_lucas=lucas if p_integral else None, p_integral=p_integral))
 
 
 # --- truncated series -------------------------------------------------------
@@ -631,81 +627,60 @@ _scalar("BIN-3.7", "known",
         lambda p, r: _sign_pr(p, r) * (1 - 2 * p * harmonic((p - 1) // 2)),
         p_integral=True)
 
-# --- k-indexed fact families ------------------------------------------------
+# --- k-indexed fact families: lhs and rhs are descriptions (see _stepped) ----
 
 _family("FACT-2LL",
         "l C(2l,l) C(2k,k) == -2 p^r  (mod p^(r+1)) for k + l = p^r, 0 < l < p^r/2",
         lambda p, r: r + 1, _fact_range,
-        lambda p, r, k: Fraction((p ** r - k) * binomial(2 * (p ** r - k), p ** r - k)
-                                 * binomial(2 * k, k)),
-        lambda p, r, k: Fraction(-2 * p ** r),
-        lucas=lambda p, r, k: ((p ** r - k) * lucas_residue(2 * (p ** r - k), p ** r - k, p)
-                               * lucas_residue(2 * k, k, p)) % p)
+        lambda p, r, k: (p ** r - k, (2 * (p ** r - k), p ** r - k), (2 * k, k)),
+        lambda p, r, k: (-2 * p ** r,))
 
 _family("FACT-2KK",
         "C(2k,k) == 0  (mod p) for k + l = p^r, 0 < l < p^r/2",
-        lambda p, r: 1, _fact_range,
-        lambda p, r, k: Fraction(binomial(2 * k, k)),
-        lambda p, r, k: Fraction(0),
-        lucas=lambda p, r, k: lucas_residue(2 * k, k, p))
+        lambda p, r: 1, _fact_range, lambda p, r, k: (1, (2 * k, k)), lambda p, r, k: (0,))
 
 _family("FACT-INV",
         "-2 p^r / (l C(2l,l)) == C(2k,k)  (mod p^2) for k + l = p^r, 0 < l < p^r/2",
         lambda p, r: 2, _fact_range,
-        lambda p, r, k: Fraction(-2 * p ** r,
-                                 (p ** r - k) * binomial(2 * (p ** r - k), p ** r - k)),
-        lambda p, r, k: Fraction(binomial(2 * k, k)), p_integral=False)
+        lambda p, r, k: (Fraction(-2 * p ** r, p ** r - k), (2 * (p ** r - k), p ** r - k, -1)),
+        lambda p, r, k: (1, (2 * k, k)), p_integral=False)
 
 _family("DAO-HB",
         "-2 p^r / C(2k,k) == (p^r-k) C(2p^r-2k,p^r-k)  (mod p) for k + l = p^r, "
         "0 < l < p^r/2",
-        lambda p, r: 1, _fact_range,
-        lambda p, r, k: Fraction(-2 * p ** r, binomial(2 * k, k)),
-        lambda p, r, k: Fraction((p ** r - k) * binomial(2 * p ** r - 2 * k, p ** r - k)),
-        p_integral=False)
+        lambda p, r: 1, _fact_range, lambda p, r, k: (-2 * p ** r, (2 * k, k, -1)),
+        lambda p, r, k: (p ** r - k, (2 * p ** r - 2 * k, p ** r - k)), p_integral=False)
 
 _family("BIN-3.9",
         "C(2p^r-1,k) == (-1)^k  (mod p) for 1 <= k <= (p^r-3)/2",
         lambda p, r: 1, _binrow_range,
-        lambda p, r, k: Fraction(binomial(2 * p ** r - 1, k)),
-        lambda p, r, k: Fraction((-1) ** k),
-        lucas=lambda p, r, k: lucas_residue(2 * p ** r - 1, k, p))
+        lambda p, r, k: (1, (2 * p ** r - 1, k)), lambda p, r, k: ((-1) ** k,))
 
-# 2p^r - 2k - 2 is even, so the negative-upper reflection drops its sign here
+# BIN-3.10 and BIN-5.6 reflect: C(-aP-1, j) = C(aP+j, j) for even j = 2P-2k-2
 _family("BIN-3.10",
         "C(-2p^r-1,2p^r-2k-2) == 3  (mod p) for 1 <= k <= (p^r-3)/2",
         lambda p, r: 1, _binrow_range,
-        lambda p, r, k: Fraction(binomial(-2 * p ** r - 1, 2 * p ** r - 2 * k - 2)),
-        lambda p, r, k: Fraction(3),
-        lucas=lambda p, r, k: lucas_residue(4 * p ** r - 2 * k - 2,
-                                            2 * p ** r - 2 * k - 2, p))
+        lambda p, r, k: (1, (4 * p ** r - 2 * k - 2, 2 * p ** r - 2 * k - 2)),
+        lambda p, r, k: (3,))
 
 _family("BIN-3.11",
         "C(2j q - q - 1, j q - (q+1)/2) == (-1)^((q-1)/2) C(2j-2,j-1)  (mod p) "
         "for q = p^(r-1), 1 <= j <= (p-1)/2",
-        lambda p, r: 1, _bin311_range,
-        lambda p, r, j: Fraction(binomial(2 * j * p ** (r - 1) - p ** (r - 1) - 1,
-                                          j * p ** (r - 1) - (p ** (r - 1) + 1) // 2)),
-        lambda p, r, j: Fraction((-1) ** ((p ** (r - 1) - 1) // 2)
-                                 * binomial(2 * j - 2, j - 1)),
-        lucas=lambda p, r, j: lucas_residue(
-            2 * j * p ** (r - 1) - p ** (r - 1) - 1,
-            j * p ** (r - 1) - (p ** (r - 1) + 1) // 2, p))
+        lambda p, r: 1, lambda p, r: range(1, (p - 1) // 2 + 1),
+        lambda p, r, j: (1, (2 * j * p ** (r - 1) - p ** (r - 1) - 1,
+                             j * p ** (r - 1) - (p ** (r - 1) + 1) // 2)),
+        lambda p, r, j: ((-1) ** ((p ** (r - 1) - 1) // 2), (2 * j - 2, j - 1)))
 
 _family("BIN-5.5",
         "C(3p^r-1,k) == (-1)^k  (mod p) for 1 <= k <= (p^r-3)/2",
         lambda p, r: 1, _binrow_range,
-        lambda p, r, k: Fraction(binomial(3 * p ** r - 1, k)),
-        lambda p, r, k: Fraction((-1) ** k),
-        lucas=lambda p, r, k: lucas_residue(3 * p ** r - 1, k, p))
+        lambda p, r, k: (1, (3 * p ** r - 1, k)), lambda p, r, k: ((-1) ** k,))
 
 _family("BIN-5.6",
         "C(-4p^r-1,2p^r-2k-2) == 5  (mod p) for 1 <= k <= (p^r-3)/2",
         lambda p, r: 1, _binrow_range,
-        lambda p, r, k: Fraction(binomial(-4 * p ** r - 1, 2 * p ** r - 2 * k - 2)),
-        lambda p, r, k: Fraction(5),
-        lucas=lambda p, r, k: lucas_residue(6 * p ** r - 2 * k - 2,
-                                            2 * p ** r - 2 * k - 2, p))
+        lambda p, r, k: (1, (6 * p ** r - 2 * k - 2, 2 * p ** r - 2 * k - 2)),
+        lambda p, r, k: (5,))
 
 CATALOG: dict[str, CongruenceCase] = dict(sorted(_C.items()))
 
@@ -787,19 +762,43 @@ def series_sum_residue(case, params: CheckParams, ctx: PadicContext) -> int:
         raise BackendIneligible(f"{case.id}: {e}; use the exact backend") from None
 
 
+def _walk(v: int, n0: int, m0: int, n: int, m: int) -> int:
+    """C(n, m) from v = C(n0, m0), 0 <= m0 <= n0 and 0 <= m <= n, by unit term
+    ratios, each an exact integer division.  C(a+b, a) is symmetric in a = m and
+    b = n - m; stepping a, then b, keeps both >= 0, so no step passes a zero."""
+    for a, b, a1 in ((m0, n0 - m0, m), (n0 - m0, m, n - m)):
+        while a < a1:
+            v, a = v * (a + b + 1) // (a + 1), a + 1
+        while a > a1:
+            v, a = v * a // (a + b), a - 1
+    return v
+
+
+def _stepped(desc: Callable[[int, int, int], tuple], p: int, r: int,
+             keys: list[int]) -> list[Rational]:
+    """Values at consecutive members keys of a family description desc(p, r, k)
+    = (c, (n1, m1), (n2, m2), ...), meaning c C(n1, m1) C(n2, m2) ..., where a
+    factor (n, m, -1) divides.  Each factor is binomial at keys[0], then _walk."""
+    out, at = [], None
+    for k in keys:
+        c, *factors = desc(p, r, k)
+        at = at or [(f, binomial(f[0], f[1])) for f in factors]  # the first member
+        at = [(f, _walk(v, *f0[:2], *f[:2])) for (f0, v), f in zip(at, factors)]
+        out.append(prod((v if len(f) == 2 else Fraction(1, v) for f, v in at), start=Fraction(c)))
+    return out
+
+
 def _family_members(case: CongruenceCase, params: CheckParams
                     ) -> list[tuple[int, Rational, Rational]]:
     p, r = params.p, params.r
     rng = case.members(p, r)
-    if params.k is not None:
-        if params.k not in rng:
-            raise ValueError(
-                f"{case.id}: member index {params.k} outside admissible range "
-                f"[{rng.start}, {rng.stop - 1}] at p={p}, r={r}")
-        keys = [params.k]
-    else:
-        keys = list(rng)
-    return [(k, case.member_lhs(p, r, k), case.member_rhs(p, r, k)) for k in keys]
+    if params.k is not None and params.k not in rng:
+        raise ValueError(
+            f"{case.id}: member index {params.k} outside admissible range "
+            f"[{rng.start}, {rng.stop - 1}] at p={p}, r={r}")
+    keys = list(rng) if params.k is None else [params.k]
+    return list(zip(keys, _stepped(case.member_lhs, p, r, keys),
+                    _stepped(case.member_rhs, p, r, keys)))
 
 
 def _point_items(case: CongruenceCase, params: CheckParams

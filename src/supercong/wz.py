@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .combinat import (binomial, central_binomial, factorial, pochhammer_half,
-                       pochhammer_neg_half, recip_pochhammer)
+                       pochhammer_neg_half)
 from .exactnum import Rational
 
 Cell = Callable[[int, int], Rational]
@@ -59,14 +59,14 @@ def _rising_half_shift(k: int, n: int) -> Rational:
 def _f_gz(n: int, k: int) -> Rational:
     c = 10 * n * n + 12 * n * k + 6 * n + 4 * k * k + 4 * k + 1
     return (c * pochhammer_half(n) * _rising_half_shift(k, n) ** 4
-            * recip_pochhammer(1, n) ** 5 * (-1) ** n * Fraction(4) ** n)
+            * (-1) ** n * Fraction(4) ** n / factorial(n) ** 5)
 
 
 def _g_gz(n: int, k: int) -> Rational:
     if n == 0:
         return Fraction(0)  # 1/(1)_(n-1) = 1/(1)_(-1) = 0
     return ((n + 2 * k - 1) * pochhammer_half(n) * _rising_half_shift(k, n - 1) ** 4
-            * recip_pochhammer(1, n - 1) ** 5 * (-1) ** n * Fraction(2) ** (2 * n + 1))
+            * (-1) ** n * Fraction(2) ** (2 * n + 1) / factorial(n - 1) ** 5)
 
 
 def _f_guo(n: int, k: int) -> Rational:
@@ -89,17 +89,19 @@ def _g_guo(n: int, k: int) -> Rational:
 
 
 def _f_gl(n: int, k: int) -> Rational:
+    if k > n:
+        return Fraction(0)  # 1/(1)_(n-k) = 0
     return ((-1) ** (n + k) * (4 * n - 1) * pochhammer_neg_half(n) ** 2
-            * pochhammer_neg_half(n + k) * recip_pochhammer(1, n) ** 2
-            * recip_pochhammer(1, n - k) / pochhammer_neg_half(k) ** 2)
+            * pochhammer_neg_half(n + k) / pochhammer_neg_half(k) ** 2
+            / (factorial(n) ** 2 * factorial(n - k)))
 
 
 def _g_gl(n: int, k: int) -> Rational:
-    if n == 0:
-        return Fraction(0)  # 1/(1)_(-1) = 0
+    if k > n:
+        return Fraction(0)  # 1/(1)_(n-k) = 0; with k >= 1 this covers 1/(1)_(-1) at n = 0
     return ((-1) ** (n + k) * 2 * pochhammer_neg_half(n) ** 2
-            * pochhammer_neg_half(n + k - 1) * recip_pochhammer(1, n - 1) ** 2
-            * recip_pochhammer(1, n - k) / pochhammer_neg_half(k) ** 2)
+            * pochhammer_neg_half(n + k - 1) / pochhammer_neg_half(k) ** 2
+            / (factorial(n - 1) ** 2 * factorial(n - k)))
 
 
 def _f_z20(n: int, k: int) -> Rational:

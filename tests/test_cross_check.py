@@ -1,7 +1,6 @@
 """The `both` cross-check: each value with an independent modular path is
 compared against it, and a mismatch is reported, never absorbed."""
 import dataclasses
-from fractions import Fraction as F
 
 import pytest
 
@@ -51,11 +50,11 @@ def test_p_integral_family_needs_lucas():
     families = [c for c in list_cases() if c.kind == "family" and c.p_integral]
     assert len(families) == 7
     assert all(c.member_lucas is not None for c in families)
-    with pytest.raises(ValueError, match="X-NO-LUCAS"):
-        congruences._family("X-NO-LUCAS", "C(2k,k) == C(2k,k)", lambda p, r: 1,
-                            congruences._binrow_range,
-                            lambda p, r, k: F(1), lambda p, r, k: F(1))
-    assert "X-NO-LUCAS" not in congruences._C
+    # member_lucas is derived from the lhs description; every family claims
+    # at least mod p, so it reduces to each member's rhs mod p
+    for case in families:
+        for k, _, rhs in congruences._family_members(case, CheckParams(p=7, r=2)):
+            assert case.member_lucas(7, 2, k) == rhs % 7, (case.id, k)
 
 
 def test_summand_check_reads_the_catalog_spec(monkeypatch):

@@ -113,3 +113,13 @@ def test_backend_disagreement_is_reported(monkeypatch):
     assert [e["case_id"] for e in report.errors] == ["GUO-64"]
     assert report.errors[0]["error"].startswith("BackendDisagreement: GUO-64")
     assert report.failed
+
+
+def test_verify_reports_backend_disagreement(monkeypatch, capsys):
+    # a failed check, not a usage error: exit 1 and one line on stderr
+    monkeypatch.setattr(congruences, "_series_residue", lambda *args: 1)
+    assert main(["verify", "--case", "GUO-64", "--p", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: GUO-64: exact and residue backends disagree")
+    assert captured.err.count("\n") == 1
