@@ -1,14 +1,12 @@
 """Combinatorial primitives: factorials, binomials, Pochhammer symbols,
 harmonic numbers, Euler numbers, Fermat quotients, Lucas reduction.
 
-Factorials, odd products, central binomials, and Euler numbers are cached
-in growable tables guarded by a lock; cached reads are observationally
-identical to recomputation, so concurrent callers are safe.
+Every function is stateless: each call computes its value afresh (factorials
+and binomials by `math`), so nothing is retained between calls.
 """
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 from .exactnum import Rational, _check_odd_prime
@@ -22,45 +20,25 @@ class UnsupportedConvention(ValueError):
 DivisionByZero = ZeroDivisionError
 
 
-_lock = threading.Lock()
-_fact: list[int] = [1]
-_odd: list[int] = [1]
-_central: list[int] = [1]
-_euler: list[int] = [1]
-
-
 def factorial(n: int) -> int:
-    """n!, table-cached."""
+    """n!."""
     if n < 0:
         raise ValueError(f"factorial of negative {n}")
-    if n >= len(_fact):
-        with _lock:
-            while len(_fact) <= n:
-                _fact.append(_fact[-1] * len(_fact))
-    return _fact[n]
+    return math.factorial(n)
 
 
 def odd_product(m: int) -> int:
-    """Product of the first m odd numbers: 1*3*...*(2m-1), table-cached."""
+    """Product of the first m odd numbers: 1*3*...*(2m-1) = C(2m,m) m! / 2^m."""
     if m < 0:
         raise ValueError(f"odd_product of negative {m}")
-    if m >= len(_odd):
-        with _lock:
-            while len(_odd) <= m:
-                _odd.append(_odd[-1] * (2 * len(_odd) - 1))
-    return _odd[m]
+    return central_binomial(m) * factorial(m) >> m
 
 
 def central_binomial(m: int) -> int:
-    """C(2m, m), table-cached (incremental ratio 2(2m-1)/m is exact)."""
+    """C(2m, m)."""
     if m < 0:
         raise ValueError(f"central_binomial of negative {m}")
-    if m >= len(_central):
-        with _lock:
-            while len(_central) <= m:
-                k = len(_central)
-                _central.append(_central[-1] * (2 * (2 * k - 1)) // k)
-    return _central[m]
+    return math.comb(2 * m, m)
 
 
 def binomial(n: int, k: int) -> int:
@@ -100,7 +78,7 @@ def pochhammer(a, n: int) -> Rational:
 
 
 def pochhammer_half(m: int) -> Rational:
-    """(1/2)_m = C(2m,m) m! / 4^m, via the cached tables."""
+    """(1/2)_m = C(2m,m) m! / 4^m."""
     return Fraction(central_binomial(m) * factorial(m), 4 ** m)
 
 
@@ -141,13 +119,10 @@ def euler_number(n: int) -> int:
     """Euler number E_n by the recurrence E_n = -sum C(n,2k) E_(n-2k), E_0 = 1."""
     if n < 0:
         raise ValueError(f"euler_number of negative {n}")
-    if n >= len(_euler):
-        with _lock:
-            while len(_euler) <= n:
-                i = len(_euler)
-                _euler.append(-sum(math.comb(i, 2 * k) * _euler[i - 2 * k]
-                                   for k in range(1, i // 2 + 1)))
-    return _euler[n]
+    e = [1]
+    for i in range(1, n + 1):
+        e.append(-sum(math.comb(i, 2 * k) * e[i - 2 * k] for k in range(1, i // 2 + 1)))
+    return e[n]
 
 
 def fermat_quotient(p: int) -> int:

@@ -26,8 +26,7 @@ from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .combinat import (binomial, binomial_rat, central_binomial, euler_number,
-                       factorial, fermat_quotient, harmonic, lucas_residue,
-                       odd_product)
+                       fermat_quotient, harmonic, lucas_residue)
 from .exactnum import (INFINITE, PadicContext, Rational, Valuation, is_prime,
                        residue, vp)
 from . import wz
@@ -179,13 +178,17 @@ class SeriesSpec:
                 s = -s
 
     def terms(self, upper: int) -> Iterator[Rational]:
-        """The sum's terms one by one as Fractions, each from the binomial
-        tables directly: the reference the kernels are tested against."""
+        """The sum's terms one by one as Fractions, each from a list of
+        C(2j,j), j <= 2 upper, built by its own recurrence C(2j,j) =
+        C(2j-2,j-1) 2(2j-1)/j: the reference the kernels are tested against."""
+        central = [1]
+        for j in range(1, 2 * upper + 1):
+            central.append(central[-1] * (2 * (2 * j - 1)) // j)
         s = self.sign
         for k in range(self.start, upper + 1):
-            x = central_binomial(k) // _poly(self.divisor, k)
+            x = central[k] // _poly(self.divisor, k)
             yield Fraction(s * _poly(self.poly, k) * x ** self.a
-                           * central_binomial(2 * k) ** self.b,
+                           * central[2 * k] ** self.b,
                            _poly(self.den, k) << (self.rate * k))
             if self.alternating:
                 s = -s
@@ -251,9 +254,7 @@ def _terms_lem21(p: int, r: int, upper: int) -> Iterator[Rational]:
     return iter(_lem21_sums(p, r, range(upper + 1)))
 
 
-_GENERATORS: dict[str, Callable[..., Iterator[Rational]]] = {
-    **{name: spec.terms for name, spec in SERIES.items()}, "lem21": _terms_lem21}
-_P_DEPENDENT = {"lem21"}  # generators whose terms depend on (p, r), not just the cap
+_P_DEPENDENT = {"lem21"}  # series whose terms depend on (p, r), not just the cap
 
 
 @lru_cache(maxsize=256)
@@ -349,8 +350,8 @@ def _theta_row(p: int, r: int) -> tuple[Rational, Rational, Rational]:
 def _gz_column(p: int, r: int, at_top: bool) -> Rational:
     P = p ** r
     n0 = P if at_top else (P + 1) // 2
-    t0 = Fraction((-1) ** n0 * odd_product(n0) ** 5,
-                  2 ** (3 * n0 - 5) * factorial(n0 - 1) ** 5)
+    # odd(n0) / (n0-1)! = n0 C(2n0,n0) / 2^n0
+    t0 = Fraction((-1) ** n0 * (n0 * central_binomial(n0)) ** 5, 2 ** (8 * n0 - 5))
     return _ratio_sums(t0, lambda k: ((2 * k + 2 * n0 - 1) ** 4, (2 * k + 1) ** 4),
                        1, ((P - 1) // 2,), (n0 - 1, 2))[0]
 

@@ -199,6 +199,17 @@ class SweepReport:
         s = self.summary()
         return s["fail"] > 0 or s["error"] > 0
 
+    def __repr__(self) -> str:
+        """The summary counts and the first few failing and erroring points.
+        No lhs or rhs: at large p^r their digits exceed the interpreter's
+        int-to-str limit, and repr() would raise instead of naming the points."""
+        fails = [(res.case_id, res.params.p, res.params.r, res.params.delta)
+                 for res in self.results
+                 if not res.passed and not demoted(res, self.config.strict_conjectures)]
+        errs = [(e["case_id"], e["p"], e["r"], e["delta"]) for e in self.errors]
+        return (f"SweepReport({self.summary()}, failing={fails[:5]}, "
+                f"erroring={errs[:5]})")
+
 
 def _plan(config: SweepConfig) -> list[tuple[str, int, int, Optional[int]]]:
     tasks = []

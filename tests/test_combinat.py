@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -21,13 +22,30 @@ def test_factorial_table():
 
 
 def test_odd_product_matches_double_factorial():
-    for m in range(60):
-        assert odd_product(m) == factorial(2 * m) // (2 ** m * factorial(m))
+    for m in range(200):
+        assert odd_product(m) == math.prod(range(1, 2 * m, 2))
+    with pytest.raises(ValueError):
+        odd_product(-1)
 
 
 def test_central_binomial_table():
     for m in range(80):
         assert central_binomial(m) == math.comb(2 * m, m)
+    with pytest.raises(ValueError):
+        central_binomial(-1)
+
+
+@pytest.mark.parametrize("fn", [factorial, central_binomial, odd_product])
+def test_large_arguments_retain_no_memory(fn):
+    # a table of every value up to n = 10 000 would hold hundreds of MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert fn(10_000) > 0
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20, retained
 
 
 def test_binomial_nonnegative_agrees_with_stdlib():
@@ -123,9 +141,13 @@ def test_harmonic_frozen_values():
 
 
 def test_euler_numbers():
+    # out of order: the largest index first, then smaller ones
+    assert euler_number(44) == 7947579422597592703608040510088070619519273805
     assert [euler_number(n) for n in (0, 2, 4, 6, 8)] == [1, -1, 5, -61, 1385]
     for n in range(1, 16, 2):
         assert euler_number(n) == 0
+    with pytest.raises(ValueError):
+        euler_number(-1)
 
 
 def test_fermat_quotient():

@@ -4,11 +4,10 @@ import pytest
 
 from supercong import wz
 from supercong.congruences import (BackendIneligible, CheckParams,
-                                   PrimeBelowFloor, UnknownCase,
-                                   _GENERATORS, _gz_column, _guo_row,
-                                   _terms_lem21, _theta_direct, _theta_row,
-                                   _z20_row, cross_validate, evaluate_case,
-                                   get_case, list_cases)
+                                   PrimeBelowFloor, UnknownCase, _gz_column,
+                                   _guo_row, _terms_lem21, _theta_direct,
+                                   _theta_row, _z20_row, cross_validate,
+                                   evaluate_case, get_case, list_cases)
 from supercong.exactnum import INFINITE, PadicContext, residue, vp
 
 PRIMES_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -258,3 +259,23 @@ def test_per_point_error_isolation(monkeypatch):
                               "delta": None, "error": "RuntimeError: boom"}]
     assert report.summary()["error"] == 1
     assert report.failed
+    assert repr(report).endswith("erroring=[('WOLST-BIN', 5, 1, None)])")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int-to-str digit limit")
+def test_report_repr_names_failing_points_under_digit_limit():
+    report = run_sweep(SweepConfig(primes=(5, 7), r_max=1, glob="GUO-64"))
+    huge = F(10 ** 5000 + 1, 3)
+    report.results[1] = dataclasses.replace(report.results[1], lhs=huge, passed=False)
+    report.errors.append({"case_id": "GZ-10N2", "p": 7, "r": 2, "delta": None,
+                          "error": "MemoryError: "})
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        text = repr(report)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text == ("SweepReport({'pass': 1, 'fail': 1, 'informational': 0, 'error': 1}, "
+                    "failing=[('GUO-64', 7, 1, None)], "
+                    "erroring=[('GZ-10N2', 7, 2, None)])")

@@ -5,7 +5,7 @@ import pytest
 from supercong.wz import (PAIRS, boundary_identity, check_summand,
                           check_telescoping, eval_F, eval_G, get_pair,
                           summand_sign)
-from supercong.congruences import _GENERATORS
+from supercong.congruences import SERIES
 
 ALL = sorted(PAIRS)
 
@@ -101,11 +101,11 @@ def test_series_terms_equal_boundary_column():
     checks = [("gz10n2", "GZ10N2"), ("guo64", "GUO64"), ("glr", "GL4K1"),
               ("z20n3-signed", "Z20N3")]
     for gen_name, pid in checks:
-        terms = list(_GENERATORS[gen_name](40))
+        terms = list(SERIES[gen_name].terms(40))
         for n, t in enumerate(terms):
             assert t == eval_F(pid, n, 0), (gen_name, n)
     # the unsigned variant differs from the column by the registered sign
-    raw = list(_GENERATORS["z20n3-raw"](40))
+    raw = list(SERIES["z20n3-raw"].terms(40))
     for n, t in enumerate(raw):
         assert t == summand_sign("Z20N3", n) * eval_F("Z20N3", n, 0), n
 
