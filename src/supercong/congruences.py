@@ -3,8 +3,8 @@ certificate-row sums, each scored by the p-adic valuation of LHS - RHS.
 
 Case kinds:
   series   -- a truncated sum described by a SeriesSpec (exact sum over one
-              common denominator, plus a termwise residue path in Z/p^m when
-              the terms are p-integral)
+              common denominator, plus a residue path in Z/p^m that steps
+              (valuation, unit) pairs when the terms are p-integral)
   scalar   -- a single closed-form quantity
   family   -- a k-indexed batch of scalar congruences, aggregated by the
               minimum observed valuation over all members
@@ -148,7 +148,9 @@ class SeriesSpec:
     k = start .. upper, with x_k = C(2k,k) / divisor(k), an exact integer
     quotient; the (-1)^k only when alternating (alternating specs start at 0).
     Polynomials are coefficient tuples, constant term first; den(k) is the
-    small odd denominator factor."""
+    small odd denominator factor.  Both kernels read the binomial part
+    x_k^a C(4k,2k)^b through steps(): the exact one steps it as a big integer
+    (parts), the residue one as a p-adic (valuation, unit) pair."""
 
     def __init__(self, poly: tuple[int, ...], *, a: int = 0, b: int = 0,
                  rate: int = 0, den: tuple[int, ...] = (1,),
@@ -158,21 +160,29 @@ class SeriesSpec:
         self.den, self.divisor, self.sign = den, divisor, sign
         self.alternating, self.start = alternating, start
 
-    def parts(self, upper: int) -> Iterator[tuple[int, int, int]]:
-        """(k, integer numerator, den(k)) of t_k for k = start .. upper.
+    def steps(self, upper: int) -> Iterator[tuple[int, int, int]]:
+        """(k, num, den) for k = start .. upper: the binomial part at k is the
+        one at k - 1 times num / den, an exact integer quotient; at k = start
+        num is the part itself (start <= 1, so it is small) and den is 1.
+        The ratio is (2(2k-1) divisor(k-1) / (k divisor(k)))^a
+        (2(4k-3)(4k-1) / (k(2k-1)))^b."""
+        a, b, div, k = self.a, self.b, self.divisor, self.start
+        if upper < k:
+            return
+        q = _poly(div, k)
+        yield k, (central_binomial(k) // q) ** a * central_binomial(2 * k) ** b, 1
+        for k in range(k + 1, upper + 1):
+            q1 = _poly(div, k)
+            yield (k, (2 * (2 * k - 1) * q) ** a * (2 * (4 * k - 3) * (4 * k - 1)) ** b,
+                   (k * q1) ** a * (k * (2 * k - 1)) ** b)
+            q = q1
 
-        The binomial part x_k^a C(4k,2k)^b steps from k - 1 to k by its term
-        ratio (2(2k-1) divisor(k-1) / (k divisor(k)))^a
-        (2(4k-3)(4k-1) / (k(2k-1)))^b, an exact integer division."""
-        s, a, b = self.sign, self.a, self.b
-        q = _poly(self.divisor, self.start)
-        part = (central_binomial(self.start) // q) ** a * central_binomial(2 * self.start) ** b
-        for k in range(self.start, upper + 1):
-            if k > self.start:
-                q1 = _poly(self.divisor, k)
-                part = (part * (2 * (2 * k - 1) * q) ** a * (2 * (4 * k - 3) * (4 * k - 1)) ** b
-                        // ((k * q1) ** a * (k * (2 * k - 1)) ** b))
-                q = q1
+    def parts(self, upper: int) -> Iterator[tuple[int, int, int]]:
+        """(k, integer numerator, den(k)) of t_k for k = start .. upper; the
+        binomial part is a big integer, stepped exactly by steps()."""
+        s, part = self.sign, 1
+        for k, num, den in self.steps(upper):
+            part = part * num // den
             yield k, s * _poly(self.poly, k) * part, _poly(self.den, k)
             if self.alternating:
                 s = -s
@@ -276,22 +286,44 @@ def _series_exact(name: str, p_key: Optional[int], r_key: Optional[int], upper: 
 @lru_cache(maxsize=256)
 def _series_residue(name: str, p_key: Optional[int], r_key: Optional[int],
                     upper: int, p: int, m: int) -> int:
-    """Residue kernel: each term's integer part mod p^m times the inverses of
-    2^(rate k) and den(k); no Fraction is built.  Raises BackendIneligible at
-    the first term whose den(k) is divisible by p."""
+    """Residue kernel: the sum mod p^m from the spec's steps alone, with no
+    Fraction and no big integer.  The binomial part B_k is carried as
+    p^v un / ud: v is its p-adic valuation, and un and ud are the units mod
+    p^m of the products of the steps' numerators and denominators.  Each step
+    strips p from its two integers, adds the valuations and multiplies the
+    units; 2^(rate k) is carried as tw mod p^m.  The running sum is num / dd,
+    inverted once at the end.
+
+    Precision: every catalog spec is p-integral, so B_k is an integer and
+    v >= 0, and den(k) and 2 are units at the points the kernel accepts.
+    Carrying the units mod p^m is therefore exact, and a term with v >= m
+    is 0 mod p^m (v may fall back below m later, so un and ud are still
+    stepped).  Raises BackendIneligible at the first term whose den(k) is
+    divisible by p, whatever its v."""
     spec = SERIES[name]
     mod = p ** m
-    step = pow(2, -spec.rate, mod)
-    scale = pow(step, spec.start, mod)      # 2^(-rate k) mod p^m
-    acc = 0
-    for k, t, d in spec.parts(upper):
+    powers = [p ** e for e in range(m)]
+    s, two, tw = spec.sign, 1 << spec.rate, 1 << spec.rate * spec.start
+    v, un, ud, num, dd = 0, 1, 1, 0, 1
+    for k, up, down in spec.steps(upper):
+        while up % p == 0:
+            up, v = up // p, v + 1
+        while down % p == 0:
+            down, v = down // p, v - 1
+        un, ud = un * up % mod, ud * down % mod
+        d = _poly(spec.den, k)
         if d % p == 0:
             raise BackendIneligible(
                 f"term k={k} of series {name} has odd denominator factor "
                 f"{d}, divisible by p = {p}")
-        acc = (acc + t % mod * scale * pow(d, -1, mod)) % mod
-        scale = scale * step % mod
-    return acc
+        if v < m:
+            e = ud * d * tw % mod
+            num = (num * e + s * _poly(spec.poly, k) * powers[v] * un * dd) % mod
+            dd = dd * e % mod
+        tw = tw * two % mod
+        if spec.alternating:
+            s = -s
+    return num * pow(dd, -1, mod) % mod
 
 
 def _series_keys(case: CongruenceCase, p: int, r: int) -> tuple[Optional[int], Optional[int]]:

@@ -8,7 +8,7 @@ from supercong.cli import main
 from supercong.congruences import (SERIES, BackendDisagreement,
                                    BackendIneligible, CheckParams, _poly,
                                    _series_exact, _series_residue, evaluate_case)
-from supercong.exactnum import PadicContext, residue
+from supercong.exactnum import PadicContext, residue, vp
 from supercong.harness import SweepConfig, run_sweep
 
 POWER_OF_TWO = sorted(name for name, spec in SERIES.items() if spec.den == (1,))
@@ -81,6 +81,85 @@ def test_residue_kernel_builds_no_fraction(monkeypatch):
         Fraction(1, 2)
     for name in SERIES:
         residue_kernel(name, 20, 43, 3)
+
+
+def test_residue_kernel_never_steps_the_exact_parts(monkeypatch):
+    # with the Fraction test above: the two sides of `both` share no Fraction
+    # code and no big-integer stepping
+    expected = {name: residue(exact(name, 20), PadicContext(43, 3)) for name in SERIES}
+
+    def refuse(self, upper):
+        raise AssertionError("SeriesSpec.parts stepped by the residue kernel")
+
+    monkeypatch.setattr(congruences.SeriesSpec, "parts", refuse)
+    with pytest.raises(AssertionError):
+        exact("guo64", 20)
+    for name in SERIES:
+        assert residue_kernel(name, 20, 43, 3) == expected[name], name
+
+
+def _binomial_part_valuations(spec, p, upper):
+    """vp of x_k^a C(4k,2k)^b for k = start .. upper, by Legendre's formula."""
+    def fact(n):
+        digits, q = 0, n
+        while q:
+            digits, q = digits + q % p, q // p
+        return (n - digits) // (p - 1)
+
+    return [spec.a * (fact(2 * k) - 2 * fact(k) - vp(_poly(spec.divisor, k), p))
+            + spec.b * (fact(4 * k) - 2 * fact(2 * k))
+            for k in range(spec.start, upper + 1)]
+
+
+@pytest.mark.parametrize("name", POWER_OF_TWO)
+def test_residue_kernel_deep_valuations(name):
+    # at p = 5 up to r = 6 many terms vanish mod 5^m (v >= m), and the running
+    # valuation of the binomial part falls back below m after them; at r = 6
+    # only the half window, since the exact reference at 5^6 - 1 takes seconds
+    p, spec = 5, SERIES[name]
+    uppers = [(p ** r - 1) // 2 for r in range(1, 7)] + [p ** r - 1 for r in range(1, 6)]
+    for upper in uppers:
+        ref = exact(name, upper)
+        for m in (1, 2, 3, 5, 8, 10):
+            assert residue_kernel(name, upper, p, m) == \
+                residue(ref, PadicContext(p, m)), (upper, m)
+    vals = _binomial_part_valuations(spec, p, (p ** 6 - 1) // 2)
+    deep = [k for k, v in enumerate(vals) if v >= 10]
+    assert len(deep) > 100
+    assert any(v < 10 for v in vals[deep[0]:])
+    assert min(vals) >= 0
+
+
+def test_residue_kernel_matches_exact_sums_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    primes = [q for q in range(5, 98) if all(q % d for d in range(2, q))]
+
+    # derandomized: one exact reference near 3p^2 costs seconds at p near 97,
+    # so a fixed draw keeps the suite's time stable
+    @hypothesis.settings(max_examples=8, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(p=st.sampled_from(primes), m=st.integers(1, 8), data=st.data())
+    def check(p, m, data):
+        upper = data.draw(st.integers(0, 3 * p * p), label="upper")
+        for name, spec in SERIES.items():
+            bad = [k for k in range(spec.start, upper + 1) if _poly(spec.den, k) % p == 0]
+            if bad:
+                with pytest.raises(BackendIneligible, match=f"term k={bad[0]} "):
+                    residue_kernel(name, upper, p, m)
+            else:
+                assert residue_kernel(name, upper, p, m) == \
+                    residue(exact(name, upper), PadicContext(p, m)), name
+
+    check()
+
+
+def test_guo64_reach_point_on_residue(capsys):
+    # p = 47, r = 3: 103 823 terms, each a (valuation, unit) step mod 47^5
+    assert main(["verify", "--case", "GUO-64", "--p", "47", "--r", "3",
+                 "--backend", "residue"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("GUO-64 p=47 r=3 backend=residue:")
+    assert out.rstrip().endswith("PASS")
 
 
 def test_upper_cap_past_p_is_ineligible_on_residue(capsys):

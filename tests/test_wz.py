@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from supercong.combinat import factorial, pochhammer
 from supercong.wz import (PAIRS, boundary_identity, check_summand,
                           check_telescoping, eval_F, eval_G, get_pair,
                           summand_sign)
@@ -39,6 +40,28 @@ def test_known_cells_4n_minus_1_pair():
     assert eval_F("GL4K1", 2, 1) == F(21, 128)
     assert eval_G("GL4K1", 2, 1) == F(1, 8)
     assert eval_G("GL4K1", 1, 1) == -1
+
+
+def test_4n_minus_1_cells_equal_pochhammer_definition():
+    # the cells' one-Fraction form against the registered definition, term by term
+    def f_def(n, k):
+        return ((-1) ** (n + k) * (4 * n - 1) * pochhammer(F(-1, 2), n) ** 2
+                * pochhammer(F(-1, 2), n + k)
+                / (pochhammer(F(-1, 2), k) ** 2 * factorial(n) ** 2 * factorial(n - k)))
+
+    def g_def(n, k):
+        return ((-1) ** (n + k) * 2 * pochhammer(F(-1, 2), n) ** 2
+                * pochhammer(F(-1, 2), n + k - 1)
+                / (pochhammer(F(-1, 2), k) ** 2 * factorial(n - 1) ** 2 * factorial(n - k)))
+
+    cells = [(n, k) for n in range(25) for k in range(n + 1)]
+    cells += [(300, 0), (300, 1), (300, 150), (300, 299), (300, 300)]
+    for n, k in cells:
+        assert eval_F("GL4K1", n, k) == f_def(n, k), (n, k)
+        if k >= 1:
+            assert eval_G("GL4K1", n, k) == g_def(n, k), (n, k)
+    for n in range(6):
+        assert eval_F("GL4K1", n, n + 1) == 0 and eval_G("GL4K1", n, n + 1) == 0
 
 
 def test_known_cells_20n_plus_3_pair():
