@@ -5,9 +5,9 @@ from .exactnum import (INFINITE, PadicContext, PNotIntegral, Rational,
                        Valuation, congruent, is_prime, residue, vp)
 from .combinat import (DivisionByZero, UnsupportedConvention, binomial,
                        binomial_rat, central_binomial, euler_number, factorial,
-                       fermat_quotient, harmonic, lucas_residue, odd_product,
-                       pochhammer, pochhammer_half, pochhammer_neg_half,
-                       recip_pochhammer)
+                       fermat_quotient, harmonic, lucas_residue, neg_half,
+                       odd_product, pochhammer, pochhammer_half,
+                       pochhammer_neg_half, recip_pochhammer)
 from .wz import (PAIRS, GridReport, WzPair, boundary_identity,
                  check_summand, check_telescoping, eval_F, eval_G, get_pair,
                  summand_sign)
@@ -27,7 +27,7 @@ __all__ = [
     "congruent", "is_prime", "residue", "vp",
     "DivisionByZero", "UnsupportedConvention", "binomial", "binomial_rat",
     "central_binomial", "euler_number", "factorial", "fermat_quotient",
-    "harmonic", "lucas_residue", "odd_product", "pochhammer",
+    "harmonic", "lucas_residue", "neg_half", "odd_product", "pochhammer",
     "pochhammer_half", "pochhammer_neg_half", "recip_pochhammer",
     "PAIRS", "GridReport", "WzPair", "boundary_identity", "check_summand",
     "check_telescoping", "eval_F", "eval_G", "get_pair", "summand_sign",

@@ -82,11 +82,16 @@ def pochhammer_half(m: int) -> Rational:
     return Fraction(central_binomial(m) * factorial(m), 4 ** m)
 
 
+def neg_half(m: int) -> int:
+    """2^m (-1/2)_m, an integer: -(2m-3)!! for m >= 1 and 1 at m = 0."""
+    if m < 0:
+        raise ValueError(f"neg_half of negative {m}")
+    return -odd_product(m - 1) if m else 1
+
+
 def pochhammer_neg_half(m: int) -> Rational:
-    """(-1/2)_m; equals -(1/2)_(m-1)/2 for m >= 1."""
-    if m == 0:
-        return Fraction(1)
-    return -pochhammer_half(m - 1) / 2
+    """(-1/2)_m = neg_half(m) / 2^m."""
+    return Fraction(neg_half(m), 2 ** m)
 
 
 def recip_pochhammer(a, n: int) -> Rational:

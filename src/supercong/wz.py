@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import prod
 from typing import Callable
 
-from .combinat import (binomial, central_binomial, factorial, odd_product,
+from .combinat import (binomial, central_binomial, factorial, neg_half,
                        pochhammer_half)
 from .exactnum import Rational
 
@@ -89,28 +89,14 @@ def _g_guo(n: int, k: int) -> Rational:
             * Fraction(num, factorial(2 * k)) / central_binomial(k))
 
 
-def _neg_half(m: int) -> int:
-    """2^m (-1/2)_m, an integer: -(2m-3)!! for m >= 1 and 1 at m = 0."""
-    return -odd_product(m - 1) if m else 1
-
-
-def _range_product(xs: range) -> int:
-    """The product of xs, halved into a balanced tree so the big factors meet
-    in a few large multiplications."""
-    if len(xs) <= 64:
-        return prod(xs)
-    mid = len(xs) // 2
-    return _range_product(xs[:mid]) * _range_product(xs[mid:])
-
-
 def _neg_half_ratio(n: int, k: int) -> int:
     """2^(n-k) (-1/2)_n / (-1/2)_k = (2k-1)(2k+1)...(2n-3) for 0 <= k <= n."""
-    return _range_product(range(2 * k - 1, 2 * n - 2, 2))
+    return prod(range(2 * k - 1, 2 * n - 2, 2))
 
 
 # each GL4K1 cell is one integer numerator over one integer denominator, so
 # the Fraction built from them is its only gcd: (-1/2)_n^2 / (-1/2)_k^2 is
-# q^2 / 4^(n-k) with q = _neg_half_ratio(n, k), and (-1/2)_j = _neg_half(j) / 2^j,
+# q^2 / 4^(n-k) with q = _neg_half_ratio(n, k), and (-1/2)_j = neg_half(j) / 2^j,
 # so the powers of two collect into 2^(3n-k) in F and 2^(3n-k-2) in G
 
 
@@ -118,7 +104,7 @@ def _f_gl(n: int, k: int) -> Rational:
     if k > n:
         return Fraction(0)  # 1/(1)_(n-k) = 0
     q = _neg_half_ratio(n, k)
-    return Fraction((-1) ** (n + k) * (4 * n - 1) * q * q * _neg_half(n + k),
+    return Fraction((-1) ** (n + k) * (4 * n - 1) * q * q * neg_half(n + k),
                     factorial(n) ** 2 * factorial(n - k) << 3 * n - k)
 
 
@@ -126,7 +112,7 @@ def _g_gl(n: int, k: int) -> Rational:
     if k > n:
         return Fraction(0)  # 1/(1)_(n-k) = 0; with k >= 1 this covers 1/(1)_(-1) at n = 0
     q = _neg_half_ratio(n, k)
-    return Fraction((-1) ** (n + k) * q * q * _neg_half(n + k - 1),
+    return Fraction((-1) ** (n + k) * q * q * neg_half(n + k - 1),
                     factorial(n - 1) ** 2 * factorial(n - k) << 3 * n - k - 2)
 
 

@@ -8,7 +8,7 @@ import pytest
 from supercong.combinat import (DivisionByZero, UnsupportedConvention, binomial,
                                 binomial_rat, central_binomial, euler_number,
                                 factorial, fermat_quotient, harmonic,
-                                lucas_residue, odd_product, pochhammer,
+                                lucas_residue, neg_half, odd_product, pochhammer,
                                 pochhammer_half, pochhammer_neg_half,
                                 recip_pochhammer)
 from supercong.exactnum import PadicContext, congruent, is_prime, vp
@@ -117,6 +117,9 @@ def test_pochhammer_half_closed_form():
 def test_pochhammer_neg_half_matches_generic():
     for n in range(60):
         assert pochhammer_neg_half(n) == pochhammer(F(-1, 2), n)
+        assert neg_half(n) == pochhammer(F(-1, 2), n) * 2 ** n
+    with pytest.raises(ValueError):
+        neg_half(-1)
 
 
 def test_recip_pochhammer_conventions():
