@@ -141,11 +141,14 @@ def lucas_residue(n: int, k: int, p: int) -> int:
     _check_odd_prime(p)
     if n < 0 or k < 0:
         raise ValueError("lucas_residue needs n, k >= 0")
+    return _lucas(n, k, p)
+
+
+def _lucas(n: int, k: int, p: int) -> int:
+    """The digit loop of lucas_residue, with p an odd prime and n, k >= 0
+    unchecked: for callers that validate them once per point."""
     out = 1
-    while n or k:
-        out = out * binomial(n % p, k % p) % p
-        if out == 0:
-            return 0
-        n //= p
-        k //= p
+    while (n or k) and out:
+        out = out * math.comb(n % p, k % p) % p
+        n, k = n // p, k // p
     return out

@@ -25,10 +25,11 @@ from functools import lru_cache
 from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .combinat import (binomial, binomial_rat, central_binomial, euler_number,
-                       fermat_quotient, harmonic, lucas_residue)
-from .exactnum import (INFINITE, PadicContext, Rational, Valuation, is_prime,
-                       residue, vp)
+from .combinat import (_lucas, binomial, binomial_rat, central_binomial,
+                       euler_number, fermat_quotient, harmonic)
+from .exactnum import (INFINITE, PadicContext, Rational, Valuation, _vp_int,
+                       is_prime, residue)
+from .exactnum import vp  # noqa: F401  (unused here; perfbench/tracer.py wraps congruences.vp)
 from . import wz
 
 P_FLOOR = 5
@@ -431,7 +432,7 @@ def _scalar(id, status, statement, m, lhs, rhs, *, uses_r=True, p_integral=False
 def _family(id, statement, m, members, lhs, rhs, *, p_integral=True):
     def lucas(p, r, k):     # lhs mod p: c mod p times a digitwise product per factor
         c, *factors = lhs(p, r, k)
-        return prod((lucas_residue(n, j, p) for n, j in factors), start=c % p) % p
+        return prod((_lucas(n, j, p) for n, j in factors), start=c % p) % p
     _add(CongruenceCase(id=id, status="fact-family", statement=statement,
                         kind="family", claimed_exponent=m, rhs=_rhs_zero,
                         members=members, member_lhs=lhs, member_rhs=rhs,
@@ -674,8 +675,8 @@ _family("FACT-2KK",
 
 _family("FACT-INV",
         "-2 p^r / (l C(2l,l)) == C(2k,k)  (mod p^2) for k + l = p^r, 0 < l < p^r/2",
-        lambda p, r: 2, _fact_range,
-        lambda p, r, k: (Fraction(-2 * p ** r, p ** r - k), (2 * (p ** r - k), p ** r - k, -1)),
+        lambda p, r: 2, _fact_range,      # l = C(l, 1)
+        lambda p, r, k: (-2 * p ** r, (p ** r - k, 1, -1), (2 * (p ** r - k), p ** r - k, -1)),
         lambda p, r, k: (1, (2 * k, k)), p_integral=False)
 
 _family("DAO-HB",
@@ -807,22 +808,30 @@ def _walk(v: int, n0: int, m0: int, n: int, m: int) -> int:
     return v
 
 
+Member = Union[int, tuple[int, int]]
+
+
 def _stepped(desc: Callable[[int, int, int], tuple], p: int, r: int,
-             keys: list[int]) -> list[Rational]:
+             keys: list[int]) -> list[Member]:
     """Values at consecutive members keys of a family description desc(p, r, k)
-    = (c, (n1, m1), (n2, m2), ...), meaning c C(n1, m1) C(n2, m2) ..., where a
-    factor (n, m, -1) divides.  Each factor is binomial at keys[0], then _walk."""
+    = (c, (n1, m1), (n2, m2), ...), meaning c C(n1, m1) C(n2, m2) ... for an
+    integer c, where a factor (n, m, -1) divides.  Each factor is binomial at
+    keys[0], then _walk.  A member is a plain int when no factor divides, and
+    otherwise the integer pair (numerator, denominator), denominator > 0 and
+    not reduced: no member pays for a Fraction or a gcd."""
     out, at = [], None
     for k in keys:
         c, *factors = desc(p, r, k)
         at = at or [(f, binomial(f[0], f[1])) for f in factors]  # the first member
-        at = [(f, _walk(v, *f0[:2], *f[:2])) for (f0, v), f in zip(at, factors)]
-        out.append(prod((v if len(f) == 2 else Fraction(1, v) for f, v in at), start=Fraction(c)))
+        at = [(f, _walk(v, f0[0], f0[1], f[0], f[1])) for (f0, v), f in zip(at, factors)]
+        num = prod((v for f, v in at if len(f) == 2), start=c)
+        den = [v for f, v in at if len(f) == 3]
+        out.append((num, prod(den)) if den else num)
     return out
 
 
 def _family_members(case: CongruenceCase, params: CheckParams
-                    ) -> list[tuple[int, Rational, Rational]]:
+                    ) -> list[tuple[int, Member, Member]]:
     p, r = params.p, params.r
     rng = case.members(p, r)
     if params.k is not None and params.k not in rng:
@@ -835,9 +844,10 @@ def _family_members(case: CongruenceCase, params: CheckParams
 
 
 def _point_items(case: CongruenceCase, params: CheckParams
-                 ) -> list[tuple[Optional[int], Rational, Rational]]:
-    """Exact (k, lhs, rhs) items of a point: one per family member, and a
-    single item with k = None for every other kind."""
+                 ) -> list[tuple[Optional[int], Union[Rational, Member], Union[Rational, Member]]]:
+    """Exact (k, lhs, rhs) items of a point: one per family member, as
+    _stepped gives it, and a single item with k = None and Fraction values
+    for every other kind."""
     if case.kind == "family":
         return _family_members(case, params)
     p, r = params.p, params.r
@@ -845,23 +855,45 @@ def _point_items(case: CongruenceCase, params: CheckParams
     return [(None, lhs, case.rhs(p, r))]
 
 
+def _num_den(x: Union[Rational, Member]) -> tuple[int, int]:
+    """An exact item's value as (numerator, denominator), not reduced."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, tuple):
+        return x
+    return x.numerator, x.denominator
+
+
 def _score(items: list, p: int, m: Optional[int], single: bool):
     """(lhs, rhs, valuation, note) of the first item of least valuation.
 
-    Exact items (m None) are scored by vp(lhs - rhs); residue items by the
-    valuation of their difference in Z/p^m, saturated at m (a difference of
-    0 mod p^m has valuation at least m).  The note names a family's worst
-    member, or the one member asked for when single."""
+    Exact items (m None) are Fractions, ints or (numerator, denominator)
+    pairs (see _stepped).  Each is scored in integers, as vp(a d - c b) -
+    vp(b d) for lhs a / b and rhs c / d, and only the reported item becomes
+    a Fraction.  Residue items are ints, scored by the valuation of their
+    difference in Z/p^m, saturated at m (a difference of 0 mod p^m has
+    valuation at least m).  p is the point's odd prime, checked once by
+    CheckParams, so no item pays a prime check.  The note names a family's
+    worst member, or the one member asked for when single."""
     if not items:
         if m is None:
             return Fraction(0), Fraction(0), INFINITE, "empty member range"
         return 0, 0, m, "empty member range"
+    mod = None if m is None else p ** m
     worst = None
     for k, lhs, rhs in items:
-        obs = vp(lhs - rhs, p) if m is None else min(vp((lhs - rhs) % p ** m, p), m)
+        if mod is None:
+            (a, b), (c, d) = _num_den(lhs), _num_den(rhs)
+            obs = _vp_int(a * d - c * b, p)
+            if obs is not INFINITE and b * d > 1:
+                obs -= _vp_int(b * d, p)
+        else:
+            obs = min(_vp_int((lhs - rhs) % mod, p), m)
         if worst is None or obs < worst[3]:
             worst = (k, lhs, rhs, obs)
     k, lhs, rhs, observed = worst
+    if mod is None:     # a series sum or scalar is a Fraction already: no second gcd
+        lhs, rhs = (x if isinstance(x, Fraction) else Fraction(*_num_den(x)) for x in (lhs, rhs))
     note = "" if k is None else f"k={k}" if single else \
         f"worst member k={k} of {len(items)}"
     return lhs, rhs, observed, note
@@ -871,9 +903,11 @@ def _cross_check(case: CongruenceCase, params: CheckParams, items: list,
                  ctx: PadicContext) -> None:
     """Check each exact value of a point that has an independent modular path:
     a series sum against the termwise residue kernel mod p^m, and every member
-    of a family against its digitwise Lucas product mod p.  A scalar's residue
-    is its exact value reduced, so scalars and identities have nothing to
-    check.  Raises BackendDisagreement naming the case, point and member."""
+    of a family against its digitwise Lucas product mod p.  The members of a
+    p-integral family are ints (see _stepped), so each is reduced by one % p.
+    A scalar's residue is its exact value reduced, so scalars and identities
+    have nothing to check.  Raises BackendDisagreement naming the case, point
+    and member."""
     if case.kind == "series":
         # the kernel runs first: it refuses a p in a denominator by name, where
         # reducing the exact sum would fail with PNotIntegral
@@ -885,9 +919,8 @@ def _cross_check(case: CongruenceCase, params: CheckParams, items: list,
                 f"mod {ctx.p}^{ctx.m}: the sum reduces to {exact} on the exact "
                 f"backend, {kernel} on the termwise residue kernel")
     elif case.kind == "family":
-        mod_p = PadicContext(ctx.p, 1)
         for k, lhs, _ in items:
-            exact, lucas = residue(lhs, mod_p), case.member_lucas(params.p, params.r, k)
+            exact, lucas = lhs % ctx.p, case.member_lucas(params.p, params.r, k)
             if exact != lucas:
                 raise BackendDisagreement(
                     f"{case.id}: exact and digitwise values disagree at {params}, "

@@ -105,15 +105,18 @@ def vp(x, p: int) -> Valuation:
     x = Fraction(x)
     if x == 0:
         return INFINITE
+    return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
+
+
+def _vp_int(n: int, p: int) -> Valuation:
+    """vp of an integer, INFINITE for 0, with p taken as an odd prime
+    unchecked: for callers that validate p once and score many integers."""
+    if n == 0:
+        return INFINITE
     v = 0
-    n = abs(x.numerator)
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
     return v
 
 

@@ -195,18 +195,26 @@ def summand_sign(pair, n: int) -> int:
 
 
 def check_telescoping(pair, n_max: int, k_max: int) -> GridReport:
-    """Assert F(n,k-1) - F(n,k) = G(n+1,k) - G(n,k) on the full grid."""
+    """Assert F(n,k-1) - F(n,k) = G(n+1,k) - G(n,k) on the full grid.
+
+    Each cell is evaluated once: F(n,k) is carried to the next column as
+    F(n,k-1), and the row G(n+1, .) to the next row as G(n, .)."""
     pair = get_pair(pair)
     if n_max < 1 or k_max < 1:
         raise ValueError("grid bounds must be >= 1")
     report = GridReport(pair.id, n_max, k_max)
+    g_row = [pair.g(0, k) for k in range(1, k_max + 1)]
     for n in range(n_max + 1):
-        for k in range(1, k_max + 1):
-            lhs = pair.f(n, k - 1) - pair.f(n, k)
-            rhs = pair.g(n + 1, k) - pair.g(n, k)
+        f_prev, g_next = pair.f(n, 0), []
+        for k, g in enumerate(g_row, start=1):
+            f, g1 = pair.f(n, k), pair.g(n + 1, k)
+            lhs, rhs = f_prev - f, g1 - g
             report.cells_checked += 1
             if lhs != rhs:
                 report.violations.append((n, k, lhs, rhs))
+            f_prev = f
+            g_next.append(g1)
+        g_row = g_next
     return report
 
 

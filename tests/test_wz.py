@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -105,6 +106,51 @@ def test_telescoping_small_grids():
         report = check_telescoping(pid, 12, 12)
         assert report.passed, (pid, report.violations[:3])
         assert report.cells_checked > 0
+
+
+def counted(pair):
+    """The pair with f and g wrapped to count their calls."""
+    calls = {"f": 0, "g": 0}
+
+    def count(name, fn):
+        def cell(n, k):
+            calls[name] += 1
+            return fn(n, k)
+        return cell
+
+    return dataclasses.replace(pair, f=count("f", pair.f), g=count("g", pair.g)), calls
+
+
+def test_telescoping_evaluates_each_cell_once():
+    # F on [0,40]x[0,40] and G on [0,41]x[1,40]: 41^2 and 42 * 40 cells
+    for pid in ALL:
+        pair, calls = counted(PAIRS[pid])
+        assert check_telescoping(pair, 40, 40).passed, pid
+        assert calls == {"f": 1681, "g": 1680}, pid
+
+
+def naive_violations(pair, n_max, k_max):
+    """The telescoping check cell by cell, evaluating both sides afresh."""
+    out = []
+    for n in range(n_max + 1):
+        for k in range(1, k_max + 1):
+            lhs = pair.f(n, k - 1) - pair.f(n, k)
+            rhs = pair.g(n + 1, k) - pair.g(n, k)
+            if lhs != rhs:
+                out.append((n, k, lhs, rhs))
+    return out
+
+
+def test_telescoping_violations_in_grid_order():
+    good = PAIRS["GUO64"]
+    bad = dataclasses.replace(
+        good, f=lambda n, k: good.f(n, k) + ((n, k) in ((3, 5), (7, 0))),
+        g=lambda n, k: good.g(n, k) - ((n, k) == (4, 2)))
+    report = check_telescoping(bad, 12, 12)
+    assert [v[:2] for v in report.violations] == \
+        [(3, 2), (3, 5), (3, 6), (4, 2), (7, 1)]
+    assert report.violations == naive_violations(bad, 12, 12)
+    assert report.cells_checked == 13 * 12
 
 
 def test_summand_column_linkage():
