@@ -54,10 +54,6 @@ class BackendDisagreement(AssertionError):
     """The exact and residue backends reduce a point to different residues."""
 
 
-def _sign_p(p: int) -> int:
-    return -1 if (p - 1) // 2 % 2 else 1
-
-
 def _sign_pr(p: int, r: int) -> int:
     # (-1)^((p^r-1)/2), equal to (-1)^(r(p-1)/2) for odd p
     return -1 if (p ** r - 1) // 2 % 2 else 1
@@ -106,7 +102,6 @@ class CongruenceCase:
     uses_delta: bool = False
     p_integral: bool = False                    # residue backend eligibility
     r_floor: int = 1
-    p_floor: int = P_FLOOR
 
     def claimed(self, p: int, r: int) -> Optional[int]:
         return None if self.claimed_exponent is None else self.claimed_exponent(p, r)
@@ -145,20 +140,20 @@ def _poly(coeffs: tuple[int, ...], k: int) -> int:
 # a plain class: the dataclass decorator would add about 1.7 ms on a 2-vCPU host
 # (2-3 % of the import that every CLI run pays)
 class SeriesSpec:
-    """t_k = sign (-1)^k poly(k) x_k^a C(4k,2k)^b / (den(k) 2^(rate k)) for
-    k = start .. upper, with x_k = C(2k,k) / divisor(k), an exact integer
-    quotient; the (-1)^k only when alternating (alternating specs start at 0).
-    Polynomials are coefficient tuples, constant term first; den(k) is the
-    small odd denominator factor.  Both kernels read the binomial part
-    x_k^a C(4k,2k)^b through steps(): the exact one steps it as a big integer
+    """t_k = (-1)^k poly(k) x_k^a C(4k,2k)^b / (den(k) 2^(rate k)) for k = start ..
+    upper, with x_k = C(2k,k) / divisor(k), an exact integer quotient; the (-1)^k
+    only when alternating (alternating specs start at 0).  poly holds any other
+    sign (glr's minus); polynomials are coefficient tuples, constant term first,
+    and den(k) is the small odd denominator factor.  Both kernels read the binomial
+    part x_k^a C(4k,2k)^b through steps(): the exact one steps it as a big integer
     (parts), the residue one as a p-adic (valuation, unit) pair."""
 
     def __init__(self, poly: tuple[int, ...], *, a: int = 0, b: int = 0,
                  rate: int = 0, den: tuple[int, ...] = (1,),
-                 divisor: tuple[int, ...] = (1,), sign: int = 1,
-                 alternating: bool = False, start: int = 0):
+                 divisor: tuple[int, ...] = (1,), alternating: bool = False,
+                 start: int = 0):
         self.poly, self.a, self.b, self.rate = poly, a, b, rate
-        self.den, self.divisor, self.sign = den, divisor, sign
+        self.den, self.divisor = den, divisor
         self.alternating, self.start = alternating, start
 
     def steps(self, upper: int) -> Iterator[tuple[int, int, int]]:
@@ -181,7 +176,7 @@ class SeriesSpec:
     def parts(self, upper: int) -> Iterator[tuple[int, int, int]]:
         """(k, integer numerator, den(k)) of t_k for k = start .. upper; the
         binomial part is a big integer, stepped exactly by steps()."""
-        s, part = self.sign, 1
+        s, part = 1, 1
         for k, num, den in self.steps(upper):
             part = part * num // den
             yield k, s * _poly(self.poly, k) * part, _poly(self.den, k)
@@ -195,7 +190,7 @@ class SeriesSpec:
         central = [1]
         for j in range(1, 2 * upper + 1):
             central.append(central[-1] * (2 * (2 * j - 1)) // j)
-        s = self.sign
+        s = 1
         for k in range(self.start, upper + 1):
             x = central[k] // _poly(self.divisor, k)
             yield Fraction(s * _poly(self.poly, k) * x ** self.a
@@ -216,9 +211,10 @@ SERIES: dict[str, SeriesSpec] = {
     # (120n^2+34n+3) (1/2)_n^3 (1/2)_(2n) / ((1)_n^5 2^(6n))
     #   = (120n^2+34n+3) C(2n,n)^4 C(4n,2n) / 2^(16n)
     "z120n2": SeriesSpec((3, 34, 120), a=4, b=1, rate=16),
-    # (-1)^k (4k-1) (-1/2)_k^3/(1)_k^3, where (-1/2)_k/(1)_k = -x_k/4^k and
-    # x_k = C(2k,k)/(2k-1) is -1 at k = 0 and 2 C(2k-2,k-1)/k (Catalan) after
-    "glr": SeriesSpec((-1, 4), a=3, divisor=(-1, 2), rate=6, sign=-1, alternating=True),
+    # (-1)^k (4k-1) (-1/2)_k^3/(1)_k^3 = (-1)^k (1-4k) x_k^3/64^k: the minus sign
+    # of (-1/2)_k/(1)_k = -x_k/4^k is in the polynomial, and x_k = C(2k,k)/(2k-1)
+    # is -1 at k = 0 and 2 C(2k-2,k-1)/k (Catalan) after
+    "glr": SeriesSpec((1, -4), a=3, divisor=(-1, 2), rate=6, alternating=True),
     # C(2n,n)^2 / ((n+1) 16^n)
     "mao": SeriesSpec((1,), a=2, rate=4, den=(1, 1)),
     # C(2k,k) / ((2k+1) 4^k)
@@ -253,28 +249,18 @@ def _ratio_sums(t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
 
 def _lem21_sums(p: int, r: int, ends: Iterable[int]) -> tuple[Rational, ...]:
     # F(n, K) for the five-factor pair at K = (p^r-1)/2: 10n^2+(12K+6)n+4K^2+4K+1
-    # times (1/2)_n (1/2+K)_n^4 (-4)^n / (1)_n^5, stepped by -(2n+1)(2K+2n+1)^4/(8(n+1)^5)
+    # times (1/2)_n (1/2+K)_n^4 (-4)^n / (1)_n^5, stepped by -(2n+1)(2K+2n+1)^4/(8(n+1)^5);
+    # LEM-2.1 sums it uncached: its terms depend on (p, r), not only on the cap
     K = (p ** r - 1) // 2
     return _ratio_sums(1, lambda n: (-(2 * n + 1) * (2 * K + 2 * n + 1) ** 4,
                                      8 * (n + 1) ** 5),
                        0, ends, (4 * K * K + 4 * K + 1, 12 * K + 6, 10))
 
 
-def _terms_lem21(p: int, r: int, upper: int) -> Iterator[Rational]:
-    """F(n, (p^r-1)/2) for n = 0 .. upper: the kernel with one term per slice."""
-    return iter(_lem21_sums(p, r, range(upper + 1)))
-
-
-_P_DEPENDENT = {"lem21"}  # series whose terms depend on (p, r), not just the cap
-
-
 @lru_cache(maxsize=256)
-def _series_exact(name: str, p_key: Optional[int], r_key: Optional[int], upper: int) -> Rational:
+def _series_exact(name: str, upper: int) -> Rational:
     """Exact kernel: one integer numerator over den(start) ... den(upper)
-    2^(rate upper), and a single Fraction (the only gcd) at the end.  lem21,
-    whose terms depend on (p, r), is one slice of the ratio-stepped kernel."""
-    if name in _P_DEPENDENT:
-        return _lem21_sums(p_key, r_key, (upper,))[0]
+    2^(rate upper), and a single Fraction (the only gcd) at the end."""
     spec = SERIES[name]
     num, odd = 0, 1
     for k, t, d in spec.parts(upper):
@@ -285,8 +271,7 @@ def _series_exact(name: str, p_key: Optional[int], r_key: Optional[int], upper: 
 
 
 @lru_cache(maxsize=256)
-def _series_residue(name: str, p_key: Optional[int], r_key: Optional[int],
-                    upper: int, p: int, m: int) -> int:
+def _series_residue(name: str, upper: int, p: int, m: int) -> int:
     """Residue kernel: the sum mod p^m from the spec's steps alone, with no
     Fraction and no big integer.  The binomial part B_k is carried as
     p^v un / ud: v is its p-adic valuation, and un and ud are the units mod
@@ -304,7 +289,7 @@ def _series_residue(name: str, p_key: Optional[int], r_key: Optional[int],
     spec = SERIES[name]
     mod = p ** m
     powers = [p ** e for e in range(m)]
-    s, two, tw = spec.sign, 1 << spec.rate, 1 << spec.rate * spec.start
+    s, two, tw = 1, 1 << spec.rate, 1 << spec.rate * spec.start
     v, un, ud, num, dd = 0, 1, 1, 0, 1
     for k, up, down in spec.steps(upper):
         while up % p == 0:
@@ -327,10 +312,6 @@ def _series_residue(name: str, p_key: Optional[int], r_key: Optional[int],
     return num * pow(dd, -1, mod) % mod
 
 
-def _series_keys(case: CongruenceCase, p: int, r: int) -> tuple[Optional[int], Optional[int]]:
-    return (p, r) if case.series_name in _P_DEPENDENT else (None, None)
-
-
 # --------------------------------------------------------------------------
 # certificate-row sums: one ratio-stepped pass over k = 1 .. p^r - 1 split
 # into prefix (k <= (P-1)/2), middle (k = (P+1)/2), and tail (k >= (P+3)/2).
@@ -347,31 +328,23 @@ def _theta_direct(p: int, r: int, k: int) -> Rational:
             * binomial(2 * P - 2, P - k - 1))
 
 
-def _row_slices(start: Rational, step: Callable[[int], tuple[int, int]], P: int
-                ) -> tuple[Rational, Rational, Rational]:
-    half = (P - 1) // 2
-    return _ratio_sums(start, step, 1, (half, half + 1, P - 1), (1,))
+# Each row: its cell at k = 1, and the (c, d) of its step
+# -2(cP+2k-1)(P-k-d)/(2k+1)^2, with the ratio's common factor P + k cancelled.
+_ROWS: dict[str, tuple[Callable[[int, int], Rational], int, int]] = {
+    "GUO64": (lambda p, r: wz.eval_G("GUO64", p ** r, 1), 2, 0),
+    "Z20N3": (lambda p, r: wz.eval_G("Z20N3", p ** r, 1), 4, 0),
+    "theta": (lambda p, r: _theta_direct(p, r, 1), 2, 1),
+}
 
 
-@lru_cache(maxsize=64)
-def _guo_row(p: int, r: int) -> tuple[Rational, Rational, Rational]:
-    P = p ** r      # the ratio's common factor P + k is cancelled
-    return _row_slices(wz.eval_G("GUO64", P, 1),
-                       lambda k: (-2 * (2 * P + 2 * k - 1) * (P - k), (2 * k + 1) ** 2), P)
-
-
-@lru_cache(maxsize=64)
-def _z20_row(p: int, r: int) -> tuple[Rational, Rational, Rational]:
-    P = p ** r
-    return _row_slices(wz.eval_G("Z20N3", P, 1),
-                       lambda k: (-2 * (4 * P + 2 * k - 1) * (P - k), (2 * k + 1) ** 2), P)
-
-
-@lru_cache(maxsize=64)
-def _theta_row(p: int, r: int) -> tuple[Rational, Rational, Rational]:
-    P = p ** r
-    return _row_slices(_theta_direct(p, r, 1),
-                       lambda k: (-2 * (2 * P + 2 * k - 1) * (P - k - 1), (2 * k + 1) ** 2), P)
+@lru_cache(maxsize=192)
+def _row(name: str, p: int, r: int) -> tuple[Rational, Rational, Rational]:
+    """(prefix, middle, tail) of the row _ROWS[name] at P = p^r."""
+    seed, c, d = _ROWS[name]
+    P = p ** r      # odd, so P // 2 = (P-1)/2
+    return _ratio_sums(seed(p, r),
+                       lambda k: (-2 * (c * P + 2 * k - 1) * (P - k - d), (2 * k + 1) ** 2),
+                       1, (P // 2, P // 2 + 1, P - 1), (1,))
 
 
 # --------------------------------------------------------------------------
@@ -443,7 +416,7 @@ def _family(id, statement, m, members, lhs, rhs, *, p_integral=True):
 
 _series("VH-4K1", "known",
         "sum_{k=0}^{(p-1)/2} (4k+1) C(2k,k)^3/(-64)^k == (-1)^((p-1)/2) p  (mod p^3)",
-        lambda p, r: 3, lambda p, r: Fraction(_sign_p(p) * p),
+        lambda p, r: 3, lambda p, r: Fraction(_sign_pr(p, 1) * p),
         "guo64", lambda p, r, d: (p - 1) // 2, uses_r=False)
 
 _series("GUO-64", "theorem",
@@ -453,7 +426,7 @@ _series("GUO-64", "theorem",
 
 _series("SUN-64-P4", "known",
         "sum_{k=0}^{p-1} (4k+1) C(2k,k)^3/(-64)^k == (-1)^((p-1)/2) p + p^3 E_(p-3)  (mod p^4)",
-        lambda p, r: 4, lambda p, r: Fraction(_sign_p(p) * p + p ** 3 * euler_number(p - 3)),
+        lambda p, r: 4, lambda p, r: Fraction(_sign_pr(p, 1) * p + p ** 3 * euler_number(p - 3)),
         "guo64", lambda p, r, d: p - 1, uses_r=False)
 
 _series("GZ-10N2", "theorem",
@@ -505,7 +478,7 @@ _series("GL-4K1-P4", "known",
         "sum_{k=0}^{(p+1)/2} (-1)^k (4k-1) (-1/2)_k^3/(1)_k^3 == "
         "-(-1)^((p-1)/2) p + p^3 (2 - E_(p-3))  (mod p^4)",
         lambda p, r: 4,
-        lambda p, r: Fraction(-_sign_p(p) * p + p ** 3 * (2 - euler_number(p - 3))),
+        lambda p, r: Fraction(-_sign_pr(p, 1) * p + p ** 3 * (2 - euler_number(p - 3))),
         "glr", lambda p, r, d: (p + 1) // 2, uses_r=False)
 
 _series("MAO-I2", "theorem",
@@ -517,7 +490,7 @@ _series("MAO-I2", "theorem",
 
 _series("SUN-CAT", "known",
         "sum_{k=0}^{(p-3)/2} C(2k,k) / ((2k+1) 4^k) == -(-1)^((p-1)/2) q_p(2)  (mod p^2)",
-        lambda p, r: 2, lambda p, r: Fraction(-_sign_p(p) * fermat_quotient(p)),
+        lambda p, r: 2, lambda p, r: Fraction(-_sign_pr(p, 1) * fermat_quotient(p)),
         "suncat", lambda p, r, d: (p - 3) // 2, uses_r=False)
 
 _series("H-HALF", "known",
@@ -538,7 +511,7 @@ _series("LEM-2.1", "lemma",
         "F(n,k) = (10n^2+12nk+6n+4k^2+4k+1) (1/2)_n (1/2+k)_n^4/(1)_n^5 (-4)^n; "
         "delta in {1,2}",
         lambda p, r: 2 * r + 3, lambda p, r: Fraction(p ** (2 * r)),
-        "lem21", lambda p, r, d: (p ** r - 1) // d, uses_delta=True, p_integral=False)
+        None, lambda p, r, d: (p ** r - 1) // d, uses_delta=True, p_integral=False)
 
 # --- scalar closed forms ----------------------------------------------------
 
@@ -551,7 +524,7 @@ _scalar("MAO-I2-IDENT", "theorem",
         "sum_{n=0}^{(p-1)/2} C(2n,n)^2 / ((n+1) 16^n) = C(-3/2,(p-1)/2)^2 / ((p+1)/2)"
         "  (exact rational identity)",
         None,
-        lambda p, r: Fraction(_series_exact("mao", None, None, (p - 1) // 2)),
+        lambda p, r: Fraction(_series_exact("mao", (p - 1) // 2)),
         lambda p, r: binomial_rat(Fraction(-3, 2), (p - 1) // 2) ** 2 / Fraction((p + 1) // 2),
         uses_r=False, kind="identity")
 
@@ -572,18 +545,18 @@ _scalar("LEM-3.1", "lemma",
 
 _scalar("LEM-3.2", "lemma",
         "sum_{k=1}^{(p^r-1)/2} G(p^r,k) == 0  (mod p^(r+2)) for the (4n+1)-series pair",
-        lambda p, r: r + 2, lambda p, r: _guo_row(p, r)[0], _rhs_zero)
+        lambda p, r: r + 2, lambda p, r: _row("GUO64", p, r)[0], _rhs_zero)
 
 _scalar("LEM-3.3", "lemma",
         "G(p^r,(p^r+1)/2) == (-1)^((p^r-1)/2) p^r (1 - 3 p q_p(2))  (mod p^(r+2)) "
         "for the (4n+1)-series pair",
-        lambda p, r: r + 2, lambda p, r: _guo_row(p, r)[1],
+        lambda p, r: r + 2, lambda p, r: _row("GUO64", p, r)[1],
         lambda p, r: Fraction(_sign_pr(p, r) * p ** r * (1 - 3 * p * fermat_quotient(p))))
 
 _scalar("LEM-3.5", "lemma",
         "sum_{k=(p^r+3)/2}^{p^r-1} G(p^r,k) == (-1)^((p^r-1)/2) 3 p^(r+1) q_p(2) "
         " (mod p^(r+2)) for the (4n+1)-series pair; stated for r >= 2",
-        lambda p, r: r + 2, lambda p, r: _guo_row(p, r)[2],
+        lambda p, r: r + 2, lambda p, r: _row("GUO64", p, r)[2],
         lambda p, r: Fraction(_sign_pr(p, r) * 3 * p ** (r + 1) * fermat_quotient(p)),
         r_floor=2)
 
@@ -597,19 +570,19 @@ _scalar("LEM-4.2", "lemma",
         "sum_{k=1}^{(p^r-1)/2} theta(k) == 0  (mod p^(r+2)), where theta(k) = "
         "-p^(3r) C(2p^r-1,p^r-1)^2 / ((2p^r-1) 4^(3p^r-3)) * (-4)^k/C(2k,k) * "
         "C(-2p^r-1,2k-2)/(k(2k-1)) * C(2p^r-2,p^r-k-1)",
-        lambda p, r: r + 2, lambda p, r: _theta_row(p, r)[0], _rhs_zero)
+        lambda p, r: r + 2, lambda p, r: _row("theta", p, r)[0], _rhs_zero)
 
 _scalar("LEM-4.3", "lemma",
         "theta((p^r+1)/2) == -(-1)^((p^r-1)/2) p^r (1 - 3 p q_p(2))  (mod p^(r+2)); "
         "stated for r >= 2 (theta as in LEM-4.2)",
-        lambda p, r: r + 2, lambda p, r: _theta_row(p, r)[1],
+        lambda p, r: r + 2, lambda p, r: _row("theta", p, r)[1],
         lambda p, r: Fraction(-_sign_pr(p, r) * p ** r * (1 - 3 * p * fermat_quotient(p))),
         r_floor=2)
 
 _scalar("LEM-4.4", "lemma",
         "sum_{k=(p^r+3)/2}^{p^r-1} theta(k) == -(-1)^((p^r-1)/2) 3 p^(r+1) q_p(2) "
         " (mod p^(r+2)); stated for r >= 2 (theta as in LEM-4.2)",
-        lambda p, r: r + 2, lambda p, r: _theta_row(p, r)[2],
+        lambda p, r: r + 2, lambda p, r: _row("theta", p, r)[2],
         lambda p, r: Fraction(-_sign_pr(p, r) * 3 * p ** (r + 1) * fermat_quotient(p)),
         r_floor=2)
 
@@ -621,18 +594,18 @@ _scalar("LEM-5.1", "lemma",
 
 _scalar("LEM-5.2", "lemma",
         "sum_{k=1}^{(p^r-1)/2} G(p^r,k) == 0  (mod p^(r+2)) for the (20n+3)-series pair",
-        lambda p, r: r + 2, lambda p, r: _z20_row(p, r)[0], _rhs_zero)
+        lambda p, r: r + 2, lambda p, r: _row("Z20N3", p, r)[0], _rhs_zero)
 
 _scalar("LEM-5.3", "lemma",
         "G(p^r,(p^r+1)/2) == 3 (-1)^((p^r-1)/2) p^r (1 - 5 p q_p(2))  (mod p^(r+2)) "
         "for the (20n+3)-series pair",
-        lambda p, r: r + 2, lambda p, r: _z20_row(p, r)[1],
+        lambda p, r: r + 2, lambda p, r: _row("Z20N3", p, r)[1],
         lambda p, r: Fraction(3 * _sign_pr(p, r) * p ** r * (1 - 5 * p * fermat_quotient(p))))
 
 _scalar("LEM-5.4", "lemma",
         "sum_{k=(p^r+3)/2}^{p^r-1} G(p^r,k) == 15 (-1)^((p^r-1)/2) p^(r+1) q_p(2) "
         " (mod p^(r+2)) for the (20n+3)-series pair; stated for r >= 2",
-        lambda p, r: r + 2, lambda p, r: _z20_row(p, r)[2],
+        lambda p, r: r + 2, lambda p, r: _row("Z20N3", p, r)[2],
         lambda p, r: Fraction(15 * _sign_pr(p, r) * p ** (r + 1) * fermat_quotient(p)),
         r_floor=2)
 
@@ -747,9 +720,9 @@ def list_cases(status: Optional[str] = None, glob: Optional[str] = None
 
 
 def _check_point(case: CongruenceCase, params: CheckParams, include_p3: bool) -> None:
-    if params.p < case.p_floor and not (params.p == 3 and include_p3):
+    if params.p < P_FLOOR and not (params.p == 3 and include_p3):
         raise PrimeBelowFloor(
-            f"{case.id} needs p >= {case.p_floor} (got p = {params.p}); "
+            f"{case.id} needs p >= {P_FLOOR} (got p = {params.p}); "
             "p = 3 runs require the include-p3 override and are informational")
     if not case.uses_r and params.r != 1:
         raise ValueError(f"{case.id} has no exponent r in its statement; use r = 1")
@@ -774,12 +747,14 @@ def _require_p_integral(case: CongruenceCase) -> None:
 
 
 def series_sum_exact(case, params: CheckParams) -> Rational:
-    """Exact value of a series case's truncated sum."""
+    """Exact value of a series case's truncated sum: a SERIES spec's from the
+    cached kernel, and LEM-2.1's (series_name None) as one uncached slice."""
     case = get_case(case)
     if case.kind != "series":
         raise ValueError(f"{case.id} is not a series case")
-    pk, rk = _series_keys(case, params.p, params.r)
-    return _series_exact(case.series_name, pk, rk, _series_upper(case, params))
+    if case.series_name is None:
+        return _lem21_sums(params.p, params.r, (_series_upper(case, params),))[0]
+    return _series_exact(case.series_name, _series_upper(case, params))
 
 
 def series_sum_residue(case, params: CheckParams, ctx: PadicContext) -> int:
@@ -788,10 +763,8 @@ def series_sum_residue(case, params: CheckParams, ctx: PadicContext) -> int:
     if case.kind != "series":
         raise ValueError(f"{case.id} is not a series case")
     _require_p_integral(case)
-    pk, rk = _series_keys(case, params.p, params.r)
     try:
-        return _series_residue(case.series_name, pk, rk, _series_upper(case, params),
-                               ctx.p, ctx.m)
+        return _series_residue(case.series_name, _series_upper(case, params), ctx.p, ctx.m)
     except BackendIneligible as e:
         raise BackendIneligible(f"{case.id}: {e}; use the exact backend") from None
 

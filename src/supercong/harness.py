@@ -215,8 +215,6 @@ def _plan(config: SweepConfig) -> list[tuple[str, int, int, Optional[int]]]:
     tasks = []
     for case in list_cases(status=config.status, glob=config.glob):
         for p in config.resolved_primes():
-            if p < case.p_floor and not (p == 3 and config.include_p3):
-                continue
             r_range = range(1, config.r_max + 1) if case.uses_r else (1,)
             for r in r_range:
                 deltas = config.deltas if case.uses_delta else (None,)

@@ -5,9 +5,9 @@ import pytest
 from supercong import wz
 from supercong.congruences import (BackendIneligible, CheckParams,
                                    PrimeBelowFloor, UnknownCase, _gz_column,
-                                   _guo_row, _terms_lem21, _theta_direct,
-                                   _theta_row, _z20_row, cross_validate,
-                                   evaluate_case, get_case, list_cases)
+                                   _lem21_sums, _row, _theta_direct,
+                                   cross_validate, evaluate_case, get_case,
+                                   list_cases)
 from supercong.exactnum import INFINITE, PadicContext, residue, vp
 
 PRIMES_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -259,9 +259,9 @@ def test_row_slices_match_direct_cells():
         P = p ** r
         half = (P - 1) // 2
         for slices, cell in (
-                (_guo_row(p, r), lambda k: wz.eval_G("GUO64", P, k)),
-                (_z20_row(p, r), lambda k: wz.eval_G("Z20N3", P, k)),
-                (_theta_row(p, r), lambda k: _theta_direct(p, r, k))):
+                (_row("GUO64", p, r), lambda k: wz.eval_G("GUO64", P, k)),
+                (_row("Z20N3", p, r), lambda k: wz.eval_G("Z20N3", P, k)),
+                (_row("theta", p, r), lambda k: _theta_direct(p, r, k))):
             prefix = sum(cell(k) for k in range(1, half + 1))
             mid = cell(half + 1)
             tail = sum(cell(k) for k in range(half + 2, P))
@@ -281,9 +281,9 @@ def test_column_sums_match_direct_cells():
 def test_shifted_series_matches_direct_cells():
     for p in (5, 7):
         K = (p - 1) // 2
-        terms = list(_terms_lem21(p, 1, p - 1))
+        terms = list(_lem21_sums(p, 1, range(p)))     # one term per slice
         assert terms == [wz.eval_F("GZ10N2", n, K) for n in range(p)]
-    terms = list(_terms_lem21(5, 2, 6))
+    terms = list(_lem21_sums(5, 2, range(7)))
     assert terms == [wz.eval_F("GZ10N2", n, 12) for n in range(7)]
 
 

@@ -7,7 +7,8 @@ from supercong import congruences
 from supercong.cli import main
 from supercong.congruences import (SERIES, BackendDisagreement,
                                    BackendIneligible, CheckParams, _poly,
-                                   _series_exact, _series_residue, evaluate_case)
+                                   _series_exact, _series_residue, evaluate_case,
+                                   list_cases, series_sum_residue)
 from supercong.exactnum import PadicContext, residue, vp
 from supercong.harness import SweepConfig, run_sweep
 
@@ -16,11 +17,11 @@ ODD_DENOMINATOR = sorted(set(SERIES) - set(POWER_OF_TWO))
 
 
 def exact(name, upper):
-    return _series_exact.__wrapped__(name, None, None, upper)
+    return _series_exact.__wrapped__(name, upper)
 
 
 def residue_kernel(name, upper, p, m):
-    return _series_residue.__wrapped__(name, None, None, upper, p, m)
+    return _series_residue.__wrapped__(name, upper, p, m)
 
 
 def test_specs_cover_the_catalog_series():
@@ -28,6 +29,12 @@ def test_specs_cover_the_catalog_series():
                               "suncat", "z120n2", "z20n3-raw", "z20n3-signed"]
     assert POWER_OF_TWO == ["glr", "guo64", "gz10n2", "z120n2", "z20n3-raw",
                             "z20n3-signed"]
+    # LEM-2.1's terms depend on (p, r), so it has no spec and no cached kernel
+    names = {case.id: case.series_name for case in list_cases() if case.kind == "series"}
+    assert names.pop("LEM-2.1") is None
+    assert set(names.values()) == set(SERIES)
+    with pytest.raises(BackendIneligible, match="LEM-2.1 has p-power denominators"):
+        series_sum_residue("LEM-2.1", CheckParams(p=5, delta=1), PadicContext(5, 5))
 
 
 @pytest.mark.parametrize("name", sorted(SERIES))
@@ -177,7 +184,7 @@ def test_upper_cap_past_p_is_ineligible_on_residue(capsys):
 
 
 def test_backend_disagreement_is_reported(monkeypatch):
-    def wrong(name, p_key, r_key, upper, p, m):
+    def wrong(name, upper, p, m):
         return 1
 
     monkeypatch.setattr(congruences, "_series_residue", wrong)
