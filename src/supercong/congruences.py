@@ -321,11 +321,9 @@ def _theta_direct(p: int, r: int, k: int) -> Rational:
     """theta(k) of LEM-4.2 in closed form: it seeds the theta row at k = 1,
     and is the per-cell reference the stepped row is tested against."""
     P = p ** r
-    pre = -Fraction(p ** (3 * r)) * Fraction(binomial(2 * P - 1, P - 1)) ** 2 \
-        / ((2 * P - 1) * Fraction(4) ** (3 * P - 3))
-    return (pre * Fraction(-4) ** k / central_binomial(k)
-            * binomial_rat(Fraction(-2 * P - 1), 2 * k - 2) / (k * (2 * k - 1))
-            * binomial(2 * P - 2, P - k - 1))
+    return wz._cell((-1) ** (k + 1) * p ** (3 * r) * binomial(2 * P - 1, P - 1) ** 2
+                    * binomial(-2 * P - 1, 2 * k - 2) * binomial(2 * P - 2, P - k - 1),
+                    (2 * P - 1) * k * (2 * k - 1) * binomial(2 * k, k), 2 * k - 6 * P + 6)
 
 
 # Each row: its cell at k = 1, and the (c, d) of its step
@@ -740,10 +738,15 @@ def _series_upper(case: CongruenceCase, params: CheckParams) -> int:
     return case.upper(params.p, params.r, params.delta or 1)
 
 
-def _require_p_integral(case: CongruenceCase) -> None:
+def _require_residue(case: CongruenceCase) -> None:
+    """Refuse the residue backend for a case it does not take, saying why."""
+    if case.kind == "identity":
+        raise BackendIneligible(f"{case.id} is an exact identity; residue "
+                                "reduction cannot certify equality")
     if not case.p_integral:
-        raise BackendIneligible(
-            f"{case.id} has p-power denominators; use the exact backend")
+        why = ("has p-power denominators" if case.kind in ("series", "family") else
+               "has no residue path: its residue would only be its exact value reduced")
+        raise BackendIneligible(f"{case.id} {why}; use the exact backend")
 
 
 def series_sum_exact(case, params: CheckParams) -> Rational:
@@ -762,7 +765,7 @@ def series_sum_residue(case, params: CheckParams, ctx: PadicContext) -> int:
     case = get_case(case)
     if case.kind != "series":
         raise ValueError(f"{case.id} is not a series case")
-    _require_p_integral(case)
+    _require_residue(case)
     try:
         return _series_residue(case.series_name, _series_upper(case, params), ctx.p, ctx.m)
     except BackendIneligible as e:
@@ -925,10 +928,7 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
 
     m = None
     if backend == "residue":
-        _require_p_integral(case)
-        if claimed is None:
-            raise BackendIneligible(f"{case.id} is an exact identity; residue "
-                                    "reduction cannot certify equality")
+        _require_residue(case)
         ctx, m = PadicContext(p, claimed), claimed
         if case.kind == "series":
             items = [(None, series_sum_residue(case, params, ctx),
@@ -960,10 +960,10 @@ def _passes(observed: Valuation, claimed: Optional[int]) -> bool:
 
 def cross_validate(case, params: CheckParams, ctx: PadicContext) -> bool:
     """Run the cross-check of backend "both" (_cross_check) on one point;
-    False when it finds a disagreement.  Raises BackendIneligible for cases
-    with p-power denominators."""
+    False when it finds a disagreement.  Raises BackendIneligible, with its
+    reason, for every case the residue backend refuses (see _require_residue)."""
     case = get_case(case)
-    _require_p_integral(case)
+    _require_residue(case)
     try:
         _cross_check(case, params, _point_items(case, params), ctx)
     except BackendDisagreement:

@@ -10,16 +10,20 @@ over a rectangle yields the boundary identity
 and each pair's F(n,0) reproduces (up to a registered sign) the summand
 of one of the congruence-series cases in the catalog. All evaluation is
 exact; the grid checks tolerate zero violations.
+
+Each pair's `definition` string is the paper's form of F and G, in
+Pochhammer symbols or binomials. The cells evaluate the same terms in one
+form: a signed product of binomials with linear arguments and linear
+factors, over one integer, times a power of two, built as one Fraction by
+`_cell`. The tests check every cell against its definition string.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
 from typing import Callable
 
-from .combinat import (binomial, central_binomial, factorial, neg_half,
-                       pochhammer_half)
+from .combinat import binomial
 from .exactnum import Rational
 
 Cell = Callable[[int, int], Rational]
@@ -52,83 +56,65 @@ class GridReport:
         return not self.violations
 
 
-def _rising_half_shift(k: int, n: int) -> Rational:
-    # ((1/2)+k)_n = (1/2)_(k+n) / (1/2)_k
-    return pochhammer_half(k + n) / pochhammer_half(k)
+def _cell(num: int, den: int, e: int) -> Fraction:
+    """num 2^e / den as one Fraction: its only gcd."""
+    return Fraction(num << e, den) if e >= 0 else Fraction(num, den << -e)
 
 
-def _f_gz(n: int, k: int) -> Rational:
+# Each cell below is its registered definition rewritten over binomials with
+# linear arguments, with C(m, j) = 0 for j < 0 or j > m >= 0: these vanish on
+# their own at n = 0 and off the support, so no cell has a special case.
+
+def _f_gz(n: int, k: int) -> Fraction:
     c = 10 * n * n + 12 * n * k + 6 * n + 4 * k * k + 4 * k + 1
-    return (c * pochhammer_half(n) * _rising_half_shift(k, n) ** 4
-            * (-1) ** n * Fraction(4) ** n / factorial(n) ** 5)
+    return _cell((-1) ** n * c * binomial(2 * n, n)
+                 * (binomial(2 * n + 2 * k, n + k) * binomial(n + k, k)) ** 4,
+                 binomial(2 * k, k) ** 4, -8 * n)
 
 
-def _g_gz(n: int, k: int) -> Rational:
-    if n == 0:
-        return Fraction(0)  # 1/(1)_(n-1) = 1/(1)_(-1) = 0
-    return ((n + 2 * k - 1) * pochhammer_half(n) * _rising_half_shift(k, n - 1) ** 4
-            * (-1) ** n * Fraction(2) ** (2 * n + 1) / factorial(n - 1) ** 5)
+def _g_gz(n: int, k: int) -> Fraction:
+    return _cell((-1) ** n * n * (n + 2 * k - 1) * binomial(2 * n, n)
+                 * (binomial(2 * n + 2 * k - 2, n + k - 1) * binomial(n + k - 1, k)) ** 4,
+                 binomial(2 * k, k) ** 4, 9 - 8 * n)
 
 
-def _f_guo(n: int, k: int) -> Rational:
-    return ((-1) ** (n + k) * (4 * n + 1) * Fraction(4) ** (k - 3 * n)
-            * central_binomial(n) ** 2 * binomial(2 * n + 2 * k, n + k)
-            * binomial(n + k, 2 * k) / Fraction(central_binomial(k)))
+def _f_guo(n: int, k: int) -> Fraction:
+    return _cell((-1) ** (n + k) * (4 * n + 1) * binomial(2 * n, n) ** 2
+                 * binomial(2 * n + 2 * k, n + k) * binomial(n + k, 2 * k),
+                 binomial(2 * k, k), 2 * k - 6 * n)
 
 
-def _g_guo(n: int, k: int) -> Rational:
-    if n == 0:
-        return Fraction(0)  # lower index n-1 < 0 vanishes
-    # C(n-1+k, 2k)/(n-k) in cancelled form: prod_{j=1}^{2k-1}(n-k+j) / (2k)!,
-    # finite at the n = k cell
-    num = 1
-    for j in range(1, 2 * k):
-        num *= n - k + j
-    return ((-1) ** (n + k) * (2 * n - 1) ** 2 * binomial(2 * n - 2, n - 1) ** 2
-            * Fraction(4) ** (k - 3 * (n - 1)) / 2 * central_binomial(n - 1 + k)
-            * Fraction(num, factorial(2 * k)) / central_binomial(k))
+def _g_guo(n: int, k: int) -> Fraction:
+    return _cell((-1) ** (n + k) * (2 * n - 1) ** 2 * binomial(2 * n - 2, n - 1) ** 2
+                 * binomial(2 * n + 2 * k - 2, n + k - 1) * binomial(n + k - 1, 2 * k - 1),
+                 2 * k * binomial(2 * k, k), 2 * k - 6 * n + 5)
 
 
-def _neg_half_ratio(n: int, k: int) -> int:
-    """2^(n-k) (-1/2)_n / (-1/2)_k = (2k-1)(2k+1)...(2n-3) for 0 <= k <= n."""
-    return prod(range(2 * k - 1, 2 * n - 2, 2))
+def _f_gl(n: int, k: int) -> Fraction:
+    return _cell((-1) ** (n + k + 1) * (4 * n - 1) * (2 * k - 1) ** 2 * binomial(2 * n, n) ** 2
+                 * binomial(2 * n + 2 * k, n + k) * binomial(n + k, 2 * k),
+                 (2 * n - 1) ** 2 * (2 * n + 2 * k - 1) * binomial(2 * k, k), 2 * k - 6 * n)
 
 
-# each GL4K1 cell is one integer numerator over one integer denominator, so
-# the Fraction built from them is its only gcd: (-1/2)_n^2 / (-1/2)_k^2 is
-# q^2 / 4^(n-k) with q = _neg_half_ratio(n, k), and (-1/2)_j = neg_half(j) / 2^j,
-# so the powers of two collect into 2^(3n-k) in F and 2^(3n-k-2) in G
+def _g_gl(n: int, k: int) -> Fraction:
+    return _cell((-1) ** (n + k + 1) * n * n * (2 * k - 1) ** 2 * binomial(2 * n, n) ** 2
+                 * binomial(2 * n + 2 * k - 2, n + k - 1) * binomial(n + k - 1, 2 * k - 1),
+                 (2 * n - 1) ** 2 * (2 * n + 2 * k - 3) * k * binomial(2 * k, k),
+                 2 * k - 6 * n + 2)
 
 
-def _f_gl(n: int, k: int) -> Rational:
-    if k > n:
-        return Fraction(0)  # 1/(1)_(n-k) = 0
-    q = _neg_half_ratio(n, k)
-    return Fraction((-1) ** (n + k) * (4 * n - 1) * q * q * neg_half(n + k),
-                    factorial(n) ** 2 * factorial(n - k) << 3 * n - k)
+def _f_z20(n: int, k: int) -> Fraction:
+    return _cell((-1) ** (n + k) * (20 * n - 2 * k + 3) * binomial(2 * n, n)
+                 * binomial(4 * n + 2 * k, 2 * n + k) * binomial(2 * n + k, 2 * k)
+                 * binomial(2 * n - k, n),
+                 binomial(2 * k, k), 2 * k - 10 * n)
 
 
-def _g_gl(n: int, k: int) -> Rational:
-    if k > n:
-        return Fraction(0)  # 1/(1)_(n-k) = 0; with k >= 1 this covers 1/(1)_(-1) at n = 0
-    q = _neg_half_ratio(n, k)
-    return Fraction((-1) ** (n + k) * q * q * neg_half(n + k - 1),
-                    factorial(n - 1) ** 2 * factorial(n - k) << 3 * n - k - 2)
-
-
-def _f_z20(n: int, k: int) -> Rational:
-    return ((-1) ** (n + k) * (20 * n - 2 * k + 3) * Fraction(4) ** (k - 5 * n)
-            * central_binomial(n) * binomial(4 * n + 2 * k, 2 * n + k)
-            * binomial(2 * n + k, 2 * k) * binomial(2 * n - k, n)
-            / Fraction(central_binomial(k)))
-
-
-def _g_z20(n: int, k: int) -> Rational:
-    # the leading factor n and the vanishing binomials make n = 0 (and n < k) zero
-    return ((-1) ** (n + k) * Fraction(4) ** (k - (5 * n - 4)) * n
-            * binomial(2 * n - 1, n - 1) * binomial(2 * (2 * n - 1 + k), 2 * n - 1 + k)
-            * binomial(2 * n - 1 + k, 2 * k) * binomial(2 * n - 1 - k, n - 1)
-            / Fraction(central_binomial(k)))
+def _g_z20(n: int, k: int) -> Fraction:
+    return _cell((-1) ** (n + k) * n * binomial(2 * n - 1, n - 1)
+                 * binomial(4 * n + 2 * k - 2, 2 * n + k - 1) * binomial(2 * n + k - 1, 2 * k)
+                 * binomial(2 * n - k - 1, n - 1),
+                 binomial(2 * k, k), 2 * k - 10 * n + 8)
 
 
 PAIRS: dict[str, WzPair] = {

@@ -4,6 +4,7 @@ Each test is self-contained and runnable standalone; the terminal summary
 hook prints one PASS/FAIL line per criterion. Wall-clock limits are asserted
 where a criterion states one.
 """
+import hashlib
 import json
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from supercong.congruences import (CheckParams, cross_validate, evaluate_case,
 from supercong.exactnum import INFINITE, PadicContext, residue, vp
 from supercong.harness import SweepConfig, run_sweep
 
+BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"
 PRIMES_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 PRIMES_97 = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
              67, 71, 73, 79, 83, 89, 97)
@@ -280,3 +282,10 @@ def test_c14_sweep_determinism(tmp_path):
     assert recs_c == recs_a
     assert meta_c["summary"] == meta_a["summary"]
     assert meta_c["config"]["jobs"] == 4
+
+    # the records hash to the default-sweep digest the benchmark pins
+    pinned = json.loads(BASELINE.read_text())["default_sweep"]
+    h = hashlib.sha256()
+    for rec in recs_a:
+        h.update((json.dumps(rec) + "\n").encode())
+    assert (h.hexdigest(), len(recs_a)) == (pinned["digest"], pinned["points"])

@@ -95,6 +95,21 @@ def test_usage_errors_exit_two(capsys):
         assert err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["LEM-3.1", "--r", "2"],
+     "LEM-3.1 has no residue path: its residue would only be its exact value reduced; "
+     "use the exact backend"),
+    (["MAO-I2-IDENT"],
+     "MAO-I2-IDENT is an exact identity; residue reduction cannot certify equality"),
+    (["FACT-INV", "--r", "2"],
+     "FACT-INV has p-power denominators; use the exact backend"),
+])
+def test_residue_refusal_names_its_reason(capsys, argv, reason):
+    code, out, err = run_cli(capsys, "verify", "--case", *argv, "--p", "7",
+                             "--backend", "residue")
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
 def test_argparse_errors(capsys):
     for argv in (["verify", "--p", "5"], ["nope"], []):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from supercong import wz
+from supercong.combinat import binomial, binomial_rat
 from supercong.congruences import (BackendIneligible, CheckParams,
                                    PrimeBelowFloor, UnknownCase, _gz_column,
                                    _lem21_sums, _row, _theta_direct,
@@ -266,6 +267,27 @@ def test_row_slices_match_direct_cells():
             mid = cell(half + 1)
             tail = sum(cell(k) for k in range(half + 2, P))
             assert slices == (prefix, mid, tail), (p, r)
+
+
+# theta(k) of LEM-4.2 as its statement writes it
+THETA_STATED = ("theta(k) = -p^(3r) C(2p^r-1,p^r-1)^2 / ((2p^r-1) 4^(3p^r-3)) * "
+                "(-4)^k/C(2k,k) * C(-2p^r-1,2k-2)/(k(2k-1)) * C(2p^r-2,p^r-k-1)")
+
+
+def theta_stated(p, r, k):
+    P = p ** r
+    return (-p ** (3 * r) * F(binomial(2 * P - 1, P - 1)) ** 2
+            / ((2 * P - 1) * F(4) ** (3 * P - 3))
+            * F(-4) ** k / binomial(2 * k, k)
+            * binomial_rat(-2 * P - 1, 2 * k - 2) / (k * (2 * k - 1))
+            * binomial(2 * P - 2, P - k - 1))
+
+
+def test_theta_matches_its_statement():
+    assert THETA_STATED in get_case("LEM-4.2").statement
+    for p, r in ((5, 1), (7, 1), (11, 1), (5, 2)):
+        for k in range(1, p ** r):
+            assert _theta_direct(p, r, k) == theta_stated(p, r, k), (p, r, k)
 
 
 def test_column_sums_match_direct_cells():

@@ -1,9 +1,11 @@
 import dataclasses
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
-from supercong.combinat import factorial, pochhammer
+from supercong import combinat, wz
+from supercong.combinat import binomial, factorial, pochhammer, recip_pochhammer
 from supercong.wz import (PAIRS, boundary_identity, check_summand,
                           check_telescoping, eval_F, eval_G, get_pair,
                           summand_sign)
@@ -43,26 +45,104 @@ def test_known_cells_4n_minus_1_pair():
     assert eval_G("GL4K1", 1, 1) == -1
 
 
-def test_4n_minus_1_cells_equal_pochhammer_definition():
-    # the cells' one-Fraction form against the registered definition, term by term
-    def f_def(n, k):
-        return ((-1) ** (n + k) * (4 * n - 1) * pochhammer(F(-1, 2), n) ** 2
-                * pochhammer(F(-1, 2), n + k)
-                / (pochhammer(F(-1, 2), k) ** 2 * factorial(n) ** 2 * factorial(n - k)))
+HALF, NEG_HALF = F(1, 2), F(-1, 2)
 
-    def g_def(n, k):
-        return ((-1) ** (n + k) * 2 * pochhammer(F(-1, 2), n) ** 2
-                * pochhammer(F(-1, 2), n + k - 1)
-                / (pochhammer(F(-1, 2), k) ** 2 * factorial(n - 1) ** 2 * factorial(n - k)))
 
-    cells = [(n, k) for n in range(25) for k in range(n + 1)]
-    cells += [(300, 0), (300, 1), (300, 150), (300, 299), (300, 300)]
-    for n, k in cells:
-        assert eval_F("GL4K1", n, k) == f_def(n, k), (n, k)
+def recip_fact(m):
+    """1/(1)_m, with 1/(1)_m = 0 for m < 0 as the definitions state."""
+    return recip_pochhammer(1, m)
+
+
+def gz_f(n, k):
+    c = 10 * n * n + 12 * n * k + 6 * n + 4 * k * k + 4 * k + 1
+    return (c * pochhammer(HALF, n) * pochhammer(HALF + k, n) ** 4 * recip_fact(n) ** 5
+            * (-1) ** n * 4 ** n)
+
+
+def gz_g(n, k):
+    if n == 0:
+        return 0    # 1/(1)_(-1) = 0
+    return ((n + 2 * k - 1) * pochhammer(HALF, n) * pochhammer(HALF + k, n - 1) ** 4
+            * recip_fact(n - 1) ** 5 * (-1) ** n * F(2) ** (2 * n + 1))
+
+
+def guo_f(n, k):
+    return ((-1) ** (n + k) * (4 * n + 1) * F(4) ** (k - 3 * n) * binomial(2 * n, n) ** 2
+            * binomial(2 * n + 2 * k, n + k) * binomial(n + k, 2 * k) / binomial(2 * k, k))
+
+
+def guo_g(n, k):
+    # C(n-1+k, 2k)/(n-k) in the cancelled form the definition states
+    cancelled = F(prod(n - k + j for j in range(1, 2 * k)), factorial(2 * k))
+    return ((-1) ** (n + k) * (2 * n - 1) ** 2 * binomial(2 * n - 2, n - 1) ** 2
+            * F(4) ** (k - 3 * (n - 1)) / 2 * binomial(2 * n - 2 + 2 * k, n - 1 + k)
+            * cancelled / binomial(2 * k, k))
+
+
+def gl_f(n, k):
+    return ((-1) ** (n + k) * (4 * n - 1) * pochhammer(NEG_HALF, n) ** 2
+            * pochhammer(NEG_HALF, n + k) * recip_fact(n) ** 2 * recip_fact(n - k)
+            / pochhammer(NEG_HALF, k) ** 2)
+
+
+def gl_g(n, k):
+    return ((-1) ** (n + k) * 2 * pochhammer(NEG_HALF, n) ** 2
+            * pochhammer(NEG_HALF, n + k - 1) * recip_fact(n - 1) ** 2 * recip_fact(n - k)
+            / pochhammer(NEG_HALF, k) ** 2)
+
+
+def z20_f(n, k):
+    return ((-1) ** (n + k) * (20 * n - 2 * k + 3) * F(4) ** (k - 5 * n) * binomial(2 * n, n)
+            * binomial(4 * n + 2 * k, 2 * n + k) * binomial(2 * n + k, 2 * k)
+            * binomial(2 * n - k, n) / binomial(2 * k, k))
+
+
+def z20_g(n, k):
+    return ((-1) ** (n + k) * F(4) ** (k - 5 * n + 4) * n * binomial(2 * n - 1, n - 1)
+            * binomial(4 * n - 2 + 2 * k, 2 * n - 1 + k) * binomial(2 * n - 1 + k, 2 * k)
+            * binomial(2 * n - 1 - k, n - 1) / binomial(2 * k, k))
+
+
+# each pair's F and G as its registered definition states them
+DEFINITIONS = {"GZ10N2": (gz_f, gz_g), "GUO64": (guo_f, guo_g),
+               "GL4K1": (gl_f, gl_g), "Z20N3": (z20_f, z20_g)}
+
+# k <= n <= 24, the first cells past the diagonal, and a few at n = 300; with
+# n = 0, GUO64's n = k cells, and Z20N3's k > 2n cell (0, 1), where C(2n-k, n)
+# has a negative upper index
+DEFINITION_CELLS = ([(n, k) for n in range(25) for k in range(n + 1)]
+                    + [(n, n + 1) for n in range(6)]
+                    + [(300, k) for k in (0, 1, 2, 150, 299, 300, 301)])
+
+
+@pytest.mark.parametrize("pid", ALL)
+def test_cells_equal_registered_definition(pid):
+    f_def, g_def = DEFINITIONS[pid]
+    for n, k in DEFINITION_CELLS:
+        assert eval_F(pid, n, k) == f_def(n, k), (pid, n, k)
         if k >= 1:
-            assert eval_G("GL4K1", n, k) == g_def(n, k), (n, k)
-    for n in range(6):
-        assert eval_F("GL4K1", n, n + 1) == 0 and eval_G("GL4K1", n, n + 1) == 0
+            assert eval_G(pid, n, k) == g_def(n, k), (pid, n, k)
+
+
+@pytest.mark.parametrize("pid", ALL)
+def test_one_fraction_per_cell(monkeypatch, pid):
+    """Each f and g call builds exactly one Fraction, and returns it."""
+    built = []
+
+    class Counted(F):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(wz, "Fraction", Counted)
+    monkeypatch.setattr(combinat, "Fraction", Counted)
+    pair = PAIRS[pid]
+    for n in range(8):
+        for k in range(10):
+            for name, cell in (("f", pair.f), ("g", pair.g))[:1 + (k > 0)]:
+                built.clear()
+                value = cell(n, k)
+                assert len(built) == 1 and type(value) is Counted, (name, n, k, built)
 
 
 def test_known_cells_20n_plus_3_pair():
