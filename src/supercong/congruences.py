@@ -102,6 +102,9 @@ class CongruenceCase:
     uses_delta: bool = False
     p_integral: bool = False                    # residue backend eligibility
     r_floor: int = 1
+    # the cached kernel the case reads (a series spec, a certificate row);
+    # cases naming the same one share its work at a (p, r)
+    kernel: Optional[str] = None
 
     def claimed(self, p: int, r: int) -> Optional[int]:
         return None if self.claimed_exponent is None else self.claimed_exponent(p, r)
@@ -224,37 +227,87 @@ SERIES: dict[str, SeriesSpec] = {
 }
 
 
+def _split(ratios: list[tuple[int, int]], poly: tuple[int, ...], first: int,
+           i: int, j: int) -> tuple[int, int, int]:
+    """(A, B, T) of the terms i .. j-1, term k having the ratio (a, b) =
+    ratios[k - first]: A / B is the product of their ratios, and T / B the
+    sum over k of poly(k) times the ratios of the terms i .. k.  Halves
+    combine as A1 A2, B1 B2 and T1 B2 + A1 T2."""
+    if j - i == 1:
+        a, b = ratios[i - first]
+        return a, b, a * _poly(poly, i)
+    m = (i + j) // 2
+    a1, b1, t1 = _split(ratios, poly, first, i, m)
+    a2, b2, t2 = _split(ratios, poly, first, m, j)
+    return a1 * a2, b1 * b2, t1 * b2 + a1 * t2
+
+
+def _ratio_slices(t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
+                  ends: Iterable[int], poly: tuple[int, ...]) -> Iterator[Rational]:
+    """Sums of t_k = t0 poly(k) u_k over the ranges lo..e1, e1+1..e2, ... of
+    ends (e1, e2, ...; a range with e_i <= e_(i-1) sums to 0), each yielded
+    when its range ends, where u_lo = 1 and u_(k+1) = u_k a_k / b_k for
+    integers (a_k, b_k) = step(k), b_k != 0, called once for each k below
+    the last end, in increasing order, as the ranges are reached.
+
+    Binary splitting (Haible and Papanikolaou, ANTS-III, 1998): each range
+    is one (A, B, T) product tree (_split) over its terms, the ratio of term
+    k being a_(k-1) / b_(k-1) (1 at lo), and its seed u_(start-1) is the
+    product of the A / B of the ranges to its left.  The products of a
+    range of n terms grow to O(n log n) bits, so its tree costs
+    O(M(n log n) log n) for the multiplication time M, where a stepped loop
+    takes O(n^2 log n); each range's Fraction, built from its T and B, is
+    its only gcd."""
+    t0 = Fraction(t0)
+    a, b, ra, k = t0.numerator, t0.denominator, 1, lo
+    for end in ends:
+        if end < k:
+            yield Fraction(0)
+            continue
+        ratios = [step(j - 1) if j > lo else (1, 1) for j in range(k, end + 1)]
+        a *= ra         # a / b: t0 times the A / B of the ranges to the left
+        ra, rb, t = _split(ratios, poly, k, k, end + 1)
+        b *= rb
+        yield Fraction(a * t, b)
+        k = end + 1
+
+
 def _ratio_sums(t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
                 ends: Iterable[int], poly: tuple[int, ...]) -> tuple[Rational, ...]:
-    """Sums of t_k = t0 poly(k) u_k over the ranges lo..e1, e1+1..e2, ... of
-    ends (e1, e2, ...; a range with e_i <= e_(i-1) sums to 0), where u_lo = 1
-    and u_(k+1) = u_k a_k / b_k for integers (a_k, b_k) = step(k), b_k != 0,
-    called for k < the last end.  u_k is an integer over the running product
-    d of the b_j and each range one numerator over d, so each range's
-    Fraction, built when the range ends, is its only gcd."""
-    t0 = Fraction(t0)
-    sums, u, d, k = [], 1, 1, lo
-    for end in ends:
-        num = 0
-        while k <= end:
-            # u / d is u_(k-1) (u_lo at k = lo); num / d is the slice so far
-            if k > lo:
-                a, b = step(k - 1)
-                u, d, num = u * a, d * b, num * b
-            num += _poly(poly, k) * u
-            k += 1
-        sums.append(Fraction(t0.numerator * num, t0.denominator * d))
-    return tuple(sums)
+    """All the range sums of _ratio_slices at once: one binary-split tree and
+    one Fraction per range."""
+    return tuple(_ratio_slices(t0, step, lo, ends, poly))
 
 
-def _lem21_sums(p: int, r: int, ends: Iterable[int]) -> tuple[Rational, ...]:
+def _lem21_sums(p: int, r: int, ends: Iterable[int]) -> Iterator[Rational]:
     # F(n, K) for the five-factor pair at K = (p^r-1)/2: 10n^2+(12K+6)n+4K^2+4K+1
-    # times (1/2)_n (1/2+K)_n^4 (-4)^n / (1)_n^5, stepped by -(2n+1)(2K+2n+1)^4/(8(n+1)^5);
-    # LEM-2.1 sums it uncached: its terms depend on (p, r), not only on the cap
+    # times (1/2)_n (1/2+K)_n^4 (-4)^n / (1)_n^5, stepped by -(2n+1)(2K+2n+1)^4/(8(n+1)^5)
     K = (p ** r - 1) // 2
-    return _ratio_sums(1, lambda n: (-(2 * n + 1) * (2 * K + 2 * n + 1) ** 4,
-                                     8 * (n + 1) ** 5),
-                       0, ends, (4 * K * K + 4 * K + 1, 12 * K + 6, 10))
+    return _ratio_slices(1, lambda n: (-(2 * n + 1) * (2 * K + 2 * n + 1) ** 4,
+                                       8 * (n + 1) ** 5),
+                         0, ends, (4 * K * K + 4 * K + 1, 12 * K + 6, 10))
+
+
+class _Slices:
+    """The range sums of one _ratio_slices pass, each computed at first use."""
+
+    def __init__(self, slices: Iterator[Rational]):
+        self._slices, self._done = slices, []
+
+    def __getitem__(self, i: int) -> Rational:
+        while len(self._done) <= i:
+            self._done.append(next(self._slices))
+        return self._done[i]
+
+
+@lru_cache(maxsize=64)
+def _lem21(p: int, r: int) -> _Slices:
+    """LEM-2.1's pass over its delta = 1 window 0 .. 2K, K = (p^r-1)/2, in
+    two slices: the delta = 2 window 0 .. K, then K+1 .. 2K.  One tree
+    serves both delta points, and a delta = 2 point alone builds only its
+    own slice."""
+    K = (p ** r - 1) // 2
+    return _Slices(_lem21_sums(p, r, (K, 2 * K)))
 
 
 @lru_cache(maxsize=256)
@@ -313,7 +366,7 @@ def _series_residue(name: str, upper: int, p: int, m: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# certificate-row sums: one ratio-stepped pass over k = 1 .. p^r - 1 split
+# certificate-row sums: one _ratio_sums pass over k = 1 .. p^r - 1 split
 # into prefix (k <= (P-1)/2), middle (k = (P+1)/2), and tail (k >= (P+3)/2).
 # Each row steps by its cell ratio G(P,k+1)/G(P,k) as an integer pair.
 
@@ -390,14 +443,22 @@ def _series(id, status, statement, m, rhs, name, upper, *, uses_r=True,
     _add(CongruenceCase(id=id, status=status, statement=statement, kind="series",
                         claimed_exponent=m, rhs=rhs, series_name=name, upper=upper,
                         uses_r=uses_r, uses_delta=uses_delta, p_integral=p_integral,
-                        r_floor=r_floor))
+                        r_floor=r_floor, kernel=name))
 
 
 def _scalar(id, status, statement, m, lhs, rhs, *, uses_r=True, p_integral=False,
-            r_floor=1, kind="scalar"):
+            r_floor=1, kind="scalar", kernel=None):
     _add(CongruenceCase(id=id, status=status, statement=statement, kind=kind,
                         claimed_exponent=m, rhs=rhs, lhs_scalar=lhs,
-                        uses_r=uses_r, p_integral=p_integral, r_floor=r_floor))
+                        uses_r=uses_r, p_integral=p_integral, r_floor=r_floor,
+                        kernel=kernel))
+
+
+def _row_scalar(id, statement, row, part, rhs, *, r_floor=1):
+    """A lemma claiming p^(r+2) for one slice of the certificate row _ROWS[row]:
+    part 0, 1 or 2 for the prefix, middle or tail (see _row)."""
+    _scalar(id, "lemma", statement, lambda p, r: r + 2,
+            lambda p, r: _row(row, p, r)[part], rhs, r_floor=r_floor, kernel=row)
 
 
 def _family(id, statement, m, members, lhs, rhs, *, p_integral=True):
@@ -524,7 +585,7 @@ _scalar("MAO-I2-IDENT", "theorem",
         None,
         lambda p, r: Fraction(_series_exact("mao", (p - 1) // 2)),
         lambda p, r: binomial_rat(Fraction(-3, 2), (p - 1) // 2) ** 2 / Fraction((p + 1) // 2),
-        uses_r=False, kind="identity")
+        uses_r=False, kind="identity", kernel="mao")
 
 _scalar("LEM-2.2", "lemma",
         "sum_{k=1}^{(p^r-1)/2} G((p^r+1)/2, k) == 0  (mod p^(r+4)), where "
@@ -541,22 +602,22 @@ _scalar("LEM-3.1", "lemma",
         lambda p, r: r + 2,
         lambda p, r: wz.eval_F("GUO64", p ** r - 1, p ** r - 1), _rhs_zero, r_floor=2)
 
-_scalar("LEM-3.2", "lemma",
-        "sum_{k=1}^{(p^r-1)/2} G(p^r,k) == 0  (mod p^(r+2)) for the (4n+1)-series pair",
-        lambda p, r: r + 2, lambda p, r: _row("GUO64", p, r)[0], _rhs_zero)
+_row_scalar("LEM-3.2",
+            "sum_{k=1}^{(p^r-1)/2} G(p^r,k) == 0  (mod p^(r+2)) for the (4n+1)-series pair",
+            "GUO64", 0, _rhs_zero)
 
-_scalar("LEM-3.3", "lemma",
-        "G(p^r,(p^r+1)/2) == (-1)^((p^r-1)/2) p^r (1 - 3 p q_p(2))  (mod p^(r+2)) "
-        "for the (4n+1)-series pair",
-        lambda p, r: r + 2, lambda p, r: _row("GUO64", p, r)[1],
-        lambda p, r: Fraction(_sign_pr(p, r) * p ** r * (1 - 3 * p * fermat_quotient(p))))
+_row_scalar("LEM-3.3",
+            "G(p^r,(p^r+1)/2) == (-1)^((p^r-1)/2) p^r (1 - 3 p q_p(2))  (mod p^(r+2)) "
+            "for the (4n+1)-series pair",
+            "GUO64", 1,
+            lambda p, r: Fraction(_sign_pr(p, r) * p ** r * (1 - 3 * p * fermat_quotient(p))))
 
-_scalar("LEM-3.5", "lemma",
-        "sum_{k=(p^r+3)/2}^{p^r-1} G(p^r,k) == (-1)^((p^r-1)/2) 3 p^(r+1) q_p(2) "
-        " (mod p^(r+2)) for the (4n+1)-series pair; stated for r >= 2",
-        lambda p, r: r + 2, lambda p, r: _row("GUO64", p, r)[2],
-        lambda p, r: Fraction(_sign_pr(p, r) * 3 * p ** (r + 1) * fermat_quotient(p)),
-        r_floor=2)
+_row_scalar("LEM-3.5",
+            "sum_{k=(p^r+3)/2}^{p^r-1} G(p^r,k) == (-1)^((p^r-1)/2) 3 p^(r+1) q_p(2) "
+            " (mod p^(r+2)) for the (4n+1)-series pair; stated for r >= 2",
+            "GUO64", 2,
+            lambda p, r: Fraction(_sign_pr(p, r) * 3 * p ** (r + 1) * fermat_quotient(p)),
+            r_floor=2)
 
 _scalar("LEM-4.1", "lemma",
         "F(p^r-1, p^r-1) == 0  (mod p^(r+2)) for the (4n-1)-series pair; "
@@ -564,25 +625,25 @@ _scalar("LEM-4.1", "lemma",
         lambda p, r: r + 2,
         lambda p, r: wz.eval_F("GL4K1", p ** r - 1, p ** r - 1), _rhs_zero, r_floor=2)
 
-_scalar("LEM-4.2", "lemma",
-        "sum_{k=1}^{(p^r-1)/2} theta(k) == 0  (mod p^(r+2)), where theta(k) = "
-        "-p^(3r) C(2p^r-1,p^r-1)^2 / ((2p^r-1) 4^(3p^r-3)) * (-4)^k/C(2k,k) * "
-        "C(-2p^r-1,2k-2)/(k(2k-1)) * C(2p^r-2,p^r-k-1)",
-        lambda p, r: r + 2, lambda p, r: _row("theta", p, r)[0], _rhs_zero)
+_row_scalar("LEM-4.2",
+            "sum_{k=1}^{(p^r-1)/2} theta(k) == 0  (mod p^(r+2)), where theta(k) = "
+            "-p^(3r) C(2p^r-1,p^r-1)^2 / ((2p^r-1) 4^(3p^r-3)) * (-4)^k/C(2k,k) * "
+            "C(-2p^r-1,2k-2)/(k(2k-1)) * C(2p^r-2,p^r-k-1)",
+            "theta", 0, _rhs_zero)
 
-_scalar("LEM-4.3", "lemma",
-        "theta((p^r+1)/2) == -(-1)^((p^r-1)/2) p^r (1 - 3 p q_p(2))  (mod p^(r+2)); "
-        "stated for r >= 2 (theta as in LEM-4.2)",
-        lambda p, r: r + 2, lambda p, r: _row("theta", p, r)[1],
-        lambda p, r: Fraction(-_sign_pr(p, r) * p ** r * (1 - 3 * p * fermat_quotient(p))),
-        r_floor=2)
+_row_scalar("LEM-4.3",
+            "theta((p^r+1)/2) == -(-1)^((p^r-1)/2) p^r (1 - 3 p q_p(2))  (mod p^(r+2)); "
+            "stated for r >= 2 (theta as in LEM-4.2)",
+            "theta", 1,
+            lambda p, r: Fraction(-_sign_pr(p, r) * p ** r * (1 - 3 * p * fermat_quotient(p))),
+            r_floor=2)
 
-_scalar("LEM-4.4", "lemma",
-        "sum_{k=(p^r+3)/2}^{p^r-1} theta(k) == -(-1)^((p^r-1)/2) 3 p^(r+1) q_p(2) "
-        " (mod p^(r+2)); stated for r >= 2 (theta as in LEM-4.2)",
-        lambda p, r: r + 2, lambda p, r: _row("theta", p, r)[2],
-        lambda p, r: Fraction(-_sign_pr(p, r) * 3 * p ** (r + 1) * fermat_quotient(p)),
-        r_floor=2)
+_row_scalar("LEM-4.4",
+            "sum_{k=(p^r+3)/2}^{p^r-1} theta(k) == -(-1)^((p^r-1)/2) 3 p^(r+1) q_p(2) "
+            " (mod p^(r+2)); stated for r >= 2 (theta as in LEM-4.2)",
+            "theta", 2,
+            lambda p, r: Fraction(-_sign_pr(p, r) * 3 * p ** (r + 1) * fermat_quotient(p)),
+            r_floor=2)
 
 _scalar("LEM-5.1", "lemma",
         "F(p^r-1, p^r-1) == 0  (mod p^(r+2)) for the (20n+3)-series pair; "
@@ -590,22 +651,22 @@ _scalar("LEM-5.1", "lemma",
         lambda p, r: r + 2,
         lambda p, r: wz.eval_F("Z20N3", p ** r - 1, p ** r - 1), _rhs_zero, r_floor=2)
 
-_scalar("LEM-5.2", "lemma",
-        "sum_{k=1}^{(p^r-1)/2} G(p^r,k) == 0  (mod p^(r+2)) for the (20n+3)-series pair",
-        lambda p, r: r + 2, lambda p, r: _row("Z20N3", p, r)[0], _rhs_zero)
+_row_scalar("LEM-5.2",
+            "sum_{k=1}^{(p^r-1)/2} G(p^r,k) == 0  (mod p^(r+2)) for the (20n+3)-series pair",
+            "Z20N3", 0, _rhs_zero)
 
-_scalar("LEM-5.3", "lemma",
-        "G(p^r,(p^r+1)/2) == 3 (-1)^((p^r-1)/2) p^r (1 - 5 p q_p(2))  (mod p^(r+2)) "
-        "for the (20n+3)-series pair",
-        lambda p, r: r + 2, lambda p, r: _row("Z20N3", p, r)[1],
-        lambda p, r: Fraction(3 * _sign_pr(p, r) * p ** r * (1 - 5 * p * fermat_quotient(p))))
+_row_scalar("LEM-5.3",
+            "G(p^r,(p^r+1)/2) == 3 (-1)^((p^r-1)/2) p^r (1 - 5 p q_p(2))  (mod p^(r+2)) "
+            "for the (20n+3)-series pair",
+            "Z20N3", 1,
+            lambda p, r: Fraction(3 * _sign_pr(p, r) * p ** r * (1 - 5 * p * fermat_quotient(p))))
 
-_scalar("LEM-5.4", "lemma",
-        "sum_{k=(p^r+3)/2}^{p^r-1} G(p^r,k) == 15 (-1)^((p^r-1)/2) p^(r+1) q_p(2) "
-        " (mod p^(r+2)) for the (20n+3)-series pair; stated for r >= 2",
-        lambda p, r: r + 2, lambda p, r: _row("Z20N3", p, r)[2],
-        lambda p, r: Fraction(15 * _sign_pr(p, r) * p ** (r + 1) * fermat_quotient(p)),
-        r_floor=2)
+_row_scalar("LEM-5.4",
+            "sum_{k=(p^r+3)/2}^{p^r-1} G(p^r,k) == 15 (-1)^((p^r-1)/2) p^(r+1) q_p(2) "
+            " (mod p^(r+2)) for the (20n+3)-series pair; stated for r >= 2",
+            "Z20N3", 2,
+            lambda p, r: Fraction(15 * _sign_pr(p, r) * p ** (r + 1) * fermat_quotient(p)),
+            r_floor=2)
 
 _scalar("BIN-3.4", "known",
         "C(p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) 4^(p^r-1)  (mod p^3)",
@@ -751,12 +812,17 @@ def _require_residue(case: CongruenceCase) -> None:
 
 def series_sum_exact(case, params: CheckParams) -> Rational:
     """Exact value of a series case's truncated sum: a SERIES spec's from the
-    cached kernel, and LEM-2.1's (series_name None) as one uncached slice."""
+    cached kernel, and LEM-2.1's (series_name None) from the one pass per
+    (p, r) that _lem21 caches for both windows; a LEM-2.1 sum capped by
+    upper_override is one uncached slice."""
     case = get_case(case)
     if case.kind != "series":
         raise ValueError(f"{case.id} is not a series case")
     if case.series_name is None:
-        return _lem21_sums(params.p, params.r, (_series_upper(case, params),))[0]
+        if params.upper_override is not None:
+            return next(_lem21_sums(params.p, params.r, (params.upper_override,)))
+        windows = _lem21(params.p, params.r)
+        return windows[0] if params.delta == 2 else windows[0] + windows[1]
     return _series_exact(case.series_name, _series_upper(case, params))
 
 

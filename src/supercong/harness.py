@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .congruences import (STATUSES, CheckParams, CheckResult, evaluate_case,
-                          is_prime, list_cases)
+                          get_case, is_prime, list_cases)
 
 TOOL = "supercong"
 TOOL_VERSION = "0.1.0"
@@ -223,6 +223,20 @@ def _plan(config: SweepConfig) -> list[tuple[str, int, int, Optional[int]]]:
     return tasks
 
 
+def _units(config: SweepConfig) -> list[list[tuple[str, int, int, Optional[int]]]]:
+    """The planned tasks grouped into one unit per (p, r, kernel), where a
+    case's kernel is the cached sum it reads (its series spec, its
+    certificate row) or else its id, so that every point reading one kernel
+    at one (p, r) runs in one process and computes it once.  Units come
+    largest p^r first, so the longest start first; ties keep the plan's
+    order."""
+    units: dict[tuple, list] = {}
+    for task in _plan(config):
+        case_id, p, r, _ = task
+        units.setdefault((p, r, get_case(case_id).kernel or case_id), []).append(task)
+    return sorted(units.values(), key=lambda unit: -unit[0][1] ** unit[0][2])
+
+
 def _run_task(task: tuple[str, int, int, Optional[int]], backend: str,
               include_p3: bool) -> Union[CheckResult, tuple]:
     case_id, p, r, d = task
@@ -233,22 +247,29 @@ def _run_task(task: tuple[str, int, int, Optional[int]], backend: str,
         return (task, f"{type(e).__name__}: {e}")
 
 
+def _run_unit(unit: list, backend: str, include_p3: bool) -> list:
+    return [_run_task(task, backend, include_p3) for task in unit]
+
+
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Evaluate the whole grid; individual case errors are collected, never
-    raised. Results come back sorted by (case_id, p, r, delta). The pool gets
-    at most one worker per task and per CPU (a fork pool starts every worker
-    at the first submit); with one worker the sweep runs in this process."""
+    raised. Results come back sorted by (case_id, p, r, delta), so the
+    records do not depend on the order of evaluation.  Serial and pooled
+    runs walk the same units (_units): the pool is handed them largest p^r
+    first, four to a chunk, and gets at most one worker per unit and per
+    CPU (a fork pool starts every worker at the first submit); with one
+    worker the sweep runs in this process."""
     t0 = time.perf_counter()
-    tasks = _plan(config)
-    workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
+    units = _units(config)
+    args = (repeat(config.backend), repeat(config.include_p3))
+    workers = min(config.jobs, len(units), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_task, tasks, repeat(config.backend),
-                                     repeat(config.include_p3), chunksize=4))
+            done = list(pool.map(_run_unit, units, *args, chunksize=4))
     else:
-        outcomes = [_run_task(t, config.backend, config.include_p3) for t in tasks]
+        done = list(map(_run_unit, units, *args))
     results, errors = [], []
-    for out in outcomes:
+    for out in (out for unit in done for out in unit):
         if isinstance(out, CheckResult):
             results.append(out)
         else:

@@ -1,12 +1,14 @@
 """Algebraic laws of the arithmetic primitives, on draws from hypothesis: vp
-is additive, residue is a ring homomorphism on p-integral rationals, and a
-binomial with a negative upper index follows the reflection rule.  Skipped
-when hypothesis is not installed."""
+is additive, residue is a ring homomorphism on p-integral rationals, a
+binomial with a negative upper index follows the reflection rule, and the
+binary-split slice kernel equals a termwise sum.  Skipped when hypothesis is
+not installed."""
 from fractions import Fraction
 
 import pytest
 
 from supercong.combinat import binomial, binomial_rat
+from supercong.congruences import _ratio_sums
 from supercong.exactnum import INFINITE, PadicContext, residue, vp
 
 pytest.importorskip("hypothesis")
@@ -59,3 +61,47 @@ def test_negative_upper_binomial_reflects(n, k):
     assert value == (-1) ** k * binomial(n + k - 1, k)
     assert value == binomial_rat(-n, k)
     assert value == binomial(-n - 1, k) + binomial(-n - 1, k - 1)
+
+
+@st.composite
+def ratio_sum_inputs(draw):
+    """(t0, lo, steps, ends, poly): ends from increments in [-2, 3], so that
+    empty ranges (e_i <= e_(i-1)) and single-term ranges are common, and one
+    step pair (a, b), b != 0, for each k below the last end."""
+    lo = draw(st.integers(-5, 5))
+    ends, end = [], lo - 1
+    for inc in draw(st.lists(st.integers(-2, 3), max_size=6)):
+        end += inc
+        ends.append(end)
+    n = max(max(ends, default=lo) - lo, 0)
+    steps = draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40).filter(bool)),
+                          min_size=n, max_size=n))
+    t0 = Fraction(draw(st.integers(-99, 99)), draw(st.integers(1, 99)))
+    poly = tuple(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3)))
+    return t0, lo, steps, ends, poly
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(ratio_sum_inputs())
+def test_ratio_sums_equal_termwise_sums(inputs):
+    t0, lo, steps, ends, poly = inputs
+    calls = []
+
+    def step(k):
+        calls.append(k)
+        return steps[k - lo]
+
+    got = _ratio_sums(t0, step, lo, ends, poly)
+    # t_k = t0 poly(k) u_k, u_lo = 1, u_(k+1) = u_k a_k / b_k, one Fraction a term
+    terms, u = {}, Fraction(1)
+    for k in range(lo, lo + len(steps) + 1):
+        terms[k] = t0 * sum(c * k ** i for i, c in enumerate(poly)) * u
+        if k - lo < len(steps):
+            u = u * steps[k - lo][0] / steps[k - lo][1]
+    want, start = [], lo
+    for end in ends:
+        want.append(sum((terms[k] for k in range(start, end + 1)), Fraction(0)))
+        start = max(start, end + 1)
+    assert got == tuple(want)
+    assert all(isinstance(s, Fraction) for s in got)
+    assert calls == list(range(lo, lo + len(steps)))
