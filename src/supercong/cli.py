@@ -21,8 +21,8 @@ from . import congruences, wz
 from .congruences import (BackendIneligible, CheckParams, PrimeBelowFloor,
                           UnknownCase, evaluate_case, list_cases)
 from .harness import (ConfigInvalid, SweepConfig, allow_long_int_str,
-                      compare_baseline, demoted, parse_config, run_sweep,
-                      write_report)
+                      compare_baseline, demoted, parse_config, parse_int_list,
+                      run_sweep, write_report)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,13 +153,13 @@ def _cmd_sweep(args) -> int:
         if config.primes is not None:
             overrides["primes"] = None
     if args.primes is not None:
-        overrides["primes"] = tuple(int(v) for v in args.primes.split(","))
+        overrides["primes"] = parse_int_list(args.primes)
         if config.pmax is not None:
             overrides["pmax"] = None
     if args.rmax is not None:
         overrides["r_max"] = args.rmax
     if args.deltas is not None:
-        overrides["deltas"] = tuple(int(v) for v in args.deltas.split(","))
+        overrides["deltas"] = parse_int_list(args.deltas)
     for name in ("glob", "status", "backend", "include_p3",
                  "strict_conjectures", "jobs", "report_format"):
         val = getattr(args, name)

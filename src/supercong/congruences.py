@@ -102,7 +102,7 @@ class CongruenceCase:
     uses_delta: bool = False
     p_integral: bool = False                    # residue backend eligibility
     r_floor: int = 1
-    # the cached kernel the case reads (a series spec, a certificate row);
+    # the cached kernel the case reads (a series spec, a _SUMS entry);
     # cases naming the same one share its work at a (p, r)
     kernel: Optional[str] = None
 
@@ -272,42 +272,19 @@ def _ratio_slices(t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
         k = end + 1
 
 
-def _ratio_sums(t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
-                ends: Iterable[int], poly: tuple[int, ...]) -> tuple[Rational, ...]:
-    """All the range sums of _ratio_slices at once: one binary-split tree and
-    one Fraction per range."""
-    return tuple(_ratio_slices(t0, step, lo, ends, poly))
-
-
-def _lem21_sums(p: int, r: int, ends: Iterable[int]) -> Iterator[Rational]:
-    # F(n, K) for the five-factor pair at K = (p^r-1)/2: 10n^2+(12K+6)n+4K^2+4K+1
-    # times (1/2)_n (1/2+K)_n^4 (-4)^n / (1)_n^5, stepped by -(2n+1)(2K+2n+1)^4/(8(n+1)^5)
-    K = (p ** r - 1) // 2
-    return _ratio_slices(1, lambda n: (-(2 * n + 1) * (2 * K + 2 * n + 1) ** 4,
-                                       8 * (n + 1) ** 5),
-                         0, ends, (4 * K * K + 4 * K + 1, 12 * K + 6, 10))
-
-
 class _Slices:
-    """The range sums of one _ratio_slices pass, each computed at first use."""
+    """The n range sums of one _ratio_slices pass, each computed at first use;
+    the pass, which holds unreduced products, is dropped after the last."""
 
-    def __init__(self, slices: Iterator[Rational]):
-        self._slices, self._done = slices, []
+    def __init__(self, slices: Iterator[Rational], n: int):
+        self._slices, self._n, self._done = slices, n, []
 
     def __getitem__(self, i: int) -> Rational:
         while len(self._done) <= i:
             self._done.append(next(self._slices))
+            if len(self._done) == self._n:
+                self._slices = None
         return self._done[i]
-
-
-@lru_cache(maxsize=64)
-def _lem21(p: int, r: int) -> _Slices:
-    """LEM-2.1's pass over its delta = 1 window 0 .. 2K, K = (p^r-1)/2, in
-    two slices: the delta = 2 window 0 .. K, then K+1 .. 2K.  One tree
-    serves both delta points, and a delta = 2 point alone builds only its
-    own slice."""
-    K = (p ** r - 1) // 2
-    return _Slices(_lem21_sums(p, r, (K, 2 * K)))
 
 
 @lru_cache(maxsize=256)
@@ -366,9 +343,8 @@ def _series_residue(name: str, upper: int, p: int, m: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# certificate-row sums: one _ratio_sums pass over k = 1 .. p^r - 1 split
-# into prefix (k <= (P-1)/2), middle (k = (P+1)/2), and tail (k >= (P+3)/2).
-# Each row steps by its cell ratio G(P,k+1)/G(P,k) as an integer pair.
+# certificate sums: stretches of one WZ pair's cells.  _SUMS maps a name to
+# (p, r) -> (t0, step, lo, ends, poly), the arguments of its _ratio_slices pass.
 
 def _theta_direct(p: int, r: int, k: int) -> Rational:
     """theta(k) of LEM-4.2 in closed form: it seeds the theta row at k = 1,
@@ -379,38 +355,49 @@ def _theta_direct(p: int, r: int, k: int) -> Rational:
                     (2 * P - 1) * k * (2 * k - 1) * binomial(2 * k, k), 2 * k - 6 * P + 6)
 
 
-# Each row: its cell at k = 1, and the (c, d) of its step
-# -2(cP+2k-1)(P-k-d)/(2k+1)^2, with the ratio's common factor P + k cancelled.
-_ROWS: dict[str, tuple[Callable[[int, int], Rational], int, int]] = {
-    "GUO64": (lambda p, r: wz.eval_G("GUO64", p ** r, 1), 2, 0),
-    "Z20N3": (lambda p, r: wz.eval_G("Z20N3", p ** r, 1), 4, 0),
-    "theta": (lambda p, r: _theta_direct(p, r, 1), 2, 1),
+def _p_row(p: int, r: int, seed: Rational, c: int, d: int) -> tuple:
+    """A row k = 1 .. P-1, P = p^r, from its cell at k = 1, stepped by the cell
+    ratio -2(cP+2k-1)(P-k-d)/(2k+1)^2 (common factor P + k cancelled), in three
+    slices: prefix (k <= (P-1)/2), middle (k = (P+1)/2) and tail."""
+    P = p ** r      # odd, so P // 2 = (P-1)/2
+    return (seed, lambda k: (-2 * (c * P + 2 * k - 1) * (P - k - d), (2 * k + 1) ** 2),
+            1, (P // 2, P // 2 + 1, P - 1), (1,))
+
+
+def _gz_row(p: int, r: int, n0: int) -> tuple:
+    """The five-factor G(n0, k) over k = 1 .. (P-1)/2: (n0+2k-1) q_k^4
+    (-1)^n0 odd(n0) / (2^(3n0-5) (n0-1)!^5) with odd(m) = 1 3 ... (2m-1) and
+    q_k = odd(k+n0-1)/odd(k), which starts at odd(n0) and steps by
+    (2k+2n0-1)/(2k+1); odd(n0) / (n0-1)! = n0 C(2n0,n0) / 2^n0."""
+    t0 = Fraction((-1) ** n0 * (n0 * central_binomial(n0)) ** 5, 2 ** (8 * n0 - 5))
+    return (t0, lambda k: ((2 * k + 2 * n0 - 1) ** 4, (2 * k + 1) ** 4),
+            1, ((p ** r - 1) // 2,), (n0 - 1, 2))
+
+
+def _lem21_column(p: int, r: int) -> tuple:
+    """F(n, K) of the five-factor pair at K = (p^r-1)/2, in LEM-2.1's two windows
+    0 .. K (delta = 2) and K+1 .. 2K: 10n^2+(12K+6)n+4K^2+4K+1 times (1/2)_n
+    (1/2+K)_n^4 (-4)^n / (1)_n^5, stepped by -(2n+1)(2K+2n+1)^4/(8(n+1)^5)."""
+    K = (p ** r - 1) // 2
+    return (1, lambda n: (-(2 * n + 1) * (2 * K + 2 * n + 1) ** 4, 8 * (n + 1) ** 5),
+            0, (K, 2 * K), (4 * K * K + 4 * K + 1, 12 * K + 6, 10))
+
+
+_SUMS: dict[str, Callable[[int, int], tuple]] = {
+    "GUO64": lambda p, r: _p_row(p, r, wz.eval_G("GUO64", p ** r, 1), 2, 0),
+    "Z20N3": lambda p, r: _p_row(p, r, wz.eval_G("Z20N3", p ** r, 1), 4, 0),
+    "theta": lambda p, r: _p_row(p, r, _theta_direct(p, r, 1), 2, 1),
+    "GZ10N2-half": lambda p, r: _gz_row(p, r, (p ** r + 1) // 2),
+    "GZ10N2": lambda p, r: _gz_row(p, r, p ** r),
+    "LEM-2.1": _lem21_column,
 }
 
 
-@lru_cache(maxsize=192)
-def _row(name: str, p: int, r: int) -> tuple[Rational, Rational, Rational]:
-    """(prefix, middle, tail) of the row _ROWS[name] at P = p^r."""
-    seed, c, d = _ROWS[name]
-    P = p ** r      # odd, so P // 2 = (P-1)/2
-    return _ratio_sums(seed(p, r),
-                       lambda k: (-2 * (c * P + 2 * k - 1) * (P - k - d), (2 * k + 1) ** 2),
-                       1, (P // 2, P // 2 + 1, P - 1), (1,))
-
-
-# --------------------------------------------------------------------------
-# five-factor certificate column sums over k = 1 .. (P-1)/2 at n0 = (P+1)/2
-# and n0 = P: G(n0,k) = (n0+2k-1) q_k^4 (-1)^(n0) odd(n0) / (2^(3n0-5) (n0-1)!^5)
-# with odd(m) = 1 3 ... (2m-1) and q_k = odd(k+n0-1)/odd(k), which starts at
-# q_1 = odd(n0) and steps by (2k+2n0-1)/(2k+1).
-
-def _gz_column(p: int, r: int, at_top: bool) -> Rational:
-    P = p ** r
-    n0 = P if at_top else (P + 1) // 2
-    # odd(n0) / (n0-1)! = n0 C(2n0,n0) / 2^n0
-    t0 = Fraction((-1) ** n0 * (n0 * central_binomial(n0)) ** 5, 2 ** (8 * n0 - 5))
-    return _ratio_sums(t0, lambda k: ((2 * k + 2 * n0 - 1) ** 4, (2 * k + 1) ** 4),
-                       1, ((P - 1) // 2,), (n0 - 1, 2))[0]
+@lru_cache(maxsize=256)
+def _sums(name: str, p: int, r: int) -> _Slices:
+    """The slices of _SUMS[name] at (p, r), each computed at first use."""
+    t0, step, lo, ends, poly = _SUMS[name](p, r)
+    return _Slices(_ratio_slices(t0, step, lo, ends, poly), len(ends))
 
 
 # --------------------------------------------------------------------------
@@ -443,7 +430,7 @@ def _series(id, status, statement, m, rhs, name, upper, *, uses_r=True,
     _add(CongruenceCase(id=id, status=status, statement=statement, kind="series",
                         claimed_exponent=m, rhs=rhs, series_name=name, upper=upper,
                         uses_r=uses_r, uses_delta=uses_delta, p_integral=p_integral,
-                        r_floor=r_floor, kernel=name))
+                        r_floor=r_floor, kernel=name or id))
 
 
 def _scalar(id, status, statement, m, lhs, rhs, *, uses_r=True, p_integral=False,
@@ -454,11 +441,10 @@ def _scalar(id, status, statement, m, lhs, rhs, *, uses_r=True, p_integral=False
                         kernel=kernel))
 
 
-def _row_scalar(id, statement, row, part, rhs, *, r_floor=1):
-    """A lemma claiming p^(r+2) for one slice of the certificate row _ROWS[row]:
-    part 0, 1 or 2 for the prefix, middle or tail (see _row)."""
-    _scalar(id, "lemma", statement, lambda p, r: r + 2,
-            lambda p, r: _row(row, p, r)[part], rhs, r_floor=r_floor, kernel=row)
+def _row_scalar(id, statement, m, name, part, rhs, *, r_floor=1):
+    """A lemma claiming p^m(p, r) for slice number part of _SUMS[name]."""
+    _scalar(id, "lemma", statement, m, lambda p, r: _sums(name, p, r)[part], rhs,
+            r_floor=r_floor, kernel=name)
 
 
 def _family(id, statement, m, members, lhs, rhs, *, p_integral=True):
@@ -587,14 +573,14 @@ _scalar("MAO-I2-IDENT", "theorem",
         lambda p, r: binomial_rat(Fraction(-3, 2), (p - 1) // 2) ** 2 / Fraction((p + 1) // 2),
         uses_r=False, kind="identity", kernel="mao")
 
-_scalar("LEM-2.2", "lemma",
-        "sum_{k=1}^{(p^r-1)/2} G((p^r+1)/2, k) == 0  (mod p^(r+4)), where "
-        "G(n,k) = (n+2k-1) (1/2)_n (1/2+k)_(n-1)^4/(1)_(n-1)^5 (-1)^n 2^(2n+1)",
-        lambda p, r: r + 4, lambda p, r: _gz_column(p, r, False), _rhs_zero)
+_row_scalar("LEM-2.2",
+            "sum_{k=1}^{(p^r-1)/2} G((p^r+1)/2, k) == 0  (mod p^(r+4)), where "
+            "G(n,k) = (n+2k-1) (1/2)_n (1/2+k)_(n-1)^4/(1)_(n-1)^5 (-1)^n 2^(2n+1)",
+            lambda p, r: r + 4, "GZ10N2-half", 0, _rhs_zero)
 
-_scalar("LEM-2.3", "lemma",
-        "sum_{k=1}^{(p^r-1)/2} G(p^r, k) == 0  (mod p^(r+4)), same G as LEM-2.2",
-        lambda p, r: r + 4, lambda p, r: _gz_column(p, r, True), _rhs_zero)
+_row_scalar("LEM-2.3",
+            "sum_{k=1}^{(p^r-1)/2} G(p^r, k) == 0  (mod p^(r+4)), same G as LEM-2.2",
+            lambda p, r: r + 4, "GZ10N2", 0, _rhs_zero)
 
 _scalar("LEM-3.1", "lemma",
         "F(p^r-1, p^r-1) == 0  (mod p^(r+2)) for the (4n+1)-series pair; "
@@ -604,18 +590,18 @@ _scalar("LEM-3.1", "lemma",
 
 _row_scalar("LEM-3.2",
             "sum_{k=1}^{(p^r-1)/2} G(p^r,k) == 0  (mod p^(r+2)) for the (4n+1)-series pair",
-            "GUO64", 0, _rhs_zero)
+            lambda p, r: r + 2, "GUO64", 0, _rhs_zero)
 
 _row_scalar("LEM-3.3",
             "G(p^r,(p^r+1)/2) == (-1)^((p^r-1)/2) p^r (1 - 3 p q_p(2))  (mod p^(r+2)) "
             "for the (4n+1)-series pair",
-            "GUO64", 1,
+            lambda p, r: r + 2, "GUO64", 1,
             lambda p, r: Fraction(_sign_pr(p, r) * p ** r * (1 - 3 * p * fermat_quotient(p))))
 
 _row_scalar("LEM-3.5",
             "sum_{k=(p^r+3)/2}^{p^r-1} G(p^r,k) == (-1)^((p^r-1)/2) 3 p^(r+1) q_p(2) "
             " (mod p^(r+2)) for the (4n+1)-series pair; stated for r >= 2",
-            "GUO64", 2,
+            lambda p, r: r + 2, "GUO64", 2,
             lambda p, r: Fraction(_sign_pr(p, r) * 3 * p ** (r + 1) * fermat_quotient(p)),
             r_floor=2)
 
@@ -629,19 +615,19 @@ _row_scalar("LEM-4.2",
             "sum_{k=1}^{(p^r-1)/2} theta(k) == 0  (mod p^(r+2)), where theta(k) = "
             "-p^(3r) C(2p^r-1,p^r-1)^2 / ((2p^r-1) 4^(3p^r-3)) * (-4)^k/C(2k,k) * "
             "C(-2p^r-1,2k-2)/(k(2k-1)) * C(2p^r-2,p^r-k-1)",
-            "theta", 0, _rhs_zero)
+            lambda p, r: r + 2, "theta", 0, _rhs_zero)
 
 _row_scalar("LEM-4.3",
             "theta((p^r+1)/2) == -(-1)^((p^r-1)/2) p^r (1 - 3 p q_p(2))  (mod p^(r+2)); "
             "stated for r >= 2 (theta as in LEM-4.2)",
-            "theta", 1,
+            lambda p, r: r + 2, "theta", 1,
             lambda p, r: Fraction(-_sign_pr(p, r) * p ** r * (1 - 3 * p * fermat_quotient(p))),
             r_floor=2)
 
 _row_scalar("LEM-4.4",
             "sum_{k=(p^r+3)/2}^{p^r-1} theta(k) == -(-1)^((p^r-1)/2) 3 p^(r+1) q_p(2) "
             " (mod p^(r+2)); stated for r >= 2 (theta as in LEM-4.2)",
-            "theta", 2,
+            lambda p, r: r + 2, "theta", 2,
             lambda p, r: Fraction(-_sign_pr(p, r) * 3 * p ** (r + 1) * fermat_quotient(p)),
             r_floor=2)
 
@@ -653,18 +639,18 @@ _scalar("LEM-5.1", "lemma",
 
 _row_scalar("LEM-5.2",
             "sum_{k=1}^{(p^r-1)/2} G(p^r,k) == 0  (mod p^(r+2)) for the (20n+3)-series pair",
-            "Z20N3", 0, _rhs_zero)
+            lambda p, r: r + 2, "Z20N3", 0, _rhs_zero)
 
 _row_scalar("LEM-5.3",
             "G(p^r,(p^r+1)/2) == 3 (-1)^((p^r-1)/2) p^r (1 - 5 p q_p(2))  (mod p^(r+2)) "
             "for the (20n+3)-series pair",
-            "Z20N3", 1,
+            lambda p, r: r + 2, "Z20N3", 1,
             lambda p, r: Fraction(3 * _sign_pr(p, r) * p ** r * (1 - 5 * p * fermat_quotient(p))))
 
 _row_scalar("LEM-5.4",
             "sum_{k=(p^r+3)/2}^{p^r-1} G(p^r,k) == 15 (-1)^((p^r-1)/2) p^(r+1) q_p(2) "
             " (mod p^(r+2)) for the (20n+3)-series pair; stated for r >= 2",
-            "Z20N3", 2,
+            lambda p, r: r + 2, "Z20N3", 2,
             lambda p, r: Fraction(15 * _sign_pr(p, r) * p ** (r + 1) * fermat_quotient(p)),
             r_floor=2)
 
@@ -812,16 +798,17 @@ def _require_residue(case: CongruenceCase) -> None:
 
 def series_sum_exact(case, params: CheckParams) -> Rational:
     """Exact value of a series case's truncated sum: a SERIES spec's from the
-    cached kernel, and LEM-2.1's (series_name None) from the one pass per
-    (p, r) that _lem21 caches for both windows; a LEM-2.1 sum capped by
-    upper_override is one uncached slice."""
+    cached kernel, and LEM-2.1's (series_name None) from _sums, whose pass
+    per (p, r) serves both windows; a LEM-2.1 sum capped by upper_override
+    is one uncached slice of the same _SUMS entry."""
     case = get_case(case)
     if case.kind != "series":
         raise ValueError(f"{case.id} is not a series case")
     if case.series_name is None:
         if params.upper_override is not None:
-            return next(_lem21_sums(params.p, params.r, (params.upper_override,)))
-        windows = _lem21(params.p, params.r)
+            t0, step, lo, _, poly = _SUMS[case.kernel](params.p, params.r)
+            return next(_ratio_slices(t0, step, lo, (params.upper_override,), poly))
+        windows = _sums(case.kernel, params.p, params.r)
         return windows[0] if params.delta == 2 else windows[0] + windows[1]
     return _series_exact(case.series_name, _series_upper(case, params))
 

@@ -107,6 +107,8 @@ class SweepConfig:
                                 f"got {self.report_format!r}")
         if self.jobs < 1:
             raise ConfigInvalid(f"jobs must be >= 1, got {self.jobs}")
+        if self.report_path and not Path(self.report_path).parent.is_dir():
+            raise ConfigInvalid(f"cannot write report {self.report_path}: no such directory")
 
     def resolved_primes(self) -> list[int]:
         if self.primes is not None:
@@ -133,6 +135,11 @@ _INT_KEYS = {"pmax", "r_max", "jobs"}
 _LIST_KEYS = {"primes", "deltas"}
 _STR_KEYS = {"glob", "status", "backend", "report_path", "report_format"}
 _ALL_KEYS = _BOOL_KEYS | _INT_KEYS | _LIST_KEYS | _STR_KEYS
+
+
+def parse_int_list(value: str) -> tuple[int, ...]:
+    """`primes` or `deltas`, from a config file or a flag; skips empty items."""
+    return tuple(int(v) for v in value.split(",") if v.strip())
 
 
 def parse_config(path: Union[str, Path]) -> SweepConfig:
@@ -164,7 +171,7 @@ def parse_config(path: Union[str, Path]) -> SweepConfig:
             elif key in _INT_KEYS:
                 kwargs[key] = int(value)
             elif key in _LIST_KEYS:
-                kwargs[key] = tuple(int(v.strip()) for v in value.split(",") if v.strip())
+                kwargs[key] = parse_int_list(value)
             else:
                 kwargs[key] = value
         except ValueError as e:
@@ -226,10 +233,10 @@ def _plan(config: SweepConfig) -> list[tuple[str, int, int, Optional[int]]]:
 def _units(config: SweepConfig) -> list[list[tuple[str, int, int, Optional[int]]]]:
     """The planned tasks grouped into one unit per (p, r, kernel), where a
     case's kernel is the cached sum it reads (its series spec, its
-    certificate row) or else its id, so that every point reading one kernel
-    at one (p, r) runs in one process and computes it once.  Units come
-    largest p^r first, so the longest start first; ties keep the plan's
-    order."""
+    certificate sum in _SUMS) or else its id, so that every point reading
+    one kernel at one (p, r) runs in one process and computes it once.
+    Units come largest p^r first, so the longest start first; ties keep the
+    plan's order."""
     units: dict[tuple, list] = {}
     for task in _plan(config):
         case_id, p, r, _ = task
@@ -311,6 +318,7 @@ def _ser_record(res: CheckResult) -> dict:
 
 def write_report(report: SweepReport, path: Union[str, Path],
                  report_format: Optional[str] = None) -> Path:
+    """Write the report; a path that cannot be written raises ConfigInvalid."""
     allow_long_int_str()
     path = Path(path)
     fmt = report_format or report.config.report_format
@@ -319,7 +327,7 @@ def write_report(report: SweepReport, path: Union[str, Path],
         meta = {"tool": TOOL, "version": report.version,
                 "config": report.config.echo(), "summary": report.summary()}
         lines = [json.dumps(meta)] + [json.dumps(r) for r in records]
-        path.write_text("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS, lineterminator="\n")
@@ -334,9 +342,13 @@ def write_report(report: SweepReport, path: Union[str, Path],
                 else:
                     row[k] = v
             writer.writerow(row)
-        path.write_text(buf.getvalue())
+        text = buf.getvalue()
     else:
         raise ConfigInvalid(f"report_format must be json-lines or csv, got {fmt!r}")
+    try:
+        path.write_text(text)
+    except OSError as e:
+        raise ConfigInvalid(f"cannot write report {path}: {e}") from None
     return path
 
 
@@ -382,7 +394,7 @@ def read_report(path: Union[str, Path]) -> tuple[Optional[dict], list[dict]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ConfigInvalid(f"{path}: line {lineno}: {e}") from None
-            if lineno == 1 and "tool" in obj:
+            if meta is None and not records and "tool" in obj:  # first non-blank line
                 meta = obj
             else:
                 records.append(_norm_record(obj, f"{path}: line {lineno}"))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from supercong import harness
+from supercong import congruences, harness
 from supercong.cli import main
 
 
@@ -164,6 +164,53 @@ def test_sweep_config_file(capsys, tmp_path):
     cfg.write_text("primes = 5\nnope = 1\n")
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == 2 and "unknown key" in err
+
+
+def test_sweep_report_path_errors_are_usage_errors(capsys, tmp_path):
+    # a missing directory is refused before the sweep runs
+    missing = tmp_path / "missing" / "run.jsonl"
+    code, out, err = run_cli(capsys, "sweep", "--primes", "5", "--glob", "VH-4K1",
+                             "--report", str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write report {missing}: no such directory\n"
+    # a path that fails only when written is still an error line and exit 2
+    code, out, err = run_cli(capsys, "sweep", "--primes", "5", "--glob", "VH-4K1",
+                             "--report", str(tmp_path))
+    assert code == 2 and "checked 1 points: 1 pass" in out
+    assert err.startswith(f"error: cannot write report {tmp_path}: ")
+
+
+def test_comma_lists_parse_alike_in_file_and_flags(capsys, tmp_path):
+    primes, deltas = "5,,7, ", " 2,"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"primes = {primes}\ndeltas = {deltas}\nglob = VH-4K1\n")
+    from_file = harness.parse_config(cfg)
+    assert (from_file.primes, from_file.deltas) == ((5, 7), (2,))
+    report = tmp_path / "run.jsonl"
+    code, out, _ = run_cli(capsys, "sweep", "--primes", primes, "--deltas", deltas,
+                           "--glob", "VH-4K1", "--report", str(report))
+    assert code == 0 and "checked 2 points: 2 pass" in out
+    meta, _ = harness.read_report(report)
+    assert meta["config"] == from_file.echo()
+
+
+def test_row_prefix_point_builds_one_slice(capsys, monkeypatch):
+    # LEM-3.2 reads the GUO64 row's prefix k = 1 .. (P-1)/2 = 24 at P = 49:
+    # one slice is built, and step(k) is called for k < 24 only
+    calls, entry = [], congruences._SUMS["GUO64"]
+
+    def counted(p, r):
+        t0, step, lo, ends, poly = entry(p, r)
+        return t0, lambda k: calls.append(k) or step(k), lo, ends, poly
+    monkeypatch.setitem(congruences._SUMS, "GUO64", counted)
+    congruences._sums.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--case", "LEM-3.2", "--p", "7", "--r", "2")
+        assert code == 0 and out.rstrip().endswith("-> PASS")
+        assert len(congruences._sums("GUO64", 7, 2)._done) == 1
+        assert calls == list(range(1, 24))
+    finally:
+        congruences._sums.cache_clear()
 
 
 def test_sweep_grid_flags_conflict(capsys):

@@ -4,11 +4,10 @@ import pytest
 
 from supercong import wz
 from supercong.combinat import binomial, binomial_rat
-from supercong.congruences import (BackendIneligible, CheckParams,
-                                   PrimeBelowFloor, UnknownCase, _gz_column,
-                                   _lem21_sums, _row, _theta_direct,
-                                   cross_validate, evaluate_case, get_case,
-                                   list_cases)
+from supercong.congruences import (_SUMS, BackendIneligible, CheckParams,
+                                   PrimeBelowFloor, UnknownCase, _ratio_slices,
+                                   _sums, _theta_direct, cross_validate,
+                                   evaluate_case, get_case, list_cases)
 from supercong.exactnum import INFINITE, PadicContext, residue, vp
 
 PRIMES_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -259,14 +258,16 @@ def test_row_slices_match_direct_cells():
     for p, r in ((5, 1), (7, 1), (5, 2)):
         P = p ** r
         half = (P - 1) // 2
-        for slices, cell in (
-                (_row("GUO64", p, r), lambda k: wz.eval_G("GUO64", P, k)),
-                (_row("Z20N3", p, r), lambda k: wz.eval_G("Z20N3", P, k)),
-                (_row("theta", p, r), lambda k: _theta_direct(p, r, k))):
+        for name, cell in (
+                ("GUO64", lambda k: wz.eval_G("GUO64", P, k)),
+                ("Z20N3", lambda k: wz.eval_G("Z20N3", P, k)),
+                ("theta", lambda k: _theta_direct(p, r, k))):
             prefix = sum(cell(k) for k in range(1, half + 1))
             mid = cell(half + 1)
             tail = sum(cell(k) for k in range(half + 2, P))
-            assert slices == (prefix, mid, tail), (p, r)
+            slices = _sums(name, p, r)
+            assert (slices[0], slices[1], slices[2]) == (prefix, mid, tail), (p, r)
+            assert slices._slices is None       # the pass is dropped after the tail
 
 
 # theta(k) of LEM-4.2 as its statement writes it
@@ -293,20 +294,23 @@ def test_theta_matches_its_statement():
 def test_column_sums_match_direct_cells():
     for p, r in ((5, 1), (7, 1), (5, 2)):
         P = p ** r
-        for at_top in (True, False):
-            n0 = P if at_top else (P + 1) // 2
+        for name, n0 in (("GZ10N2", P), ("GZ10N2-half", (P + 1) // 2)):
             direct = sum(wz.eval_G("GZ10N2", n0, k)
                          for k in range(1, (P - 1) // 2 + 1))
-            assert _gz_column(p, r, at_top) == direct, (p, r, at_top)
+            assert _sums(name, p, r)[0] == direct, (p, r, name)
+
+
+def lem21_terms(p, r, n):
+    """The first n terms of LEM-2.1's _SUMS entry, one slice each."""
+    t0, step, lo, _, poly = _SUMS["LEM-2.1"](p, r)
+    return list(_ratio_slices(t0, step, lo, range(n), poly))
 
 
 def test_shifted_series_matches_direct_cells():
     for p in (5, 7):
         K = (p - 1) // 2
-        terms = list(_lem21_sums(p, 1, range(p)))     # one term per slice
-        assert terms == [wz.eval_F("GZ10N2", n, K) for n in range(p)]
-    terms = list(_lem21_sums(5, 2, range(7)))
-    assert terms == [wz.eval_F("GZ10N2", n, 12) for n in range(7)]
+        assert lem21_terms(p, 1, p) == [wz.eval_F("GZ10N2", n, K) for n in range(p)]
+    assert lem21_terms(5, 2, 7) == [wz.eval_F("GZ10N2", n, 12) for n in range(7)]
 
 
 def test_point_guards():

@@ -164,6 +164,11 @@ def test_report_round_trip(tmp_path):
     assert ident_rec["claimed_exponent"] is None
     assert ident_rec["delta"] is None
 
+    # the meta object is the first non-blank line, not physical line 1
+    padded = tmp_path / "padded.jsonl"
+    padded.write_text("\n \n" + jl.read_text())
+    assert read_report(padded) == (meta, records)
+
     # field order is fixed so reports diff cleanly
     lines = jl.read_text().splitlines()
     pairs = json.loads(lines[1], object_pairs_hook=list)

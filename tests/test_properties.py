@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from supercong.combinat import binomial, binomial_rat
-from supercong.congruences import _ratio_sums
+from supercong.congruences import _ratio_slices
 from supercong.exactnum import INFINITE, PadicContext, residue, vp
 
 pytest.importorskip("hypothesis")
@@ -91,7 +91,7 @@ def test_ratio_sums_equal_termwise_sums(inputs):
         calls.append(k)
         return steps[k - lo]
 
-    got = _ratio_sums(t0, step, lo, ends, poly)
+    got = tuple(_ratio_slices(t0, step, lo, ends, poly))
     # t_k = t0 poly(k) u_k, u_lo = 1, u_(k+1) = u_k a_k / b_k, one Fraction a term
     terms, u = {}, Fraction(1)
     for k in range(lo, lo + len(steps) + 1):

@@ -8,7 +8,7 @@ from supercong.harness import SweepConfig, _ser_record, run_sweep
 
 class FakePool:
     """Runs the mapped calls in this process, chunk by chunk, and empties the
-    kernel caches before each chunk, as if every chunk went to a fresh
+    certificate-sum cache before each chunk, as if every chunk went to a fresh
     worker.  Records the worker count asked for and the units handed over."""
     created = []
     units = []
@@ -27,8 +27,7 @@ class FakePool:
         FakePool.units = [call[0] for call in calls]
         out = []
         for i in range(0, len(calls), chunksize):
-            congruences._row.cache_clear()
-            congruences._lem21.cache_clear()
+            congruences._sums.cache_clear()
             out.extend(fn(*call) for call in calls[i:i + chunksize])
         return out
 
@@ -83,7 +82,7 @@ def test_points_sharing_a_kernel_arrive_in_one_unit(monkeypatch):
                     [(c, p, r, None) for c in cases]
             assert sorted(unit_of("LEM-2.1", p, r, 1)) == \
                 [("LEM-2.1", p, r, 1), ("LEM-2.1", p, r, 2)]
-            # a case reading no shared kernel is a unit of its own
+            # a case whose kernel no other case reads is a unit of its own
             assert unit_of("LEM-2.2", p, r) == [("LEM-2.2", p, r, None)]
     # MAO-I2 and its identity read the same cached series sum
     sweep(monkeypatch, 2, glob="MAO-I2*", primes=(5, 7), jobs=2)
@@ -139,10 +138,10 @@ def counting(monkeypatch, name):
 
 
 def test_each_kernel_is_computed_once_per_sweep(monkeypatch):
-    rows, lem21 = counting(monkeypatch, "_row"), counting(monkeypatch, "_lem21")
+    sums = counting(monkeypatch, "_sums")
     sweep(monkeypatch, 2, jobs=2, **LEMMAS)
-    assert set(rows) == {(name, p, r) for name in ("GUO64", "theta", "Z20N3")
+    assert set(congruences._SUMS) == {"GUO64", "theta", "Z20N3", "GZ10N2",
+                                      "GZ10N2-half", "LEM-2.1"}
+    assert set(sums) == {(name, p, r) for name in congruences._SUMS
                          for p in (5, 7) for r in (1, 2)}
-    assert set(rows.values()) == {1}
-    assert set(lem21) == {(p, r) for p in (5, 7) for r in (1, 2)}
-    assert set(lem21.values()) == {1}
+    assert set(sums.values()) == {1}
