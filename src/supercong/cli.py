@@ -20,7 +20,7 @@ from typing import Optional
 from . import congruences, wz
 from .congruences import (BackendIneligible, CheckParams, PrimeBelowFloor,
                           UnknownCase, evaluate_case, list_cases)
-from .harness import (ConfigInvalid, SweepConfig, allow_long_int_str,
+from .harness import (REPORT_FORMATS, ConfigInvalid, SweepConfig, allow_long_int_str,
                       compare_baseline, demoted, parse_config, parse_int_list,
                       run_sweep, write_report)
 
@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--delta", type=int, choices=(1, 2))
     p_verify.add_argument("--k", type=int, help="single family member")
     p_verify.add_argument("--upper", type=int, help="series summation cap")
-    p_verify.add_argument("--backend", choices=("exact", "residue", "both"),
+    p_verify.add_argument("--backend", choices=congruences.BACKENDS,
                           default="both")
     p_verify.add_argument("--include-p3", action="store_true",
                           help="allow p = 3 (informational)")
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--deltas", help="comma-separated subset of 1,2")
     p_sweep.add_argument("--glob", help="filter case ids")
     p_sweep.add_argument("--status", choices=congruences.STATUSES)
-    p_sweep.add_argument("--backend", choices=("exact", "residue", "both"))
+    p_sweep.add_argument("--backend", choices=congruences.BACKENDS)
     p_sweep.add_argument("--include-p3", action="store_const", const=True,
                          default=None)
     p_sweep.add_argument("--strict-conjectures", action="store_const",
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="count conjecture failures in the exit code")
     p_sweep.add_argument("--jobs", type=int, help="parallel worker processes")
     p_sweep.add_argument("--report", help="write a report to this path")
-    p_sweep.add_argument("--format", choices=("json-lines", "csv"),
+    p_sweep.add_argument("--format", choices=REPORT_FORMATS,
                          dest="report_format")
 
     p_regress = sub.add_parser("regress", help="diff a report against a baseline")

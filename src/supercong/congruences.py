@@ -36,6 +36,7 @@ P_FLOOR = 5
 
 STATUSES = ("theorem", "known", "lemma", "fact-family", "conjecture",
             "informational")
+BACKENDS = ("exact", "residue", "both")
 
 
 class UnknownCase(ValueError):
@@ -350,9 +351,9 @@ def _theta_direct(p: int, r: int, k: int) -> Rational:
     """theta(k) of LEM-4.2 in closed form: it seeds the theta row at k = 1,
     and is the per-cell reference the stepped row is tested against."""
     P = p ** r
-    return wz._cell((-1) ** (k + 1) * p ** (3 * r) * binomial(2 * P - 1, P - 1) ** 2
-                    * binomial(-2 * P - 1, 2 * k - 2) * binomial(2 * P - 2, P - k - 1),
-                    (2 * P - 1) * k * (2 * k - 1) * binomial(2 * k, k), 2 * k - 6 * P + 6)
+    return wz._cell((-1) ** (k + 1) * P ** 3, 2 * k - 6 * P + 6, (2 * P - 1, P - 1, 2),
+                    (-2 * P - 1, 2 * k - 2, 1), (2 * P - 2, P - k - 1, 1),
+                    (2 * P - 1, 1, -1), (k, 1, -1), (2 * k - 1, 1, -1), (2 * k, k, -1))
 
 
 def _p_row(p: int, r: int, seed: Rational, c: int, d: int) -> tuple:
@@ -445,6 +446,14 @@ def _row_scalar(id, statement, m, name, part, rhs, *, r_floor=1):
     """A lemma claiming p^m(p, r) for slice number part of _SUMS[name]."""
     _scalar(id, "lemma", statement, m, lambda p, r: _sums(name, p, r)[part], rhs,
             r_floor=r_floor, kernel=name)
+
+
+def _cell_scalar(id, pair, series):
+    """A lemma claiming F(P-1, P-1) == 0 (mod p^(r+2)), P = p^r, for the WZ pair
+    of the given series, stated for r >= 2."""
+    _scalar(id, "lemma", f"F(p^r-1, p^r-1) == 0  (mod p^(r+2)) for the {series}-series "
+            "pair; stated for r >= 2", lambda p, r: r + 2,
+            lambda p, r: wz.eval_F(pair, p ** r - 1, p ** r - 1), _rhs_zero, r_floor=2)
 
 
 def _family(id, statement, m, members, lhs, rhs, *, p_integral=True):
@@ -582,11 +591,7 @@ _row_scalar("LEM-2.3",
             "sum_{k=1}^{(p^r-1)/2} G(p^r, k) == 0  (mod p^(r+4)), same G as LEM-2.2",
             lambda p, r: r + 4, "GZ10N2", 0, _rhs_zero)
 
-_scalar("LEM-3.1", "lemma",
-        "F(p^r-1, p^r-1) == 0  (mod p^(r+2)) for the (4n+1)-series pair; "
-        "stated for r >= 2",
-        lambda p, r: r + 2,
-        lambda p, r: wz.eval_F("GUO64", p ** r - 1, p ** r - 1), _rhs_zero, r_floor=2)
+_cell_scalar("LEM-3.1", "GUO64", "(4n+1)")
 
 _row_scalar("LEM-3.2",
             "sum_{k=1}^{(p^r-1)/2} G(p^r,k) == 0  (mod p^(r+2)) for the (4n+1)-series pair",
@@ -605,11 +610,7 @@ _row_scalar("LEM-3.5",
             lambda p, r: Fraction(_sign_pr(p, r) * 3 * p ** (r + 1) * fermat_quotient(p)),
             r_floor=2)
 
-_scalar("LEM-4.1", "lemma",
-        "F(p^r-1, p^r-1) == 0  (mod p^(r+2)) for the (4n-1)-series pair; "
-        "stated for r >= 2",
-        lambda p, r: r + 2,
-        lambda p, r: wz.eval_F("GL4K1", p ** r - 1, p ** r - 1), _rhs_zero, r_floor=2)
+_cell_scalar("LEM-4.1", "GL4K1", "(4n-1)")
 
 _row_scalar("LEM-4.2",
             "sum_{k=1}^{(p^r-1)/2} theta(k) == 0  (mod p^(r+2)), where theta(k) = "
@@ -631,11 +632,7 @@ _row_scalar("LEM-4.4",
             lambda p, r: Fraction(-_sign_pr(p, r) * 3 * p ** (r + 1) * fermat_quotient(p)),
             r_floor=2)
 
-_scalar("LEM-5.1", "lemma",
-        "F(p^r-1, p^r-1) == 0  (mod p^(r+2)) for the (20n+3)-series pair; "
-        "stated for r >= 2",
-        lambda p, r: r + 2,
-        lambda p, r: wz.eval_F("Z20N3", p ** r - 1, p ** r - 1), _rhs_zero, r_floor=2)
+_cell_scalar("LEM-5.1", "Z20N3", "(20n+3)")
 
 _row_scalar("LEM-5.2",
             "sum_{k=1}^{(p^r-1)/2} G(p^r,k) == 0  (mod p^(r+2)) for the (20n+3)-series pair",
@@ -966,7 +963,7 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
     _cross_check), and reports the exact values.
     """
     case = get_case(case)
-    if backend not in ("exact", "residue", "both"):
+    if backend not in BACKENDS:
         raise ValueError(f"backend must be exact, residue, or both, got {backend!r}")
     _check_point(case, params, include_p3)
     t0 = time.perf_counter()

@@ -27,7 +27,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Optional, Union
 
-from .congruences import (STATUSES, CheckParams, CheckResult, evaluate_case,
+from .congruences import (BACKENDS, STATUSES, CheckParams, CheckResult, evaluate_case,
                           get_case, is_prime, list_cases)
 
 TOOL = "supercong"
@@ -36,6 +36,7 @@ TOOL_VERSION = "0.1.0"
 RECORD_FIELDS = ("case_id", "p", "r", "delta", "claimed_exponent",
                  "observed_valuation", "pass", "backend", "lhs", "rhs",
                  "elapsed_ms")
+REPORT_FORMATS = ("json-lines", "csv")
 
 
 def allow_long_int_str() -> None:
@@ -97,18 +98,24 @@ class SweepConfig:
                                 f"got {self.deltas}")
         if len(set(self.deltas)) != len(self.deltas):
             raise ConfigInvalid("deltas must not repeat")
-        if self.backend not in ("exact", "residue", "both"):
+        if self.backend not in BACKENDS:
             raise ConfigInvalid(f"backend must be exact, residue, or both, "
                                 f"got {self.backend!r}")
         if self.status is not None and self.status not in STATUSES:
             raise ConfigInvalid(f"unknown status {self.status!r}")
-        if self.report_format not in ("json-lines", "csv"):
+        if self.report_format not in REPORT_FORMATS:
             raise ConfigInvalid(f"report_format must be json-lines or csv, "
                                 f"got {self.report_format!r}")
         if self.jobs < 1:
             raise ConfigInvalid(f"jobs must be >= 1, got {self.jobs}")
-        if self.report_path and not Path(self.report_path).parent.is_dir():
+        # an unwritable report path fails here, before the sweep, and is not opened
+        path = Path(self.report_path) if self.report_path else None
+        if path and path.is_dir():
+            raise ConfigInvalid(f"cannot write report {self.report_path}: is a directory")
+        if path and not path.parent.is_dir():
             raise ConfigInvalid(f"cannot write report {self.report_path}: no such directory")
+        if path and not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise ConfigInvalid(f"cannot write report {self.report_path}: permission denied")
 
     def resolved_primes(self) -> list[int]:
         if self.primes is not None:

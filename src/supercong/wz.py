@@ -12,10 +12,13 @@ of one of the congruence-series cases in the catalog. All evaluation is
 exact; the grid checks tolerate zero violations.
 
 Each pair's `definition` string is the paper's form of F and G, in
-Pochhammer symbols or binomials. The cells evaluate the same terms in one
-form: a signed product of binomials with linear arguments and linear
-factors, over one integer, times a power of two, built as one Fraction by
-`_cell`. The tests check every cell against its definition string.
+Pochhammer symbols or binomials. `CELLS` holds the same terms as data: each
+F and G is a description (n, k) -> (c, e, *factors) meaning
+c 2^e prod C(n_i, m_i)^j_i, with e and every binomial argument linear in
+(n, k) and a linear factor x below the line written C(x, 1)^-1. One
+evaluator, `_cell`, reads every description: it takes a binomial that occurs
+twice once, with its powers summed, and builds the cell as one Fraction.
+The tests check every cell against its definition string.
 """
 from __future__ import annotations
 
@@ -56,100 +59,90 @@ class GridReport:
         return not self.violations
 
 
-def _cell(num: int, den: int, e: int) -> Fraction:
-    """num 2^e / den as one Fraction: its only gcd."""
+def _cell(c: int, e: int, *factors: tuple[int, int, int]) -> Fraction:
+    """c 2^e prod C(n, m)^j over factors (n, m, j), as one Fraction: its only
+    gcd.  A binomial that occurs twice, say C(2n, n) above the line and C(2k, k)
+    below it at n = k, is first taken once with its powers summed."""
+    powers: dict[tuple[int, int], int] = {}
+    for n, m, j in factors:
+        powers[n, m] = powers.get((n, m), 0) + j
+    num, den = c, 1
+    for (n, m), j in powers.items():
+        if j > 0:
+            num *= binomial(n, m) ** j
+            if not num:         # a vanishing binomial: the cell is 0
+                break
+        elif j < 0:
+            den *= binomial(n, m) ** -j
     return Fraction(num << e, den) if e >= 0 else Fraction(num, den << -e)
 
 
-# Each cell below is its registered definition rewritten over binomials with
-# linear arguments, with C(m, j) = 0 for j < 0 or j > m >= 0: these vanish on
-# their own at n = 0 and off the support, so no cell has a special case.
-
-def _f_gz(n: int, k: int) -> Fraction:
-    c = 10 * n * n + 12 * n * k + 6 * n + 4 * k * k + 4 * k + 1
-    return _cell((-1) ** n * c * binomial(2 * n, n)
-                 * (binomial(2 * n + 2 * k, n + k) * binomial(n + k, k)) ** 4,
-                 binomial(2 * k, k) ** 4, -8 * n)
-
-
-def _g_gz(n: int, k: int) -> Fraction:
-    return _cell((-1) ** n * n * (n + 2 * k - 1) * binomial(2 * n, n)
-                 * (binomial(2 * n + 2 * k - 2, n + k - 1) * binomial(n + k - 1, k)) ** 4,
-                 binomial(2 * k, k) ** 4, 9 - 8 * n)
-
-
-def _f_guo(n: int, k: int) -> Fraction:
-    return _cell((-1) ** (n + k) * (4 * n + 1) * binomial(2 * n, n) ** 2
-                 * binomial(2 * n + 2 * k, n + k) * binomial(n + k, 2 * k),
-                 binomial(2 * k, k), 2 * k - 6 * n)
-
-
-def _g_guo(n: int, k: int) -> Fraction:
-    return _cell((-1) ** (n + k) * (2 * n - 1) ** 2 * binomial(2 * n - 2, n - 1) ** 2
-                 * binomial(2 * n + 2 * k - 2, n + k - 1) * binomial(n + k - 1, 2 * k - 1),
-                 2 * k * binomial(2 * k, k), 2 * k - 6 * n + 5)
-
-
-def _f_gl(n: int, k: int) -> Fraction:
-    return _cell((-1) ** (n + k + 1) * (4 * n - 1) * (2 * k - 1) ** 2 * binomial(2 * n, n) ** 2
-                 * binomial(2 * n + 2 * k, n + k) * binomial(n + k, 2 * k),
-                 (2 * n - 1) ** 2 * (2 * n + 2 * k - 1) * binomial(2 * k, k), 2 * k - 6 * n)
-
-
-def _g_gl(n: int, k: int) -> Fraction:
-    return _cell((-1) ** (n + k + 1) * n * n * (2 * k - 1) ** 2 * binomial(2 * n, n) ** 2
-                 * binomial(2 * n + 2 * k - 2, n + k - 1) * binomial(n + k - 1, 2 * k - 1),
-                 (2 * n - 1) ** 2 * (2 * n + 2 * k - 3) * k * binomial(2 * k, k),
-                 2 * k - 6 * n + 2)
-
-
-def _f_z20(n: int, k: int) -> Fraction:
-    return _cell((-1) ** (n + k) * (20 * n - 2 * k + 3) * binomial(2 * n, n)
-                 * binomial(4 * n + 2 * k, 2 * n + k) * binomial(2 * n + k, 2 * k)
-                 * binomial(2 * n - k, n),
-                 binomial(2 * k, k), 2 * k - 10 * n)
-
-
-def _g_z20(n: int, k: int) -> Fraction:
-    return _cell((-1) ** (n + k) * n * binomial(2 * n - 1, n - 1)
-                 * binomial(4 * n + 2 * k - 2, 2 * n + k - 1) * binomial(2 * n + k - 1, 2 * k)
-                 * binomial(2 * n - k - 1, n - 1),
-                 binomial(2 * k, k), 2 * k - 10 * n + 8)
-
-
-PAIRS: dict[str, WzPair] = {
-    "GZ10N2": WzPair(
-        id="GZ10N2",
-        f=_f_gz, g=_g_gz, series="gz10n2", alternating=False,
-        definition=("F(n,k) = (10n^2+12nk+6n+4k^2+4k+1) (1/2)_n (1/2+k)_n^4 / (1)_n^5 * (-1)^n 4^n ; "
-                    "G(n,k) = (n+2k-1) (1/2)_n (1/2+k)_(n-1)^4 / (1)_(n-1)^5 * (-1)^n 2^(2n+1) ; "
-                    "F(n,0) = (10n^2+6n+1) (-4)^n (1/2)_n^5 / (1)_n^5"),
+# Each pair's (F, G): its registered definition as two descriptions (module
+# docstring), where c holds the sign and the linear factors above the line.
+# Every description has one factor layout; with C(m, j) = 0 for j < 0 or
+# j > m >= 0, the cells vanish on their own at n = 0 and off the support.
+CELLS: dict[str, tuple[Callable[[int, int], tuple], Callable[[int, int], tuple]]] = {
+    "GZ10N2": (
+        lambda n, k: ((-1) ** n * (10 * n * n + 12 * n * k + 6 * n + 4 * k * k + 4 * k + 1),
+                      -8 * n, (2 * n, n, 1), (2 * n + 2 * k, n + k, 4), (n + k, k, 4),
+                      (2 * k, k, -4)),
+        lambda n, k: ((-1) ** n * n * (n + 2 * k - 1), 9 - 8 * n, (2 * n, n, 1),
+                      (2 * n + 2 * k - 2, n + k - 1, 4), (n + k - 1, k, 4), (2 * k, k, -4)),
     ),
-    "GUO64": WzPair(
-        id="GUO64",
-        f=_f_guo, g=_g_guo, series="guo64", alternating=False,
-        definition=("F(n,k) = (-1)^(n+k) (4n+1) 4^(k-3n) C(2n,n)^2 C(2n+2k,n+k) C(n+k,2k) / C(2k,k) ; "
-                    "G(n,k) = (-1)^(n+k) (2n-1)^2 C(2n-2,n-1)^2 4^(k-3(n-1))/2 C(2n-2+2k,n-1+k) "
-                    "C(n-1+k,2k)/(n-k) / C(2k,k), the singular factor taken in cancelled form "
-                    "prod_{j=1}^{2k-1}(n-k+j)/(2k)! ; F(n,0) = (4n+1) C(2n,n)^3 / (-64)^n"),
+    "GUO64": (
+        lambda n, k: ((-1) ** (n + k) * (4 * n + 1), 2 * k - 6 * n, (2 * n, n, 2),
+                      (2 * n + 2 * k, n + k, 1), (n + k, 2 * k, 1), (2 * k, k, -1)),
+        lambda n, k: ((-1) ** (n + k) * (2 * n - 1) ** 2, 2 * k - 6 * n + 5,
+                      (2 * n - 2, n - 1, 2), (2 * n + 2 * k - 2, n + k - 1, 1),
+                      (n + k - 1, 2 * k - 1, 1), (2 * k, 1, -1), (2 * k, k, -1)),
     ),
-    "GL4K1": WzPair(
-        id="GL4K1",
-        f=_f_gl, g=_g_gl, series="glr", alternating=False,
-        definition=("F(n,k) = (-1)^(n+k) (4n-1) (-1/2)_n^2 (-1/2)_(n+k) / ((1)_n^2 (1)_(n-k) (-1/2)_k^2) ; "
-                    "G(n,k) = (-1)^(n+k) 2 (-1/2)_n^2 (-1/2)_(n+k-1) / ((1)_(n-1)^2 (1)_(n-k) (-1/2)_k^2), "
-                    "with 1/(1)_m = 0 for m < 0 ; F(n,0) = (-1)^n (4n-1) (-1/2)_n^3 / (1)_n^3"),
+    "GL4K1": (
+        lambda n, k: ((-1) ** (n + k + 1) * (4 * n - 1) * (2 * k - 1) ** 2, 2 * k - 6 * n,
+                      (2 * n, n, 2), (2 * n + 2 * k, n + k, 1), (n + k, 2 * k, 1),
+                      (2 * n - 1, 1, -2), (2 * n + 2 * k - 1, 1, -1), (2 * k, k, -1)),
+        lambda n, k: ((-1) ** (n + k + 1) * n * n * (2 * k - 1) ** 2, 2 * k - 6 * n + 2,
+                      (2 * n, n, 2), (2 * n + 2 * k - 2, n + k - 1, 1),
+                      (n + k - 1, 2 * k - 1, 1), (2 * n - 1, 1, -2),
+                      (2 * n + 2 * k - 3, 1, -1), (k, 1, -1), (2 * k, k, -1)),
     ),
-    "Z20N3": WzPair(
-        id="Z20N3",
-        f=_f_z20, g=_g_z20, series="z20n3-raw", alternating=True,
-        definition=("F(n,k) = (-1)^(n+k) (20n-2k+3) 4^(k-5n) C(2n,n) C(4n+2k,2n+k) C(2n+k,2k) "
-                    "C(2n-k,n) / C(2k,k) ; "
-                    "G(n,k) = (-1)^(n+k) 4^(k-5n+4) n C(2n-1,n-1) C(4n-2+2k,2n-1+k) C(2n-1+k,2k) "
-                    "C(2n-1-k,n-1) / C(2k,k) ; "
-                    "F(n,0) = (-1)^n (20n+3) (1/2)_n (1/2)_(2n) / ((1)_n^3 16^n)"),
+    "Z20N3": (
+        lambda n, k: ((-1) ** (n + k) * (20 * n - 2 * k + 3), 2 * k - 10 * n, (2 * n, n, 1),
+                      (4 * n + 2 * k, 2 * n + k, 1), (2 * n + k, 2 * k, 1),
+                      (2 * n - k, n, 1), (2 * k, k, -1)),
+        lambda n, k: ((-1) ** (n + k) * n, 2 * k - 10 * n + 8, (2 * n - 1, n - 1, 1),
+                      (4 * n + 2 * k - 2, 2 * n + k - 1, 1), (2 * n + k - 1, 2 * k, 1),
+                      (2 * n - k - 1, n - 1, 1), (2 * k, k, -1)),
     ),
 }
+
+
+def _pair(id: str, series: str, alternating: bool, definition: str) -> WzPair:
+    """The pair id with its f and g evaluating its CELLS descriptions."""
+    f, g = (lambda n, k, desc=desc: _cell(*desc(n, k)) for desc in CELLS[id])
+    return WzPair(id, f, g, series, alternating, definition)
+
+
+PAIRS: dict[str, WzPair] = {pair.id: pair for pair in (
+    _pair("GZ10N2", "gz10n2", False,
+          ("F(n,k) = (10n^2+12nk+6n+4k^2+4k+1) (1/2)_n (1/2+k)_n^4 / (1)_n^5 * (-1)^n 4^n ; "
+           "G(n,k) = (n+2k-1) (1/2)_n (1/2+k)_(n-1)^4 / (1)_(n-1)^5 * (-1)^n 2^(2n+1) ; "
+           "F(n,0) = (10n^2+6n+1) (-4)^n (1/2)_n^5 / (1)_n^5")),
+    _pair("GUO64", "guo64", False,
+          ("F(n,k) = (-1)^(n+k) (4n+1) 4^(k-3n) C(2n,n)^2 C(2n+2k,n+k) C(n+k,2k) / C(2k,k) ; "
+           "G(n,k) = (-1)^(n+k) (2n-1)^2 C(2n-2,n-1)^2 4^(k-3(n-1))/2 C(2n-2+2k,n-1+k) "
+           "C(n-1+k,2k)/(n-k) / C(2k,k), the singular factor taken in cancelled form "
+           "prod_{j=1}^{2k-1}(n-k+j)/(2k)! ; F(n,0) = (4n+1) C(2n,n)^3 / (-64)^n")),
+    _pair("GL4K1", "glr", False,
+          ("F(n,k) = (-1)^(n+k) (4n-1) (-1/2)_n^2 (-1/2)_(n+k) / ((1)_n^2 (1)_(n-k) (-1/2)_k^2) ; "
+           "G(n,k) = (-1)^(n+k) 2 (-1/2)_n^2 (-1/2)_(n+k-1) / ((1)_(n-1)^2 (1)_(n-k) (-1/2)_k^2), "
+           "with 1/(1)_m = 0 for m < 0 ; F(n,0) = (-1)^n (4n-1) (-1/2)_n^3 / (1)_n^3")),
+    _pair("Z20N3", "z20n3-raw", True,
+          ("F(n,k) = (-1)^(n+k) (20n-2k+3) 4^(k-5n) C(2n,n) C(4n+2k,2n+k) C(2n+k,2k) "
+           "C(2n-k,n) / C(2k,k) ; "
+           "G(n,k) = (-1)^(n+k) 4^(k-5n+4) n C(2n-1,n-1) C(4n-2+2k,2n-1+k) C(2n-1+k,2k) "
+           "C(2n-1-k,n-1) / C(2k,k) ; "
+           "F(n,0) = (-1)^n (20n+3) (1/2)_n (1/2)_(2n) / ((1)_n^3 16^n)")),
+)}
 
 
 def get_pair(pair) -> WzPair:
@@ -180,11 +173,19 @@ def summand_sign(pair, n: int) -> int:
     return -1 if (get_pair(pair).alternating and n % 2) else 1
 
 
+def _differ(a: Rational, b: Rational, c: Rational, d: Rational) -> bool:
+    """a - b != c - d, compared cross-multiplied: no gcd and no new Fraction."""
+    (p, q), (r, s), (t, u), (v, w) = (a.as_integer_ratio(), b.as_integer_ratio(),
+                                      c.as_integer_ratio(), d.as_integer_ratio())
+    return (p * s - r * q) * u * w != (t * w - v * u) * q * s
+
+
 def check_telescoping(pair, n_max: int, k_max: int) -> GridReport:
     """Assert F(n,k-1) - F(n,k) = G(n+1,k) - G(n,k) on the full grid.
 
     Each cell is evaluated once: F(n,k) is carried to the next column as
-    F(n,k-1), and the row G(n+1, .) to the next row as G(n, .)."""
+    F(n,k-1), and the row G(n+1, .) to the next row as G(n, .). The two
+    differences are built only for a violation (see _differ)."""
     pair = get_pair(pair)
     if n_max < 1 or k_max < 1:
         raise ValueError("grid bounds must be >= 1")
@@ -194,10 +195,9 @@ def check_telescoping(pair, n_max: int, k_max: int) -> GridReport:
         f_prev, g_next = pair.f(n, 0), []
         for k, g in enumerate(g_row, start=1):
             f, g1 = pair.f(n, k), pair.g(n + 1, k)
-            lhs, rhs = f_prev - f, g1 - g
             report.cells_checked += 1
-            if lhs != rhs:
-                report.violations.append((n, k, lhs, rhs))
+            if _differ(f_prev, f, g1, g):
+                report.violations.append((n, k, f_prev - f, g1 - g))
             f_prev = f
             g_next.append(g1)
         g_row = g_next
@@ -221,17 +221,11 @@ def check_summand(pair, n_max: int) -> GridReport:
     return report
 
 
-def _boundary_sides(pair, N: int, K: int) -> tuple[Rational, Rational]:
-    pair = get_pair(pair)
-    lhs = sum(pair.f(n, 0) for n in range(N + 1))
-    rhs = (sum(pair.f(n, K) for n in range(N + 1))
-           + sum(pair.g(N + 1, k) - pair.g(0, k) for k in range(1, K + 1)))
-    return lhs, rhs
-
-
 def boundary_identity(pair, N: int, K: int) -> bool:
     """Exact double-telescoping consequence over the rectangle [0,N]x[1,K]."""
     if N < 0 or K < 1:
         raise ValueError(f"need N >= 0 and K >= 1, got ({N}, {K})")
-    lhs, rhs = _boundary_sides(pair, N, K)
-    return lhs == rhs
+    pair = get_pair(pair)
+    return (sum(pair.f(n, 0) for n in range(N + 1))
+            == sum(pair.f(n, K) for n in range(N + 1))
+            + sum(pair.g(N + 1, k) - pair.g(0, k) for k in range(1, K + 1)))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from supercong import congruences, harness
+from supercong import cli, congruences, harness
 from supercong.cli import main
 
 
@@ -173,11 +173,50 @@ def test_sweep_report_path_errors_are_usage_errors(capsys, tmp_path):
                              "--report", str(missing))
     assert (code, out) == (2, "")
     assert err == f"error: cannot write report {missing}: no such directory\n"
-    # a path that fails only when written is still an error line and exit 2
+    # so is a directory
     code, out, err = run_cli(capsys, "sweep", "--primes", "5", "--glob", "VH-4K1",
                              "--report", str(tmp_path))
-    assert code == 2 and "checked 1 points: 1 pass" in out
-    assert err.startswith(f"error: cannot write report {tmp_path}: ")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write report {tmp_path}: is a directory\n"
+
+
+def test_existing_report_is_kept_until_the_sweep_ends(capsys, tmp_path, monkeypatch):
+    report = tmp_path / "run.jsonl"
+    report.write_text("old\n")
+    argv = ("sweep", "--primes", "5", "--glob", "VH-4K1", "--report", str(report))
+    # an unwritable report is refused before the sweep, and left as it was
+    with monkeypatch.context() as m:
+        m.setattr(harness.os, "access", lambda path, mode: False)
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write report {report}: permission denied\n"
+    assert report.read_text() == "old\n"
+    # a writable one is replaced only after the sweep
+    during = []
+
+    def sweep(config):
+        during.append(report.read_text())
+        return harness.run_sweep(config)
+
+    monkeypatch.setattr(cli, "run_sweep", sweep)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and during == ["old\n"]
+    assert harness.read_report(report)[1][0]["case_id"] == "VH-4K1"
+
+
+def test_choice_lists_have_one_home():
+    parser = cli._build_parser()
+    sub = parser._subparsers._group_actions[0].choices
+    choices = {(name, a.dest): a.choices for name, p in sub.items() for a in p._actions}
+    assert choices["verify", "backend"] is congruences.BACKENDS
+    assert choices["sweep", "backend"] is congruences.BACKENDS
+    assert choices["sweep", "report_format"] is harness.REPORT_FORMATS
+    with pytest.raises(ValueError, match="backend must be exact, residue, or both, "
+                                         "got 'fast'"):
+        congruences.evaluate_case("VH-4K1", congruences.CheckParams(p=5), "fast")
+    with pytest.raises(harness.ConfigInvalid, match="report_format must be json-lines "
+                                                    "or csv, got 'xml'"):
+        harness.SweepConfig(report_format="xml")
 
 
 def test_comma_lists_parse_alike_in_file_and_flags(capsys, tmp_path):

@@ -109,10 +109,12 @@ DEFINITIONS = {"GZ10N2": (gz_f, gz_g), "GUO64": (guo_f, guo_g),
 
 # k <= n <= 24, the first cells past the diagonal, and a few at n = 300; with
 # n = 0, GUO64's n = k cells, and Z20N3's k > 2n cell (0, 1), where C(2n-k, n)
-# has a negative upper index
+# has a negative upper index; and the diagonal cells F(P-1, P-1) that LEM-3.1,
+# 4.1 and 5.1 read at P = 7^2 and 11^2
 DEFINITION_CELLS = ([(n, k) for n in range(25) for k in range(n + 1)]
                     + [(n, n + 1) for n in range(6)]
-                    + [(300, k) for k in (0, 1, 2, 150, 299, 300, 301)])
+                    + [(300, k) for k in (0, 1, 2, 150, 299, 300, 301)]
+                    + [(48, 48), (120, 120)])
 
 
 @pytest.mark.parametrize("pid", ALL)
@@ -143,6 +145,41 @@ def test_one_fraction_per_cell(monkeypatch, pid):
                 built.clear()
                 value = cell(n, k)
                 assert len(built) == 1 and type(value) is Counted, (name, n, k, built)
+
+
+def layout(desc, n, k):
+    """e and the factors (n_i, m_i, j_i) of a description at (n, k), flattened."""
+    c, e, *factors = desc(n, k)
+    assert all(len(f) == 3 for f in factors)
+    return [e, *(x for f in factors for x in f)]
+
+
+@pytest.mark.parametrize("pid", ALL)
+def test_cell_descriptions_are_linear(pid):
+    """Each description keeps one factor layout, and e and every binomial
+    argument are linear in (n, k): equal to their interpolation from the
+    descriptions at (0, 0), (1, 0) and (0, 1)."""
+    for desc in wz.CELLS[pid]:
+        at0, at_n, at_k = layout(desc, 0, 0), layout(desc, 1, 0), layout(desc, 0, 1)
+        for n in range(13):
+            for k in range(13):
+                assert layout(desc, n, k) == [a + n * (b - a) + k * (c - a) for a, b, c
+                                              in zip(at0, at_n, at_k)], (pid, n, k)
+
+
+@pytest.mark.parametrize("pid", ALL)
+def test_diagonal_cell_builds_its_central_binomial_at_most_once(monkeypatch, pid):
+    # at n = k the C(2n, n) above the line and the C(2k, k) below it cancel
+    # before any binomial is built
+    args = []
+
+    def counted(n, m):
+        args.append((n, m))
+        return binomial(n, m)
+
+    monkeypatch.setattr(wz, "binomial", counted)
+    assert eval_F(pid, 30, 30) == DEFINITIONS[pid][0](30, 30)
+    assert args.count((60, 30)) <= 1, args
 
 
 def test_known_cells_20n_plus_3_pair():
