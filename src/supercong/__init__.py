@@ -4,10 +4,9 @@ prime powers, with certificate-pair telescoping checks and a sweep harness."""
 from .exactnum import (INFINITE, PadicContext, PNotIntegral, Rational,
                        Valuation, congruent, is_prime, residue, vp)
 from .combinat import (DivisionByZero, UnsupportedConvention, binomial,
-                       binomial_rat, central_binomial, euler_number, factorial,
-                       fermat_quotient, harmonic, lucas_residue, neg_half,
-                       odd_product, pochhammer, pochhammer_half,
-                       pochhammer_neg_half, recip_pochhammer)
+                       binomial_product, binomial_rat, central_binomial,
+                       euler_number, factorial, fermat_quotient, harmonic,
+                       lucas_product, lucas_residue, pochhammer, recip_pochhammer)
 from .wz import (PAIRS, GridReport, WzPair, boundary_identity,
                  check_summand, check_telescoping, eval_F, eval_G, get_pair,
                  summand_sign)
@@ -25,10 +24,10 @@ __version__ = "0.1.0"
 __all__ = [
     "INFINITE", "PadicContext", "PNotIntegral", "Rational", "Valuation",
     "congruent", "is_prime", "residue", "vp",
-    "DivisionByZero", "UnsupportedConvention", "binomial", "binomial_rat",
-    "central_binomial", "euler_number", "factorial", "fermat_quotient",
-    "harmonic", "lucas_residue", "neg_half", "odd_product", "pochhammer",
-    "pochhammer_half", "pochhammer_neg_half", "recip_pochhammer",
+    "DivisionByZero", "UnsupportedConvention", "binomial", "binomial_product",
+    "binomial_rat", "central_binomial", "euler_number", "factorial",
+    "fermat_quotient", "harmonic", "lucas_product", "lucas_residue",
+    "pochhammer", "recip_pochhammer",
     "PAIRS", "GridReport", "WzPair", "boundary_identity", "check_summand",
     "check_telescoping", "eval_F", "eval_G", "get_pair", "summand_sign",
     "CATALOG", "P_FLOOR", "STATUSES", "BackendDisagreement",

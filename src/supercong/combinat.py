@@ -1,5 +1,8 @@
 """Combinatorial primitives: factorials, binomials, Pochhammer symbols,
-harmonic numbers, Euler numbers, Fermat quotients, Lucas reduction.
+harmonic numbers, Euler numbers, Fermat quotients, Lucas reduction, and
+binomial products: descriptions (c, e, *factors) meaning c 2^e prod C(n, m)^j
+over factors (n, m, j), a linear factor x written C(x, 1), in which the
+catalog and the WZ cells are written.
 
 Every function is stateless: each call computes its value afresh (factorials
 and binomials by `math`), so nothing is retained between calls.
@@ -27,13 +30,6 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def odd_product(m: int) -> int:
-    """Product of the first m odd numbers: 1*3*...*(2m-1) = C(2m,m) m! / 2^m."""
-    if m < 0:
-        raise ValueError(f"odd_product of negative {m}")
-    return central_binomial(m) * factorial(m) >> m
-
-
 def central_binomial(m: int) -> int:
     """C(2m, m)."""
     if m < 0:
@@ -53,6 +49,32 @@ def binomial(n: int, k: int) -> int:
     if n >= 0:
         return math.comb(n, k) if k <= n else 0
     return (-1) ** k * math.comb(-n + k - 1, k)
+
+
+def binomial_product(c: int, e: int, *factors: tuple[int, int, int]) -> tuple[int, int]:
+    """c 2^e prod C(n, m)^j over factors (n, m, j), as (numerator, denominator),
+    not reduced.  A binomial that occurs twice, say C(2n, n) above the line and
+    C(2k, k) below it at n = k, is first taken once with its powers summed."""
+    powers: dict[tuple[int, int], int] = {}
+    for n, m, j in factors:
+        key = n, m
+        powers[key] = powers.get(key, 0) + j
+    return _product(c, e, powers.items())
+
+
+def _product(c: int, e: int, powers) -> tuple[int, int]:
+    """binomial_product over the pairs ((n, m), j) of powers, merging none.
+    Each binomial is built in turn, and a vanishing one above the line ends
+    the product: no later one is built."""
+    num, den = c, 1
+    for (n, m), j in powers:
+        if j > 0:
+            num *= binomial(n, m) ** j
+            if not num:
+                break
+        elif j < 0:
+            den *= binomial(n, m) ** -j
+    return (num << e, den) if e >= 0 else (num, den << -e)
 
 
 def binomial_rat(a, k: int) -> Rational:
@@ -75,23 +97,6 @@ def pochhammer(a, n: int) -> Rational:
     for j in range(n):
         out *= a + j
     return out
-
-
-def pochhammer_half(m: int) -> Rational:
-    """(1/2)_m = C(2m,m) m! / 4^m."""
-    return Fraction(central_binomial(m) * factorial(m), 4 ** m)
-
-
-def neg_half(m: int) -> int:
-    """2^m (-1/2)_m, an integer: -(2m-3)!! for m >= 1 and 1 at m = 0."""
-    if m < 0:
-        raise ValueError(f"neg_half of negative {m}")
-    return -odd_product(m - 1) if m else 1
-
-
-def pochhammer_neg_half(m: int) -> Rational:
-    """(-1/2)_m = neg_half(m) / 2^m."""
-    return Fraction(neg_half(m), 2 ** m)
 
 
 def recip_pochhammer(a, n: int) -> Rational:
@@ -141,14 +146,18 @@ def lucas_residue(n: int, k: int, p: int) -> int:
     _check_odd_prime(p)
     if n < 0 or k < 0:
         raise ValueError("lucas_residue needs n, k >= 0")
-    return _lucas(n, k, p)
+    return lucas_product(p, 1, 0, (n, k, 1))
 
 
-def _lucas(n: int, k: int, p: int) -> int:
-    """The digit loop of lucas_residue, with p an odd prime and n, k >= 0
-    unchecked: for callers that validate them once per point."""
-    out = 1
-    while (n or k) and out:
-        out = out * math.comb(n % p, k % p) % p
-        n, k = n // p, k // p
+def lucas_product(p: int, c: int, e: int, *factors: tuple[int, int, int]) -> int:
+    """binomial_product's value mod p, each C(n, m) the product of C(n_i, m_i)
+    over the base-p digits (Lucas): for callers that check once that p is an
+    odd prime and n, m >= 0.  A j < 0 needs C(n, m) prime to p."""
+    out = c * pow(2, e, p) % p
+    for n, m, j in factors:
+        v = 1
+        while (n or m) and v:
+            v = v * math.comb(n % p, m % p) % p
+            n, m = n // p, m // p
+        out = out * pow(v, j, p) % p
     return out

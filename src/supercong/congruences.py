@@ -10,6 +10,9 @@ Case kinds:
               minimum observed valuation over all members
   identity -- an exact rational equality (pass iff LHS equals RHS)
 
+Family members, binomial scalars and WZ cells are binomial products, read by
+combinat.binomial_product and, digitwise for backend "both", lucas_product.
+
 Statuses: theorem / known / lemma / fact-family / conjecture / informational.
 Conjecture and informational cases report honestly but are flagged so sweep
 exit codes can ignore them; the same flag is applied to p = 3 evaluations and
@@ -22,11 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from fnmatch import fnmatch
 from functools import lru_cache
-from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .combinat import (_lucas, binomial, binomial_rat, central_binomial,
-                       euler_number, fermat_quotient, harmonic)
+from .combinat import (_product, binomial, binomial_product, binomial_rat,
+                       central_binomial, euler_number, fermat_quotient, harmonic,
+                       lucas_product)
 from .exactnum import (INFINITE, PadicContext, Rational, Valuation, _vp_int,
                        is_prime, residue)
 from .exactnum import vp  # noqa: F401  (unused here; perfbench/tracer.py wraps congruences.vp)
@@ -98,7 +101,7 @@ class CongruenceCase:
     members: Optional[Callable[[int, int], range]] = None
     member_lhs: Optional[Callable[[int, int, int], tuple]] = None  # descriptions,
     member_rhs: Optional[Callable[[int, int, int], tuple]] = None  # see _stepped
-    member_lucas: Optional[Callable[[int, int, int], int]] = None  # lhs mod p, digitwise
+    lucas: Optional[Callable[[int, int, Optional[int]], int]] = None  # lhs mod p, digitwise
     uses_r: bool = True
     uses_delta: bool = False
     p_integral: bool = False                    # residue backend eligibility
@@ -351,9 +354,10 @@ def _theta_direct(p: int, r: int, k: int) -> Rational:
     """theta(k) of LEM-4.2 in closed form: it seeds the theta row at k = 1,
     and is the per-cell reference the stepped row is tested against."""
     P = p ** r
-    return wz._cell((-1) ** (k + 1) * P ** 3, 2 * k - 6 * P + 6, (2 * P - 1, P - 1, 2),
-                    (-2 * P - 1, 2 * k - 2, 1), (2 * P - 2, P - k - 1, 1),
-                    (2 * P - 1, 1, -1), (k, 1, -1), (2 * k - 1, 1, -1), (2 * k, k, -1))
+    return Fraction(*binomial_product(
+        (-1) ** (k + 1) * P ** 3, 2 * k - 6 * P + 6, (2 * P - 1, P - 1, 2),
+        (-2 * P - 1, 2 * k - 2, 1), (2 * P - 2, P - k - 1, 1), (2 * P - 1, 1, -1),
+        (k, 1, -1), (2 * k - 1, 1, -1), (2 * k, k, -1)))
 
 
 def _p_row(p: int, r: int, seed: Rational, c: int, d: int) -> tuple:
@@ -435,11 +439,19 @@ def _series(id, status, statement, m, rhs, name, upper, *, uses_r=True,
 
 
 def _scalar(id, status, statement, m, lhs, rhs, *, uses_r=True, p_integral=False,
-            r_floor=1, kind="scalar", kernel=None):
+            r_floor=1, kind="scalar", kernel=None, lucas=None):
     _add(CongruenceCase(id=id, status=status, statement=statement, kind=kind,
                         claimed_exponent=m, rhs=rhs, lhs_scalar=lhs,
                         uses_r=uses_r, p_integral=p_integral, r_floor=r_floor,
-                        kernel=kernel))
+                        kernel=kernel, lucas=lucas))
+
+
+def _binomial_scalar(id, statement, m, lhs, rhs, *, uses_r=True):
+    """A known fact claiming p^m(p, r) for the binomial product lhs(p, r),
+    which `both` checks digitwise."""
+    _scalar(id, "known", statement, m, lambda p, r: Fraction(*binomial_product(*lhs(p, r))),
+            rhs, uses_r=uses_r, p_integral=True,
+            lucas=lambda p, r, k: lucas_product(p, *lhs(p, r)))
 
 
 def _row_scalar(id, statement, m, name, part, rhs, *, r_floor=1):
@@ -457,13 +469,11 @@ def _cell_scalar(id, pair, series):
 
 
 def _family(id, statement, m, members, lhs, rhs, *, p_integral=True):
-    def lucas(p, r, k):     # lhs mod p: c mod p times a digitwise product per factor
-        c, *factors = lhs(p, r, k)
-        return prod((_lucas(n, j, p) for n, j in factors), start=c % p) % p
+    lucas = (lambda p, r, k: lucas_product(p, *lhs(p, r, k))) if p_integral else None
     _add(CongruenceCase(id=id, status="fact-family", statement=statement,
                         kind="family", claimed_exponent=m, rhs=_rhs_zero,
                         members=members, member_lhs=lhs, member_rhs=rhs,
-                        member_lucas=lucas if p_integral else None, p_integral=p_integral))
+                        lucas=lucas, p_integral=p_integral))
 
 
 # --- truncated series -------------------------------------------------------
@@ -569,10 +579,9 @@ _series("LEM-2.1", "lemma",
 
 # --- scalar closed forms ----------------------------------------------------
 
-_scalar("WOLST-BIN", "known",
-        "C(2p-1,p-1) == 1  (mod p^3)",
-        lambda p, r: 3, lambda p, r: Fraction(binomial(2 * p - 1, p - 1)),
-        lambda p, r: Fraction(1), uses_r=False, p_integral=True)
+_binomial_scalar("WOLST-BIN", "C(2p-1,p-1) == 1  (mod p^3)",
+                 lambda p, r: 3, lambda p, r: (1, 0, (2 * p - 1, p - 1, 1)),
+                 lambda p, r: Fraction(1), uses_r=False)
 
 _scalar("MAO-I2-IDENT", "theorem",
         "sum_{n=0}^{(p-1)/2} C(2n,n)^2 / ((n+1) 16^n) = C(-3/2,(p-1)/2)^2 / ((p+1)/2)"
@@ -651,85 +660,77 @@ _row_scalar("LEM-5.4",
             lambda p, r: Fraction(15 * _sign_pr(p, r) * p ** (r + 1) * fermat_quotient(p)),
             r_floor=2)
 
-_scalar("BIN-3.4", "known",
-        "C(p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) 4^(p^r-1)  (mod p^3)",
-        lambda p, r: 3,
-        lambda p, r: Fraction(binomial(p ** r - 1, (p ** r - 1) // 2)),
-        lambda p, r: Fraction(_sign_pr(p, r) * 4 ** (p ** r - 1)), p_integral=True)
+_binomial_scalar("BIN-3.4", "C(p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) 4^(p^r-1)  (mod p^3)",
+                 lambda p, r: 3, lambda p, r: (1, 0, (p ** r - 1, (p ** r - 1) // 2, 1)),
+                 lambda p, r: Fraction(_sign_pr(p, r) * 4 ** (p ** r - 1)))
 
-_scalar("BIN-3.5", "known",
-        "C(3p^r-1,p^r) == 2 (1 - 3 p^r H_(p^r-1))  (mod p^2)",
-        lambda p, r: 2,
-        lambda p, r: Fraction(binomial(3 * p ** r - 1, p ** r)),
-        lambda p, r: 2 * (1 - 3 * p ** r * harmonic(p ** r - 1)), p_integral=True)
+_binomial_scalar("BIN-3.5", "C(3p^r-1,p^r) == 2 (1 - 3 p^r H_(p^r-1))  (mod p^2)",
+                 lambda p, r: 2, lambda p, r: (1, 0, (3 * p ** r - 1, p ** r, 1)),
+                 lambda p, r: 2 * (1 - 3 * p ** r * harmonic(p ** r - 1)))
 
-_scalar("BIN-3.6", "known",
-        "C(2p^r-1,p^r-1) == 1  (mod p^2)",
-        lambda p, r: 2,
-        lambda p, r: Fraction(binomial(2 * p ** r - 1, p ** r - 1)),
-        lambda p, r: Fraction(1), p_integral=True)
+_binomial_scalar("BIN-3.6", "C(2p^r-1,p^r-1) == 1  (mod p^2)",
+                 lambda p, r: 2, lambda p, r: (1, 0, (2 * p ** r - 1, p ** r - 1, 1)),
+                 lambda p, r: Fraction(1))
 
-_scalar("BIN-3.7", "known",
-        "C(2p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) (1 - 2 p H_((p-1)/2))  (mod p^2)",
-        lambda p, r: 2,
-        lambda p, r: Fraction(binomial(2 * p ** r - 1, (p ** r - 1) // 2)),
-        lambda p, r: _sign_pr(p, r) * (1 - 2 * p * harmonic((p - 1) // 2)),
-        p_integral=True)
+_binomial_scalar("BIN-3.7",
+                 "C(2p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) (1 - 2 p H_((p-1)/2))  (mod p^2)",
+                 lambda p, r: 2, lambda p, r: (1, 0, (2 * p ** r - 1, (p ** r - 1) // 2, 1)),
+                 lambda p, r: _sign_pr(p, r) * (1 - 2 * p * harmonic((p - 1) // 2)))
 
-# --- k-indexed fact families: lhs and rhs are descriptions (see _stepped) ----
+# --- k-indexed fact families: lhs and rhs are binomial products (see _stepped)
 
 _family("FACT-2LL",
         "l C(2l,l) C(2k,k) == -2 p^r  (mod p^(r+1)) for k + l = p^r, 0 < l < p^r/2",
         lambda p, r: r + 1, _fact_range,
-        lambda p, r, k: (p ** r - k, (2 * (p ** r - k), p ** r - k), (2 * k, k)),
-        lambda p, r, k: (-2 * p ** r,))
+        lambda p, r, k: (p ** r - k, 0, (2 * (p ** r - k), p ** r - k, 1), (2 * k, k, 1)),
+        lambda p, r, k: (-2 * p ** r, 0))
 
 _family("FACT-2KK",
         "C(2k,k) == 0  (mod p) for k + l = p^r, 0 < l < p^r/2",
-        lambda p, r: 1, _fact_range, lambda p, r, k: (1, (2 * k, k)), lambda p, r, k: (0,))
+        lambda p, r: 1, _fact_range, lambda p, r, k: (1, 0, (2 * k, k, 1)), lambda p, r, k: (0, 0))
 
 _family("FACT-INV",
         "-2 p^r / (l C(2l,l)) == C(2k,k)  (mod p^2) for k + l = p^r, 0 < l < p^r/2",
         lambda p, r: 2, _fact_range,      # l = C(l, 1)
-        lambda p, r, k: (-2 * p ** r, (p ** r - k, 1, -1), (2 * (p ** r - k), p ** r - k, -1)),
-        lambda p, r, k: (1, (2 * k, k)), p_integral=False)
+        lambda p, r, k: (-2 * p ** r, 0, (p ** r - k, 1, -1), (2 * (p ** r - k), p ** r - k, -1)),
+        lambda p, r, k: (1, 0, (2 * k, k, 1)), p_integral=False)
 
 _family("DAO-HB",
         "-2 p^r / C(2k,k) == (p^r-k) C(2p^r-2k,p^r-k)  (mod p) for k + l = p^r, "
         "0 < l < p^r/2",
-        lambda p, r: 1, _fact_range, lambda p, r, k: (-2 * p ** r, (2 * k, k, -1)),
-        lambda p, r, k: (p ** r - k, (2 * p ** r - 2 * k, p ** r - k)), p_integral=False)
+        lambda p, r: 1, _fact_range, lambda p, r, k: (-2 * p ** r, 0, (2 * k, k, -1)),
+        lambda p, r, k: (p ** r - k, 0, (2 * p ** r - 2 * k, p ** r - k, 1)), p_integral=False)
 
 _family("BIN-3.9",
         "C(2p^r-1,k) == (-1)^k  (mod p) for 1 <= k <= (p^r-3)/2",
         lambda p, r: 1, _binrow_range,
-        lambda p, r, k: (1, (2 * p ** r - 1, k)), lambda p, r, k: ((-1) ** k,))
+        lambda p, r, k: (1, 0, (2 * p ** r - 1, k, 1)), lambda p, r, k: ((-1) ** k, 0))
 
 # BIN-3.10 and BIN-5.6 reflect: C(-aP-1, j) = C(aP+j, j) for even j = 2P-2k-2
 _family("BIN-3.10",
         "C(-2p^r-1,2p^r-2k-2) == 3  (mod p) for 1 <= k <= (p^r-3)/2",
         lambda p, r: 1, _binrow_range,
-        lambda p, r, k: (1, (4 * p ** r - 2 * k - 2, 2 * p ** r - 2 * k - 2)),
-        lambda p, r, k: (3,))
+        lambda p, r, k: (1, 0, (4 * p ** r - 2 * k - 2, 2 * p ** r - 2 * k - 2, 1)),
+        lambda p, r, k: (3, 0))
 
 _family("BIN-3.11",
         "C(2j q - q - 1, j q - (q+1)/2) == (-1)^((q-1)/2) C(2j-2,j-1)  (mod p) "
         "for q = p^(r-1), 1 <= j <= (p-1)/2",
         lambda p, r: 1, lambda p, r: range(1, (p - 1) // 2 + 1),
-        lambda p, r, j: (1, (2 * j * p ** (r - 1) - p ** (r - 1) - 1,
-                             j * p ** (r - 1) - (p ** (r - 1) + 1) // 2)),
-        lambda p, r, j: ((-1) ** ((p ** (r - 1) - 1) // 2), (2 * j - 2, j - 1)))
+        lambda p, r, j: (1, 0, (2 * j * p ** (r - 1) - p ** (r - 1) - 1,
+                                j * p ** (r - 1) - (p ** (r - 1) + 1) // 2, 1)),
+        lambda p, r, j: ((-1) ** ((p ** (r - 1) - 1) // 2), 0, (2 * j - 2, j - 1, 1)))
 
 _family("BIN-5.5",
         "C(3p^r-1,k) == (-1)^k  (mod p) for 1 <= k <= (p^r-3)/2",
         lambda p, r: 1, _binrow_range,
-        lambda p, r, k: (1, (3 * p ** r - 1, k)), lambda p, r, k: ((-1) ** k,))
+        lambda p, r, k: (1, 0, (3 * p ** r - 1, k, 1)), lambda p, r, k: ((-1) ** k, 0))
 
 _family("BIN-5.6",
         "C(-4p^r-1,2p^r-2k-2) == 5  (mod p) for 1 <= k <= (p^r-3)/2",
         lambda p, r: 1, _binrow_range,
-        lambda p, r, k: (1, (6 * p ** r - 2 * k - 2, 2 * p ** r - 2 * k - 2)),
-        lambda p, r, k: (5,))
+        lambda p, r, k: (1, 0, (6 * p ** r - 2 * k - 2, 2 * p ** r - 2 * k - 2, 1)),
+        lambda p, r, k: (5, 0))
 
 CATALOG: dict[str, CongruenceCase] = dict(sorted(_C.items()))
 
@@ -840,19 +841,20 @@ Member = Union[int, tuple[int, int]]
 def _stepped(desc: Callable[[int, int, int], tuple], p: int, r: int,
              keys: list[int]) -> list[Member]:
     """Values at consecutive members keys of a family description desc(p, r, k)
-    = (c, (n1, m1), (n2, m2), ...), meaning c C(n1, m1) C(n2, m2) ... for an
-    integer c, where a factor (n, m, -1) divides.  Each factor is binomial at
-    keys[0], then _walk.  A member is a plain int when no factor divides, and
-    otherwise the integer pair (numerator, denominator), denominator > 0 and
-    not reduced: no member pays for a Fraction or a gcd."""
+    = (c, e, *factors), a binomial product (combinat.binomial_product) with one
+    factor layout at every member.  Each factor is binomial at keys[0], then
+    _walk from the factor in its place at the previous member; combinat._product
+    assembles the member from the walked values v as linear factors C(v, 1).
+    A member is a plain int when nothing divides, and otherwise the integer
+    pair (numerator, denominator), denominator > 0 and not reduced: no member
+    pays for a Fraction or a gcd."""
     out, at = [], None
     for k in keys:
-        c, *factors = desc(p, r, k)
+        c, e, *factors = desc(p, r, k)
         at = at or [(f, binomial(f[0], f[1])) for f in factors]  # the first member
         at = [(f, _walk(v, f0[0], f0[1], f[0], f[1])) for (f0, v), f in zip(at, factors)]
-        num = prod((v for f, v in at if len(f) == 2), start=c)
-        den = [v for f, v in at if len(f) == 3]
-        out.append((num, prod(den)) if den else num)
+        num, den = _product(c, e, [((v, 1), f[2]) for f, v in at])
+        out.append(num if den == 1 else (num, den))
     return out
 
 
@@ -928,12 +930,12 @@ def _score(items: list, p: int, m: Optional[int], single: bool):
 def _cross_check(case: CongruenceCase, params: CheckParams, items: list,
                  ctx: PadicContext) -> None:
     """Check each exact value of a point that has an independent modular path:
-    a series sum against the termwise residue kernel mod p^m, and every member
-    of a family against its digitwise Lucas product mod p.  The members of a
-    p-integral family are ints (see _stepped), so each is reduced by one % p.
-    A scalar's residue is its exact value reduced, so scalars and identities
-    have nothing to check.  Raises BackendDisagreement naming the case, point
-    and member."""
+    a series sum against the termwise residue kernel mod p^m, and the left
+    side of every family member or binomial scalar against its digitwise
+    Lucas product mod p (case.lucas).  The members of a p-integral family are
+    ints (see _stepped), so each is reduced by one % p.  The row and cell
+    lemmas and the identities have no second path.  Raises
+    BackendDisagreement naming the case, point and member."""
     if case.kind == "series":
         # the kernel runs first: it refuses a p in a denominator by name, where
         # reducing the exact sum would fail with PNotIntegral
@@ -944,14 +946,15 @@ def _cross_check(case: CongruenceCase, params: CheckParams, items: list,
                 f"{case.id}: exact and residue backends disagree at {params} "
                 f"mod {ctx.p}^{ctx.m}: the sum reduces to {exact} on the exact "
                 f"backend, {kernel} on the termwise residue kernel")
-    elif case.kind == "family":
+    elif case.lucas is not None:
         for k, lhs, _ in items:
-            exact, lucas = lhs % ctx.p, case.member_lucas(params.p, params.r, k)
+            exact, lucas = lhs % ctx.p, case.lucas(params.p, params.r, k)
             if exact != lucas:
+                member = "" if k is None else f", member k={k}"
                 raise BackendDisagreement(
-                    f"{case.id}: exact and digitwise values disagree at {params}, "
-                    f"member k={k}: lhs reduces to {exact} mod {ctx.p} on the "
-                    f"exact backend, {lucas} by Lucas' theorem")
+                    f"{case.id}: exact and digitwise values disagree at {params}"
+                    f"{member}: lhs reduces to {exact} mod {ctx.p} on the exact "
+                    f"backend, {lucas} by Lucas' theorem")
 
 
 def evaluate_case(case, params: CheckParams, backend: str = "exact", *,

@@ -13,12 +13,13 @@ exact; the grid checks tolerate zero violations.
 
 Each pair's `definition` string is the paper's form of F and G, in
 Pochhammer symbols or binomials. `CELLS` holds the same terms as data: each
-F and G is a description (n, k) -> (c, e, *factors) meaning
-c 2^e prod C(n_i, m_i)^j_i, with e and every binomial argument linear in
-(n, k) and a linear factor x below the line written C(x, 1)^-1. One
-evaluator, `_cell`, reads every description: it takes a binomial that occurs
-twice once, with its powers summed, and builds the cell as one Fraction.
-The tests check every cell against its definition string.
+F and G is a binomial product (n, k) -> (c, e, *factors) meaning
+c 2^e prod C(n_i, m_i)^j_i (combinat.binomial_product), with e and every
+binomial argument linear in (n, k) and a linear factor x below the line
+written C(x, 1)^-1. combinat.binomial_product evaluates every description,
+taking a binomial that occurs twice once, with its powers summed, and each
+cell is one Fraction of its value. The tests check every cell against its
+definition string.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .combinat import binomial
+from .combinat import binomial_product
 from .exactnum import Rational
 
 Cell = Callable[[int, int], Rational]
@@ -57,24 +58,6 @@ class GridReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-
-def _cell(c: int, e: int, *factors: tuple[int, int, int]) -> Fraction:
-    """c 2^e prod C(n, m)^j over factors (n, m, j), as one Fraction: its only
-    gcd.  A binomial that occurs twice, say C(2n, n) above the line and C(2k, k)
-    below it at n = k, is first taken once with its powers summed."""
-    powers: dict[tuple[int, int], int] = {}
-    for n, m, j in factors:
-        powers[n, m] = powers.get((n, m), 0) + j
-    num, den = c, 1
-    for (n, m), j in powers.items():
-        if j > 0:
-            num *= binomial(n, m) ** j
-            if not num:         # a vanishing binomial: the cell is 0
-                break
-        elif j < 0:
-            den *= binomial(n, m) ** -j
-    return Fraction(num << e, den) if e >= 0 else Fraction(num, den << -e)
 
 
 # Each pair's (F, G): its registered definition as two descriptions (module
@@ -118,7 +101,8 @@ CELLS: dict[str, tuple[Callable[[int, int], tuple], Callable[[int, int], tuple]]
 
 def _pair(id: str, series: str, alternating: bool, definition: str) -> WzPair:
     """The pair id with its f and g evaluating its CELLS descriptions."""
-    f, g = (lambda n, k, desc=desc: _cell(*desc(n, k)) for desc in CELLS[id])
+    f, g = (lambda n, k, desc=desc: Fraction(*binomial_product(*desc(n, k)))
+            for desc in CELLS[id])
     return WzPair(id, f, g, series, alternating, definition)
 
 

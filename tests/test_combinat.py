@@ -8,9 +8,7 @@ import pytest
 from supercong.combinat import (DivisionByZero, UnsupportedConvention, binomial,
                                 binomial_rat, central_binomial, euler_number,
                                 factorial, fermat_quotient, harmonic,
-                                lucas_residue, neg_half, odd_product, pochhammer,
-                                pochhammer_half, pochhammer_neg_half,
-                                recip_pochhammer)
+                                lucas_residue, pochhammer, recip_pochhammer)
 from supercong.exactnum import PadicContext, congruent, is_prime, vp
 
 
@@ -21,13 +19,6 @@ def test_factorial_table():
         factorial(-1)
 
 
-def test_odd_product_matches_double_factorial():
-    for m in range(200):
-        assert odd_product(m) == math.prod(range(1, 2 * m, 2))
-    with pytest.raises(ValueError):
-        odd_product(-1)
-
-
 def test_central_binomial_table():
     for m in range(80):
         assert central_binomial(m) == math.comb(2 * m, m)
@@ -35,7 +26,7 @@ def test_central_binomial_table():
         central_binomial(-1)
 
 
-@pytest.mark.parametrize("fn", [factorial, central_binomial, odd_product])
+@pytest.mark.parametrize("fn", [factorial, central_binomial])
 def test_large_arguments_retain_no_memory(fn):
     # a table of every value up to n = 10 000 would hold hundreds of MB
     tracemalloc.start()
@@ -106,20 +97,6 @@ def test_pochhammer_basics():
     assert pochhammer(-2, 4) == 0
     with pytest.raises(ValueError):
         pochhammer(1, -1)
-
-
-def test_pochhammer_half_closed_form():
-    for n in range(101):
-        assert pochhammer_half(n) / factorial(n) == F(central_binomial(n), 4 ** n)
-        assert pochhammer_half(n) == pochhammer(F(1, 2), n)
-
-
-def test_pochhammer_neg_half_matches_generic():
-    for n in range(60):
-        assert pochhammer_neg_half(n) == pochhammer(F(-1, 2), n)
-        assert neg_half(n) == pochhammer(F(-1, 2), n) * 2 ** n
-    with pytest.raises(ValueError):
-        neg_half(-1)
 
 
 def test_recip_pochhammer_conventions():

@@ -15,9 +15,9 @@ from supercong.harness import SweepConfig, run_sweep
 def _off_by_one_at(case_id, bad_k):
     """The case with its digitwise residue wrong at member bad_k only."""
     case = get_case(case_id)
-    good = case.member_lucas
+    good = case.lucas
     return dataclasses.replace(
-        case, member_lucas=lambda p, r, k: (good(p, r, k) + (k == bad_k)) % p)
+        case, lucas=lambda p, r, k: (good(p, r, k) + (k == bad_k)) % p)
 
 
 def test_wrong_member_raises_disagreement():
@@ -49,12 +49,43 @@ def test_cross_validate_reports_wrong_member():
 def test_p_integral_family_needs_lucas():
     families = [c for c in list_cases() if c.kind == "family" and c.p_integral]
     assert len(families) == 7
-    assert all(c.member_lucas is not None for c in families)
-    # member_lucas is derived from the lhs description; every family claims
+    assert all(c.lucas is not None for c in families)
+    # lucas is derived from the lhs description; every family claims
     # at least mod p, so it reduces to each member's rhs mod p
     for case in families:
         for k, _, rhs in congruences._family_members(case, CheckParams(p=7, r=2)):
-            assert case.member_lucas(7, 2, k) == rhs % 7, (case.id, k)
+            assert case.lucas(7, 2, k) == rhs % 7, (case.id, k)
+
+
+BINOMIAL_SCALARS = ["BIN-3.4", "BIN-3.5", "BIN-3.6", "BIN-3.7", "WOLST-BIN"]
+
+
+def test_binomial_scalars_have_lucas():
+    scalars = [c for c in list_cases() if c.kind == "scalar"]
+    assert sorted(c.id for c in scalars if c.lucas is not None) == BINOMIAL_SCALARS
+    assert sum(c.lucas is None for c in scalars) == 14      # the row and cell lemmas
+    for cid in BINOMIAL_SCALARS:
+        case = get_case(cid)
+        for p, r in ((5, 1), (7, 2), (11, 2), (13, 1)):
+            r = r if case.uses_r else 1
+            assert case.lucas(p, r, None) == case.lhs_scalar(p, r) % p, (cid, p, r)
+
+
+def test_wrong_binomial_scalar_is_a_disagreement_and_a_sweep_error(monkeypatch):
+    bad = _off_by_one_at("BIN-3.6", None)       # a scalar's only item has k None
+    params = CheckParams(p=11, r=2)
+    with pytest.raises(BackendDisagreement,
+                       match=r"^BIN-3\.6: exact and digitwise values disagree at "
+                             r"CheckParams\(p=11, r=2[^:]*\): lhs reduces to 1 mod 11"):
+        evaluate_case(bad, params, "both")
+    assert evaluate_case(bad, params, "exact").passed
+    assert not cross_validate(bad, params, PadicContext(11, 2))
+    monkeypatch.setitem(congruences.CATALOG, "BIN-3.6", bad)
+    report = run_sweep(SweepConfig(primes=(11,), r_max=2, glob="BIN-3.6"))
+    assert report.results == []
+    assert [e["case_id"] for e in report.errors] == ["BIN-3.6", "BIN-3.6"]
+    assert all(e["error"].startswith("BackendDisagreement: BIN-3.6") for e in report.errors)
+    assert report.failed
 
 
 def test_summand_check_reads_the_catalog_spec(monkeypatch):

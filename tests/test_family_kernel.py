@@ -21,11 +21,11 @@ POINTS = [(5, 1), (7, 2), (11, 2)]
 
 def per_factor(desc, p, r, k):
     """The description's value with one binomial call per factor."""
-    c, *factors = desc(p, r, k)
-    value = Fraction(c)
-    for n, m, *inverse in factors:
-        assert inverse in ([], [-1])
-        value = value / binomial(n, m) if inverse else value * binomial(n, m)
+    c, e, *factors = desc(p, r, k)
+    value = Fraction(c) * Fraction(2) ** e
+    for n, m, j in factors:
+        assert j in (1, -1)
+        value = value / binomial(n, m) if j < 0 else value * binomial(n, m)
     return value
 
 
@@ -50,6 +50,29 @@ def test_kernel_matches_binomial_per_factor(p, r):
         for desc in (case.member_lhs, case.member_rhs):
             assert [value(v) for v in _stepped(desc, p, r, keys)] == \
                 [per_factor(desc, p, r, k) for k in keys], (case.id, p, r)
+
+
+def layout(desc, p, r, k):
+    """e and the factors (n_i, m_i, j_i) of a description at member k, flattened."""
+    c, e, *factors = desc(p, r, k)
+    assert all(len(f) == 3 and f[2] in (1, -1) for f in factors)
+    return [e, *(x for f in factors for x in f)]
+
+
+@pytest.mark.parametrize("p, r", POINTS + [(13, 2)])
+def test_family_descriptions_are_linear(p, r):
+    """_stepped pairs each factor with the previous member's by position, so
+    each description keeps one factor layout, and e and every binomial
+    argument and power are linear in k: equal to their interpolation from
+    the first two members."""
+    for case in FAMILIES:
+        keys = list(case.members(p, r))
+        for desc in (case.member_lhs, case.member_rhs):
+            at0 = layout(desc, p, r, keys[0])
+            step = layout(desc, p, r, keys[0] + 1)
+            for k in keys:
+                assert layout(desc, p, r, k) == [a + (k - keys[0]) * (b - a) for a, b
+                                                 in zip(at0, step)], (case.id, p, r, k)
 
 
 def test_reflected_upper_index():
@@ -85,12 +108,12 @@ STATEMENT_LHS = {
 
 def test_derived_lucas_matches_statement():
     assert sorted(STATEMENT_LHS) == sorted(c.id for c in FAMILIES if c.p_integral)
-    assert all(c.member_lucas is None for c in FAMILIES if not c.p_integral)
+    assert all(c.lucas is None for c in FAMILIES if not c.p_integral)
     for p, r in POINTS:
         for cid, lhs in STATEMENT_LHS.items():
             case = get_case(cid)
             for k in case.members(p, r):
-                assert case.member_lucas(p, r, k) == lhs(p, p ** r, k) % p, (cid, p, r, k)
+                assert case.lucas(p, r, k) == lhs(p, p ** r, k) % p, (cid, p, r, k)
 
 
 def wrong_kernel_at(monkeypatch, bad_k):

@@ -1,14 +1,15 @@
 """Algebraic laws of the arithmetic primitives, on draws from hypothesis: vp
 is additive, residue is a ring homomorphism on p-integral rationals, a
-binomial with a negative upper index follows the reflection rule, and the
-binary-split slice kernel equals a termwise sum.  Skipped when hypothesis is
-not installed."""
+binomial with a negative upper index follows the reflection rule, the
+binary-split slice kernel equals a termwise sum, and the binomial-product
+evaluator, its Lucas reader and the stepped family kernel agree with
+per-factor arithmetic.  Skipped when hypothesis is not installed."""
 from fractions import Fraction
 
 import pytest
 
-from supercong.combinat import binomial, binomial_rat
-from supercong.congruences import _ratio_slices
+from supercong.combinat import binomial, binomial_product, binomial_rat, lucas_product
+from supercong.congruences import _ratio_slices, _stepped, list_cases
 from supercong.exactnum import INFINITE, PadicContext, residue, vp
 
 pytest.importorskip("hypothesis")
@@ -105,3 +106,46 @@ def test_ratio_sums_equal_termwise_sums(inputs):
     assert got == tuple(want)
     assert all(isinstance(s, Fraction) for s in got)
     assert calls == list(range(lo, lo + len(steps)))
+
+
+# a small pool of (n, m), so that a product often repeats one, with m > n and
+# negative n among them
+pairs = st.tuples(st.integers(-6, 12), st.integers(0, 14))
+
+
+@small
+@given(c=st.integers(-50, 50), e=st.integers(-12, 12),
+       factors=st.lists(st.tuples(pairs, st.integers(-3, 3)), max_size=7))
+def test_binomial_product_equals_per_factor_fractions(c, e, factors):
+    factors = [(n, m, j) for (n, m), j in factors]
+    # a vanishing binomial only above the line, so the reference is defined
+    assume(all(binomial(n, m) or j >= 0 for n, m, j in factors))
+    want = Fraction(c) * Fraction(2) ** e
+    for n, m, j in factors:
+        want *= Fraction(binomial(n, m)) ** j
+    num, den = binomial_product(c, e, *factors)
+    assert den > 0 and Fraction(num, den) == want
+
+
+@small
+@given(p=primes, c=st.integers(-50, 50), e=st.integers(-12, 12),
+       factors=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 420),
+                                  st.integers(0, 3)), max_size=5))
+def test_lucas_product_is_the_value_mod_p(p, c, e, factors):
+    assert lucas_product(p, c, e, *factors) == residue(
+        Fraction(*binomial_product(c, e, *factors)), PadicContext(p, 1))
+
+
+FAMILIES = list_cases(status="fact-family")
+
+
+@small
+@given(case=st.sampled_from(FAMILIES), p=st.sampled_from((5, 7, 11, 13)),
+       r=st.integers(1, 2), start=st.integers(0, 10 ** 6), length=st.integers(1, 12))
+def test_stepped_members_equal_the_evaluator(case, p, r, start, length):
+    members = case.members(p, r)
+    keys = list(members[start % len(members):][:length])
+    for desc in (case.member_lhs, case.member_rhs):
+        got = [Fraction(*v) if isinstance(v, tuple) else v
+               for v in _stepped(desc, p, r, keys)]
+        assert got == [Fraction(*binomial_product(*desc(p, r, k))) for k in keys]

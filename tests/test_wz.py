@@ -177,7 +177,7 @@ def test_diagonal_cell_builds_its_central_binomial_at_most_once(monkeypatch, pid
         args.append((n, m))
         return binomial(n, m)
 
-    monkeypatch.setattr(wz, "binomial", counted)
+    monkeypatch.setattr(combinat, "binomial", counted)
     assert eval_F(pid, 30, 30) == DEFINITIONS[pid][0](30, 30)
     assert args.count((60, 30)) <= 1, args
 
