@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from fnmatch import fnmatch
 from functools import lru_cache
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .combinat import (_product, binomial, binomial_product, binomial_rat,
@@ -92,7 +93,7 @@ class CongruenceCase:
     kind: str                                   # series | scalar | family | identity
     claimed_exponent: Optional[Callable[[int, int], int]]
     rhs: Callable[[int, int], Rational]
-    # series
+    # series, and any case that reads a series spec's sum
     series_name: Optional[str] = None
     upper: Optional[Callable[[int, int, int], int]] = None  # (p, r, delta) -> cap
     # scalar / identity
@@ -163,28 +164,29 @@ class SeriesSpec:
         self.den, self.divisor = den, divisor
         self.alternating, self.start = alternating, start
 
-    def steps(self, upper: int) -> Iterator[tuple[int, int, int]]:
-        """(k, num, den) for k = start .. upper: the binomial part at k is the
-        one at k - 1 times num / den, an exact integer quotient; at k = start
-        num is the part itself (start <= 1, so it is small) and den is 1.
-        The ratio is (2(2k-1) divisor(k-1) / (k divisor(k)))^a
-        (2(4k-3)(4k-1) / (k(2k-1)))^b."""
+    def steps(self, upper: Optional[int] = None) -> Iterator[tuple[int, int, int]]:
+        """(k, num, den) for k = start .. upper, or without end when upper is
+        None: the binomial part at k is the one at k - 1 times num / den, an
+        exact integer quotient; at k = start num is the part itself (start <=
+        1, so it is small) and den is 1.  The ratio is
+        (2(2k-1) divisor(k-1) / (k divisor(k)))^a (2(4k-3)(4k-1) / (k(2k-1)))^b."""
         a, b, div, k = self.a, self.b, self.divisor, self.start
-        if upper < k:
+        if upper is not None and upper < k:
             return
         q = _poly(div, k)
         yield k, (central_binomial(k) // q) ** a * central_binomial(2 * k) ** b, 1
-        for k in range(k + 1, upper + 1):
+        for k in count(k + 1) if upper is None else range(k + 1, upper + 1):
             q1 = _poly(div, k)
             yield (k, (2 * (2 * k - 1) * q) ** a * (2 * (4 * k - 3) * (4 * k - 1)) ** b,
                    (k * q1) ** a * (k * (2 * k - 1)) ** b)
             q = q1
 
-    def parts(self, upper: int) -> Iterator[tuple[int, int, int]]:
-        """(k, integer numerator, den(k)) of t_k for k = start .. upper; the
-        binomial part is a big integer, stepped exactly by steps()."""
+    def parts(self) -> Iterator[tuple[int, int, int]]:
+        """(k, integer numerator, den(k)) of t_k for k = start, start + 1, ...
+        without end; the binomial part is a big integer, stepped exactly by
+        steps()."""
         s, part = 1, 1
-        for k, num, den in self.steps(upper):
+        for k, num, den in self.steps():
             part = part * num // den
             yield k, s * _poly(self.poly, k) * part, _poly(self.den, k)
             if self.alternating:
@@ -291,17 +293,40 @@ class _Slices:
         return self._done[i]
 
 
+class _Pass:
+    """One running exact pass over a spec's terms, which only moves forward:
+    num / (odd 2^(rate k)) is the sum of the terms up to k, one integer
+    numerator over den(start) ... den(k) 2^(rate k)."""
+
+    def __init__(self, spec: SeriesSpec):
+        self.parts, self.rate = spec.parts(), spec.rate
+        self.k, self.num, self.odd = spec.start - 1, 0, 1
+
+    def at(self, upper: int) -> Rational:
+        """The sum up to upper >= k, stepping the terms k+1 .. upper; its
+        denominator and its Fraction (the only gcd) are built here alone."""
+        num, odd, rate = self.num, self.odd, self.rate
+        for _, t, d in islice(self.parts, upper - self.k):
+            num = (num * d << rate) + t * odd
+            odd *= d
+        self.k, self.num, self.odd = upper, num, odd
+        return Fraction(num, odd << (rate * upper))
+
+
+_running: dict[str, _Pass] = {}    # the running pass of each spec, by name
+
+
 @lru_cache(maxsize=256)
 def _series_exact(name: str, upper: int) -> Rational:
-    """Exact kernel: one integer numerator over den(start) ... den(upper)
-    2^(rate upper), and a single Fraction (the only gcd) at the end."""
-    spec = SERIES[name]
-    num, odd = 0, 1
-    for k, t, d in spec.parts(upper):
-        # invariant: num / (odd 2^(rate k)) is the sum of the terms up to k
-        num = (num * d << spec.rate) + t * odd
-        odd *= d
-    return Fraction(num, odd << (spec.rate * upper))
+    """Exact kernel: the sum of a spec's terms up to upper, read from the
+    spec's running pass (_running).  The terms do not depend on p, so a
+    shorter sum is a prefix of a longer one: a cap at or beyond the pass's
+    position advances it, and a cap behind it starts a fresh pass, which
+    costs what a sum from k = start costs."""
+    run = _running.get(name)
+    if run is None or run.k > upper:
+        run = _running[name] = _Pass(SERIES[name])
+    return run.at(upper)
 
 
 @lru_cache(maxsize=256)
@@ -439,9 +464,9 @@ def _series(id, status, statement, m, rhs, name, upper, *, uses_r=True,
 
 
 def _scalar(id, status, statement, m, lhs, rhs, *, uses_r=True, p_integral=False,
-            r_floor=1, kind="scalar", kernel=None, lucas=None):
+            r_floor=1, kind="scalar", kernel=None, upper=None, lucas=None):
     _add(CongruenceCase(id=id, status=status, statement=statement, kind=kind,
-                        claimed_exponent=m, rhs=rhs, lhs_scalar=lhs,
+                        claimed_exponent=m, rhs=rhs, lhs_scalar=lhs, upper=upper,
                         uses_r=uses_r, p_integral=p_integral, r_floor=r_floor,
                         kernel=kernel, lucas=lucas))
 
@@ -589,7 +614,7 @@ _scalar("MAO-I2-IDENT", "theorem",
         None,
         lambda p, r: Fraction(_series_exact("mao", (p - 1) // 2)),
         lambda p, r: binomial_rat(Fraction(-3, 2), (p - 1) // 2) ** 2 / Fraction((p + 1) // 2),
-        uses_r=False, kind="identity", kernel="mao")
+        uses_r=False, kind="identity", kernel="mao", upper=lambda p, r, d: (p - 1) // 2)
 
 _row_scalar("LEM-2.2",
             "sum_{k=1}^{(p^r-1)/2} G((p^r+1)/2, k) == 0  (mod p^(r+4)), where "

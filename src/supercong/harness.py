@@ -27,8 +27,8 @@ from itertools import repeat
 from pathlib import Path
 from typing import Optional, Union
 
-from .congruences import (BACKENDS, STATUSES, CheckParams, CheckResult, evaluate_case,
-                          get_case, is_prime, list_cases)
+from .congruences import (BACKENDS, SERIES, STATUSES, CheckParams, CheckResult,
+                          evaluate_case, get_case, is_prime, list_cases)
 
 TOOL = "supercong"
 TOOL_VERSION = "0.1.0"
@@ -238,17 +238,22 @@ def _plan(config: SweepConfig) -> list[tuple[str, int, int, Optional[int]]]:
 
 
 def _units(config: SweepConfig) -> list[list[tuple[str, int, int, Optional[int]]]]:
-    """The planned tasks grouped into one unit per (p, r, kernel), where a
-    case's kernel is the cached sum it reads (its series spec, its
-    certificate sum in _SUMS) or else its id, so that every point reading
-    one kernel at one (p, r) runs in one process and computes it once.
-    Units come largest p^r first, so the longest start first; ties keep the
-    plan's order."""
+    """The planned tasks grouped into units, each run in one process, so that
+    a cached sum is computed once.  A case's kernel is the cached sum it
+    reads (a series spec, a certificate sum in _SUMS) or else its id.  Every
+    point reading one series spec is one unit for the whole sweep, in
+    ascending cap: the spec's terms do not depend on p, so its one running
+    exact pass steps each term once.  Every other point is in one unit per
+    (p, r, kernel).  Units are ordered by their largest p^r, largest first,
+    so the longest start first; ties keep the plan's order."""
     units: dict[tuple, list] = {}
     for task in _plan(config):
         case_id, p, r, _ = task
-        units.setdefault((p, r, get_case(case_id).kernel or case_id), []).append(task)
-    return sorted(units.values(), key=lambda unit: -unit[0][1] ** unit[0][2])
+        kernel = get_case(case_id).kernel or case_id
+        units.setdefault((kernel,) if kernel in SERIES else (p, r, kernel), []).append(task)
+    for name in SERIES:
+        units.get((name,), []).sort(key=lambda t: get_case(t[0]).upper(t[1], t[2], t[3] or 1))
+    return sorted(units.values(), key=lambda unit: -max(p ** r for _, p, r, _ in unit))
 
 
 def _run_task(task: tuple[str, int, int, Optional[int]], backend: str,
@@ -269,10 +274,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     """Evaluate the whole grid; individual case errors are collected, never
     raised. Results come back sorted by (case_id, p, r, delta), so the
     records do not depend on the order of evaluation.  Serial and pooled
-    runs walk the same units (_units): the pool is handed them largest p^r
-    first, four to a chunk, and gets at most one worker per unit and per
-    CPU (a fork pool starts every worker at the first submit); with one
-    worker the sweep runs in this process."""
+    runs walk the same units (_units: one per series spec, one per (p, r)
+    and other kernel): the pool is handed them largest p^r first, four to a
+    chunk, and gets at most one worker per unit and per CPU (a fork pool
+    starts every worker at the first submit); with one worker the sweep
+    runs in this process."""
     t0 = time.perf_counter()
     units = _units(config)
     args = (repeat(config.backend), repeat(config.include_p3))

@@ -1,19 +1,21 @@
 """Algebraic laws of the arithmetic primitives, on draws from hypothesis: vp
 is additive, residue is a ring homomorphism on p-integral rationals, a
 binomial with a negative upper index follows the reflection rule, the
-binary-split slice kernel equals a termwise sum, and the binomial-product
+binary-split slice kernel equals a termwise sum, the running exact series
+pass equals a termwise sum at any sequence of caps, and the binomial-product
 evaluator, its Lucas reader and the stepped family kernel agree with
 per-factor arithmetic.  Skipped when hypothesis is not installed."""
 from fractions import Fraction
 
 import pytest
 
+from supercong import congruences
 from supercong.combinat import binomial, binomial_product, binomial_rat, lucas_product
-from supercong.congruences import _ratio_slices, _stepped, list_cases
+from supercong.congruences import SERIES, _ratio_slices, _stepped, list_cases
 from supercong.exactnum import INFINITE, PadicContext, residue, vp
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 # derandomized, with few examples: the three laws add well under 1 s
 small = settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -106,6 +108,27 @@ def test_ratio_sums_equal_termwise_sums(inputs):
     assert got == tuple(want)
     assert all(isinstance(s, Fraction) for s in got)
     assert calls == list(range(lo, lo + len(steps)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(SERIES)),
+       caps=st.lists(st.integers(0, 60), max_size=12))
+@example(name="guo64", caps=[0, 3, 3, 40, 41, 60])           # ascending, repeated
+@example(name="gz10n2", caps=[60, 41, 40, 3, 0, 0])          # descending
+@example(name="h1", caps=[7, 0, 0, 1, 0, 9, 2])              # below start = 1
+@example(name="mao", caps=[5, 2, 9, 9, 1, 30, 0, 31])        # back and forth
+def test_running_pass_equals_sum_of_terms(name, caps):
+    # each read goes through the spec's running pass, not the lru_cache; a
+    # cap behind the pass, and only such a cap, starts a fresh pass
+    congruences._running.clear()
+    terms = list(SERIES[name].terms(60))
+    for cap in caps:
+        before = congruences._running.get(name)
+        want = sum(terms[:cap + 1 - SERIES[name].start], Fraction(0))
+        assert congruences._series_exact.__wrapped__(name, cap) == want, cap
+        run = congruences._running[name]
+        assert run.k == cap
+        assert (run is before) == (before is not None and before.k <= cap)
 
 
 # a small pool of (n, m), so that a product often repeats one, with m > n and

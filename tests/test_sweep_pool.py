@@ -1,15 +1,20 @@
 """Sizing and scheduling of the sweep's worker pool.  A fake executor stands
 in for the process pool, so these tests start no process."""
+from collections import Counter
 from functools import lru_cache
 
+import pytest
+
 from supercong import congruences, harness
+from supercong.congruences import SERIES, get_case
 from supercong.harness import SweepConfig, _ser_record, run_sweep
 
 
 class FakePool:
     """Runs the mapped calls in this process, chunk by chunk, and empties the
-    certificate-sum cache before each chunk, as if every chunk went to a fresh
-    worker.  Records the worker count asked for and the units handed over."""
+    certificate-sum cache, the series-sum cache and the running passes before
+    each chunk, as if every chunk went to a fresh worker.  Records the worker
+    count asked for and the units handed over."""
     created = []
     units = []
 
@@ -28,6 +33,8 @@ class FakePool:
         out = []
         for i in range(0, len(calls), chunksize):
             congruences._sums.cache_clear()
+            congruences._series_exact.cache_clear()
+            congruences._running.clear()
             out.extend(fn(*call) for call in calls[i:i + chunksize])
         return out
 
@@ -48,13 +55,18 @@ def test_one_point_runs_serially_whatever_jobs_asks(monkeypatch):
 
 
 def test_pool_is_capped_by_cpus_and_tasks(monkeypatch):
-    sweep(monkeypatch, 3, glob="VH-4K1", primes=(5, 7, 11, 13, 17), jobs=10000)
+    # BIN-3.4 reads no shared sum, so each of its points is a unit of its own
+    bin34 = dict(glob="BIN-3.4", r_max=1)
+    sweep(monkeypatch, 3, primes=(5, 7, 11, 13, 17), jobs=10000, **bin34)
     assert FakePool.created == [3]
-    sweep(monkeypatch, 64, glob="VH-4K1", primes=(5, 7), jobs=10000)
+    sweep(monkeypatch, 64, primes=(5, 7), jobs=10000, **bin34)
     assert FakePool.created == [2]
-    sweep(monkeypatch, 64, glob="VH-4K1", primes=(5, 7, 11), jobs=2)
+    sweep(monkeypatch, 64, primes=(5, 7, 11), jobs=2, **bin34)
     assert FakePool.created == [2]
-    sweep(monkeypatch, None, glob="VH-4K1", primes=(5, 7), jobs=4)
+    sweep(monkeypatch, None, primes=(5, 7), jobs=4, **bin34)
+    assert FakePool.created == []
+    # every point reading one series spec is one unit: one worker
+    sweep(monkeypatch, 64, glob="VH-4K1", primes=(5, 7, 11, 13, 17), jobs=10000)
     assert FakePool.created == []
     # the three GUO64 row lemmas at one (p, r) are one unit: one worker
     sweep(monkeypatch, 64, glob="LEM-3.[235]", primes=(5,), r_max=1, jobs=4)
@@ -84,32 +96,75 @@ def test_points_sharing_a_kernel_arrive_in_one_unit(monkeypatch):
                 [("LEM-2.1", p, r, 1), ("LEM-2.1", p, r, 2)]
             # a case whose kernel no other case reads is a unit of its own
             assert unit_of("LEM-2.2", p, r) == [("LEM-2.2", p, r, None)]
-    # MAO-I2 and its identity read the same cached series sum
-    sweep(monkeypatch, 2, glob="MAO-I2*", primes=(5, 7), jobs=2)
-    assert sorted(unit_of("MAO-I2", 7, 1)) == \
-        [("MAO-I2", 7, 1, None), ("MAO-I2-IDENT", 7, 1, None)]
+    # MAO-I2 and its identity read the same series spec: at every prime they
+    # are one unit, in ascending cap (p - 1) / 2
+    assert harness._units(SweepConfig(glob="MAO-I2*")) == \
+        [[(case, p, 1, None) for p in SweepConfig().resolved_primes()
+          for case in ("MAO-I2", "MAO-I2-IDENT")]]
+
+
+def cap(task):
+    case_id, p, r, delta = task
+    return get_case(case_id).upper(p, r, delta or 1)
+
+
+def test_each_series_spec_is_one_unit_in_ascending_cap():
+    units = harness._units(SweepConfig())
+    readers = {}
+    for unit in units:
+        specs = {get_case(task[0]).kernel for task in unit} & set(SERIES)
+        if specs:
+            (name,) = specs
+            assert name not in readers
+            readers[name] = unit
+            assert all(get_case(task[0]).kernel == name for task in unit)
+            assert [cap(task) for task in unit] == sorted(cap(task) for task in unit)
+    assert set(readers) == set(SERIES)
+    # 13 primes; GUO-64 at r = 1 and 2
+    assert Counter(task[0] for task in readers["guo64"]) == \
+        {"GUO-64": 26, "SUN-64-P4": 13, "VH-4K1": 13}
+
+
+@pytest.mark.parametrize("status", ["lemma", "fact-family"])
+def test_units_reading_no_series_spec_are_one_per_p_r_kernel(status):
+    # the grouping of sweeps with no series spec: one unit per (p, r, kernel),
+    # largest p^r first, ties in the plan's order
+    config = SweepConfig(status=status)
+    units = {}
+    for task in harness._plan(config):
+        case_id, p, r, _ = task
+        units.setdefault((p, r, get_case(case_id).kernel or case_id), []).append(task)
+    assert harness._units(config) == \
+        sorted(units.values(), key=lambda unit: -unit[0][1] ** unit[0][2])
+
+
+THEOREMS = dict(status="theorem", primes=(5, 7, 11), r_max=2)
 
 
 def test_units_arrive_largest_first(monkeypatch):
-    sweep(monkeypatch, 2, jobs=2, **LEMMAS)
-    sizes = [unit[0][1] ** unit[0][2] for unit in FakePool.units]
-    assert sizes == sorted(sizes, reverse=True)
-    assert sizes[0] == 49 and sizes[-1] == 5
-    # every planned point is handed over once
-    tasks = [task for unit in FakePool.units for task in unit]
-    assert sorted(tasks) == sorted(harness._plan(SweepConfig(**LEMMAS)))
+    # a theorem sweep ends with MAO-I2's unit, whose largest p^r is 11
+    for config, largest, smallest in ((LEMMAS, 49, 5), (THEOREMS, 121, 11)):
+        sweep(monkeypatch, 2, jobs=2, **config)
+        sizes = [max(p ** r for _, p, r, _ in unit) for unit in FakePool.units]
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] == largest and sizes[-1] == smallest
+        # every planned point is handed over once
+        tasks = [task for unit in FakePool.units for task in unit]
+        assert sorted(tasks) == sorted(harness._plan(SweepConfig(**config)))
 
 
 def test_serial_sweep_walks_the_pool_units(monkeypatch):
-    sweep(monkeypatch, 2, jobs=2, **LEMMAS)
     walked, run_unit = [], harness._run_unit
 
     def recorded(unit, *args):
         walked.append(unit)
         return run_unit(unit, *args)
     monkeypatch.setattr(harness, "_run_unit", recorded)
-    run_sweep(SweepConfig(jobs=1, **LEMMAS))
-    assert walked == FakePool.units
+    for config in (LEMMAS, THEOREMS):
+        sweep(monkeypatch, 2, jobs=2, **config)
+        walked.clear()
+        run_sweep(SweepConfig(jobs=1, **config))
+        assert walked == FakePool.units
 
 
 def timing_free(report):
@@ -121,6 +176,14 @@ def test_pooled_records_equal_serial_records(monkeypatch):
     pooled = sweep(monkeypatch, 2, jobs=2, **LEMMAS)
     assert FakePool.created == [2]
     serial = run_sweep(SweepConfig(jobs=1, **LEMMAS))
+    assert timing_free(pooled) == timing_free(serial)
+    assert pooled.errors == serial.errors == []
+
+
+def test_pooled_theorem_records_equal_serial_records(monkeypatch):
+    pooled = sweep(monkeypatch, 2, jobs=2, **THEOREMS)
+    assert FakePool.created == [2]
+    serial = run_sweep(SweepConfig(jobs=1, **THEOREMS))
     assert timing_free(pooled) == timing_free(serial)
     assert pooled.errors == serial.errors == []
 
@@ -145,3 +208,28 @@ def test_each_kernel_is_computed_once_per_sweep(monkeypatch):
     assert set(sums) == {(name, p, r) for name in congruences._SUMS
                          for p in (5, 7) for r in (1, 2)}
     assert set(sums.values()) == {1}
+
+
+def test_each_series_pass_starts_once_per_sweep(monkeypatch):
+    # a theorem sweep reads six specs at many caps; each spec's running pass
+    # starts once and steps each term up to its longest cap once
+    names, parts = {id(spec): name for name, spec in SERIES.items()}, \
+        congruences.SeriesSpec.parts
+    starts, steps = Counter(), Counter()
+
+    def counted(spec):
+        starts[names[id(spec)]] += 1
+        for part in parts(spec):
+            steps[names[id(spec)]] += 1
+            yield part
+    monkeypatch.setattr(congruences.SeriesSpec, "parts", counted)
+    report = sweep(monkeypatch, 2, jobs=2, **THEOREMS)
+    assert FakePool.created == [2] and report.errors == []
+    longest = {}
+    for task in harness._plan(SweepConfig(**THEOREMS)):
+        name = get_case(task[0]).kernel
+        longest[name] = max(longest.get(name, 0), cap(task))
+    assert longest == {"glr": 120, "guo64": 120, "gz10n2": 120, "z120n2": 120,
+                       "z20n3-signed": 120, "mao": 5}
+    assert starts == {name: 1 for name in longest}
+    assert steps == {name: n + 1 - SERIES[name].start for name, n in longest.items()}
