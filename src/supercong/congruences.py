@@ -164,18 +164,16 @@ class SeriesSpec:
         self.den, self.divisor = den, divisor
         self.alternating, self.start = alternating, start
 
-    def steps(self, upper: Optional[int] = None) -> Iterator[tuple[int, int, int]]:
-        """(k, num, den) for k = start .. upper, or without end when upper is
-        None: the binomial part at k is the one at k - 1 times num / den, an
-        exact integer quotient; at k = start num is the part itself (start <=
-        1, so it is small) and den is 1.  The ratio is
+    def steps(self) -> Iterator[tuple[int, int, int]]:
+        """(k, num, den) for k = start, start + 1, ... without end: the
+        binomial part at k is the one at k - 1 times num / den, an exact
+        integer quotient; at k = start num is the part itself (start <= 1, so
+        it is small) and den is 1.  The ratio is
         (2(2k-1) divisor(k-1) / (k divisor(k)))^a (2(4k-3)(4k-1) / (k(2k-1)))^b."""
         a, b, div, k = self.a, self.b, self.divisor, self.start
-        if upper is not None and upper < k:
-            return
         q = _poly(div, k)
         yield k, (central_binomial(k) // q) ** a * central_binomial(2 * k) ** b, 1
-        for k in count(k + 1) if upper is None else range(k + 1, upper + 1):
+        for k in count(k + 1):
             q1 = _poly(div, k)
             yield (k, (2 * (2 * k - 1) * q) ** a * (2 * (4 * k - 3) * (4 * k - 1)) ** b,
                    (k * q1) ** a * (k * (2 * k - 1)) ** b)
@@ -322,11 +320,15 @@ def _series_exact(name: str, upper: int) -> Rational:
     spec's running pass (_running).  The terms do not depend on p, so a
     shorter sum is a prefix of a longer one: a cap at or beyond the pass's
     position advances it, and a cap behind it starts a fresh pass, which
-    costs what a sum from k = start costs."""
-    run = _running.get(name)
+    costs what a sum from k = start costs.  The pass is out of _running
+    while it steps, so one that raises is dropped and the next read starts
+    afresh."""
+    run = _running.pop(name, None)
     if run is None or run.k > upper:
-        run = _running[name] = _Pass(SERIES[name])
-    return run.at(upper)
+        run = _Pass(SERIES[name])
+    value = run.at(upper)
+    _running[name] = run
+    return value
 
 
 @lru_cache(maxsize=256)
@@ -350,7 +352,7 @@ def _series_residue(name: str, upper: int, p: int, m: int) -> int:
     powers = [p ** e for e in range(m)]
     s, two, tw = 1, 1 << spec.rate, 1 << spec.rate * spec.start
     v, un, ud, num, dd = 0, 1, 1, 0, 1
-    for k, up, down in spec.steps(upper):
+    for k, up, down in islice(spec.steps(), upper + 1 - spec.start):
         while up % p == 0:
             up, v = up // p, v + 1
         while down % p == 0:
@@ -570,12 +572,18 @@ _series("GL-4K1-P4", "known",
         lambda p, r: Fraction(-_sign_pr(p, 1) * p + p ** 3 * (2 - euler_number(p - 3))),
         "glr", lambda p, r, d: (p + 1) // 2, uses_r=False)
 
+
+def _mao_cap(p, r, d):
+    """(p - 1) / 2: the cap of both cases that read the "mao" spec."""
+    return (p - 1) // 2
+
+
 _series("MAO-I2", "theorem",
         "sum_{n=0}^{(p-1)/2} C(2n,n)^2 / ((n+1) 16^n) == 2p^2 + 2p^3 (2 q_p(2) - 1)"
         "  (mod p^4)",
         lambda p, r: 4,
         lambda p, r: Fraction(2 * p * p + 2 * p ** 3 * (2 * fermat_quotient(p) - 1)),
-        "mao", lambda p, r, d: (p - 1) // 2, uses_r=False)
+        "mao", _mao_cap, uses_r=False)
 
 _series("SUN-CAT", "known",
         "sum_{k=0}^{(p-3)/2} C(2k,k) / ((2k+1) 4^k) == -(-1)^((p-1)/2) q_p(2)  (mod p^2)",
@@ -612,9 +620,9 @@ _scalar("MAO-I2-IDENT", "theorem",
         "sum_{n=0}^{(p-1)/2} C(2n,n)^2 / ((n+1) 16^n) = C(-3/2,(p-1)/2)^2 / ((p+1)/2)"
         "  (exact rational identity)",
         None,
-        lambda p, r: Fraction(_series_exact("mao", (p - 1) // 2)),
+        lambda p, r: Fraction(_series_exact("mao", _mao_cap(p, r, 1))),
         lambda p, r: binomial_rat(Fraction(-3, 2), (p - 1) // 2) ** 2 / Fraction((p + 1) // 2),
-        uses_r=False, kind="identity", kernel="mao", upper=lambda p, r, d: (p - 1) // 2)
+        uses_r=False, kind="identity", kernel="mao", upper=_mao_cap)
 
 _row_scalar("LEM-2.2",
             "sum_{k=1}^{(p^r-1)/2} G((p^r+1)/2, k) == 0  (mod p^(r+4)), where "

@@ -107,6 +107,26 @@ def test_residue_kernel_never_steps_the_exact_parts(monkeypatch):
         assert residue_kernel(name, 20, 43, 3) == expected[name], name
 
 
+def test_a_pass_that_raises_is_dropped(monkeypatch):
+    # parts raises once, mid-pass: the half-stepped pass must not be read again
+    parts, raised = congruences.SeriesSpec.parts, []
+
+    def flaky(spec):
+        for k, t, d in parts(spec):
+            if k == 15 and not raised:
+                raised.append(k)
+                raise MemoryError("mid-pass")
+            yield k, t, d
+    monkeypatch.setattr(congruences.SeriesSpec, "parts", flaky)
+    congruences._running.clear()
+    assert exact("guo64", 10) == sum(SERIES["guo64"].terms(10))
+    with pytest.raises(MemoryError):
+        exact("guo64", 20)
+    for cap in (20, 30):
+        assert exact("guo64", cap) == sum(SERIES["guo64"].terms(cap)), cap
+    assert raised == [15]
+
+
 def _binomial_part_valuations(spec, p, upper):
     """vp of x_k^a C(4k,2k)^b for k = start .. upper, by Legendre's formula."""
     def fact(n):
