@@ -20,6 +20,7 @@ to r = 1 evaluations of statements whose hypotheses require r >= 2.
 """
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,6 +247,66 @@ def _split(ratios: list[tuple[int, int]], poly: tuple[int, ...], first: int,
     return a1 * a2, b1 * b2, t1 * b2 + a1 * t2
 
 
+@numbers.Rational.register
+class _Lowest:
+    """n / d with n and d coprime and d > 0.  A numbers.Rational keeps its
+    numerator and denominator in lowest terms, so Fraction(_Lowest(n, d))
+    takes them as they are, with no gcd; it equals n / d either way."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, n: int, d: int):
+        self.numerator, self.denominator = n, d
+
+
+def _over_power_of_two(x: int, b: int) -> Fraction:
+    """x / b, b != 0, by one exact 2-adic division (Jebelean, "An algorithm
+    for exact division", J. Symbolic Comput. 15, 1993).  Write b = odd 2^e;
+    when odd divides x, n = x / odd is the one integer with |n| < 2^(k-1)
+    and n odd = x mod 2^k, for k = bits(x) - bits(odd) + 2, so a Newton
+    2-adic inverse of odd gives it with multiplications only, and one more
+    checks n odd == x.  The value is then n / 2^e, whose lowest terms come
+    from the 2s of n, with no gcd.  When the check fails the value is
+    Fraction(x, b), so the result is exact either way: it never rests on
+    b's odd part cancelling, which every certificate slice measured does."""
+    if b < 0:
+        x, b = -x, -b
+    e = (b & -b).bit_length() - 1
+    odd = b >> e
+    k = max(x.bit_length() - odd.bit_length() + 2, 1)
+    inv, j = 1, 1               # odd^-1 mod 2^j; each Newton step doubles j
+    while j < k:
+        j = min(2 * j, k)
+        m = (1 << j) - 1
+        inv = inv * (2 - ((odd & m) * inv & m)) & m
+    mask = (1 << k) - 1
+    n = (x & mask) * inv & mask
+    if n >> (k - 1):
+        n -= 1 << k
+    if n * odd != x:
+        return Fraction(x, b)
+    s = min((n & -n).bit_length() - 1, e) if n else e
+    return Fraction(_Lowest(n >> s, 1 << (e - s)))
+
+
+def _slice_pairs(t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
+                 ends: Iterable[int], poly: tuple[int, ...]
+                 ) -> Iterator[tuple[int, int]]:
+    """The range sums of _ratio_slices, each as an unreduced (X, B), X / B."""
+    t0 = Fraction(t0)
+    a, b, ra, k = t0.numerator, t0.denominator, 1, lo
+    for end in ends:
+        if end < k:
+            yield 0, 1
+            continue
+        ratios = [step(j - 1) if j > lo else (1, 1) for j in range(k, end + 1)]
+        a *= ra         # a / b: t0 times the A / B of the ranges to the left
+        ra, rb, t = _split(ratios, poly, k, k, end + 1)
+        b *= rb
+        yield a * t, b
+        k = end + 1
+
+
 def _ratio_slices(t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
                   ends: Iterable[int], poly: tuple[int, ...]) -> Iterator[Rational]:
     """Sums of t_k = t0 poly(k) u_k over the ranges lo..e1, e1+1..e2, ... of
@@ -260,35 +321,33 @@ def _ratio_slices(t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
     product of the A / B of the ranges to its left.  The products of a
     range of n terms grow to O(n log n) bits, so its tree costs
     O(M(n log n) log n) for the multiplication time M, where a stepped loop
-    takes O(n^2 log n); each range's Fraction, built from its T and B, is
-    its only gcd."""
-    t0 = Fraction(t0)
-    a, b, ra, k = t0.numerator, t0.denominator, 1, lo
-    for end in ends:
-        if end < k:
-            yield Fraction(0)
-            continue
-        ratios = [step(j - 1) if j > lo else (1, 1) for j in range(k, end + 1)]
-        a *= ra         # a / b: t0 times the A / B of the ranges to the left
-        ra, rb, t = _split(ratios, poly, k, k, end + 1)
-        b *= rb
-        yield Fraction(a * t, b)
-        k = end + 1
+    takes O(n^2 log n).  Each range ends as an unreduced X / B (_slice_pairs)
+    and becomes a Fraction by _over_power_of_two: one exact division by B's
+    odd part, with no gcd of X and B when that part divides X."""
+    return (_over_power_of_two(x, b)
+            for x, b in _slice_pairs(t0, step, lo, ends, poly))
 
 
 class _Slices:
-    """The n range sums of one _ratio_slices pass, each computed at first use;
-    the pass, which holds unreduced products, is dropped after the last."""
+    """The n range sums of one _slice_pairs pass.  A range is stepped when it
+    or a range to its right is first read, and is held as its unreduced
+    (X, B) until it is itself read, when _over_power_of_two makes it a
+    Fraction; so a point reading the last range pays for one division, not
+    one per range.  The pass, which holds unreduced products, is dropped
+    after the last range."""
 
-    def __init__(self, slices: Iterator[Rational], n: int):
-        self._slices, self._n, self._done = slices, n, []
+    def __init__(self, pairs: Iterator[tuple[int, int]], n: int):
+        self._slices, self._n, self._done = pairs, n, []
 
     def __getitem__(self, i: int) -> Rational:
         while len(self._done) <= i:
             self._done.append(next(self._slices))
             if len(self._done) == self._n:
                 self._slices = None
-        return self._done[i]
+        value = self._done[i]
+        if isinstance(value, tuple):
+            value = self._done[i] = _over_power_of_two(*value)
+        return value
 
 
 class _Pass:
@@ -429,7 +488,7 @@ _SUMS: dict[str, Callable[[int, int], tuple]] = {
 def _sums(name: str, p: int, r: int) -> _Slices:
     """The slices of _SUMS[name] at (p, r), each computed at first use."""
     t0, step, lo, ends, poly = _SUMS[name](p, r)
-    return _Slices(_ratio_slices(t0, step, lo, ends, poly), len(ends))
+    return _Slices(_slice_pairs(t0, step, lo, ends, poly), len(ends))
 
 
 # --------------------------------------------------------------------------

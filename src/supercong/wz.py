@@ -17,9 +17,10 @@ F and G is a binomial product (n, k) -> (c, e, *factors) meaning
 c 2^e prod C(n_i, m_i)^j_i (combinat.binomial_product), with e and every
 binomial argument linear in (n, k) and a linear factor x below the line
 written C(x, 1)^-1. combinat.binomial_product evaluates every description,
-taking a binomial that occurs twice once, with its powers summed, and each
-cell is one Fraction of its value. The tests check every cell against its
-definition string.
+taking a binomial that occurs twice once, with its powers summed, to an
+unreduced (numerator, denominator) pair: a pair's f and g return that pair,
+which the grid check compares as it is, and eval_F and eval_G make it one
+Fraction. The tests check every cell against its definition string.
 """
 from __future__ import annotations
 
@@ -30,12 +31,15 @@ from typing import Callable
 from .combinat import binomial_product
 from .exactnum import Rational
 
-Cell = Callable[[int, int], Rational]
+Cell = Callable[[int, int], tuple[int, int]]
 
 
 @dataclass(frozen=True)
 class WzPair:
-    """A registered pair: evaluators plus the summand linkage."""
+    """A registered pair: evaluators plus the summand linkage.  f and g
+    give a cell as an unreduced (numerator, denominator) pair, the
+    denominator nonzero and of either sign; eval_F and eval_G give it as a
+    Fraction."""
 
     id: str
     f: Cell
@@ -101,7 +105,7 @@ CELLS: dict[str, tuple[Callable[[int, int], tuple], Callable[[int, int], tuple]]
 
 def _pair(id: str, series: str, alternating: bool, definition: str) -> WzPair:
     """The pair id with its f and g evaluating its CELLS descriptions."""
-    f, g = (lambda n, k, desc=desc: Fraction(*binomial_product(*desc(n, k)))
+    f, g = (lambda n, k, desc=desc: binomial_product(*desc(n, k))
             for desc in CELLS[id])
     return WzPair(id, f, g, series, alternating, definition)
 
@@ -142,14 +146,14 @@ def eval_F(pair, n: int, k: int) -> Rational:
     """Exact value of F at a grid cell; n, k >= 0."""
     if n < 0 or k < 0:
         raise ValueError(f"F needs n, k >= 0, got ({n}, {k})")
-    return get_pair(pair).f(n, k)
+    return Fraction(*get_pair(pair).f(n, k))
 
 
 def eval_G(pair, n: int, k: int) -> Rational:
     """Exact value of G at a grid cell; n >= 0, k >= 1. G(0, k) = 0."""
     if n < 0 or k < 1:
         raise ValueError(f"G needs n >= 0 and k >= 1, got ({n}, {k})")
-    return get_pair(pair).g(n, k)
+    return Fraction(*get_pair(pair).g(n, k))
 
 
 def summand_sign(pair, n: int) -> int:
@@ -157,19 +161,22 @@ def summand_sign(pair, n: int) -> int:
     return -1 if (get_pair(pair).alternating and n % 2) else 1
 
 
-def _differ(a: Rational, b: Rational, c: Rational, d: Rational) -> bool:
-    """a - b != c - d, compared cross-multiplied: no gcd and no new Fraction."""
-    (p, q), (r, s), (t, u), (v, w) = (a.as_integer_ratio(), b.as_integer_ratio(),
-                                      c.as_integer_ratio(), d.as_integer_ratio())
+def _differ(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int],
+            d: tuple[int, int]) -> bool:
+    """a - b != c - d for cells as unreduced (numerator, denominator) pairs,
+    compared cross-multiplied: no gcd and no Fraction."""
+    (p, q), (r, s), (t, u), (v, w) = a, b, c, d
     return (p * s - r * q) * u * w != (t * w - v * u) * q * s
 
 
 def check_telescoping(pair, n_max: int, k_max: int) -> GridReport:
     """Assert F(n,k-1) - F(n,k) = G(n+1,k) - G(n,k) on the full grid.
 
-    Each cell is evaluated once: F(n,k) is carried to the next column as
-    F(n,k-1), and the row G(n+1, .) to the next row as G(n, .). The two
-    differences are built only for a violation (see _differ)."""
+    Each cell is evaluated once, as the pair's unreduced (numerator,
+    denominator): F(n,k) is carried to the next column as F(n,k-1), and the
+    row G(n+1, .) to the next row as G(n, .). The cells are compared as
+    those pairs (_differ), and a violation alone builds Fractions, for its
+    two differences; a passing grid builds none."""
     pair = get_pair(pair)
     if n_max < 1 or k_max < 1:
         raise ValueError("grid bounds must be >= 1")
@@ -181,7 +188,8 @@ def check_telescoping(pair, n_max: int, k_max: int) -> GridReport:
             f, g1 = pair.f(n, k), pair.g(n + 1, k)
             report.cells_checked += 1
             if _differ(f_prev, f, g1, g):
-                report.violations.append((n, k, f_prev - f, g1 - g))
+                report.violations.append((n, k, Fraction(*f_prev) - Fraction(*f),
+                                          Fraction(*g1) - Fraction(*g)))
             f_prev = f
             g_next.append(g1)
         g_row = g_next
@@ -197,7 +205,7 @@ def check_summand(pair, n_max: int) -> GridReport:
         raise ValueError("n_max must be >= 0")
     report = GridReport(pair.id, n_max, 0)
     for n, term in enumerate(SERIES[pair.series].terms(n_max)):
-        lhs = pair.f(n, 0)
+        lhs = Fraction(*pair.f(n, 0))
         rhs = summand_sign(pair, n) * term
         report.cells_checked += 1
         if lhs != rhs:
@@ -210,6 +218,7 @@ def boundary_identity(pair, N: int, K: int) -> bool:
     if N < 0 or K < 1:
         raise ValueError(f"need N >= 0 and K >= 1, got ({N}, {K})")
     pair = get_pair(pair)
-    return (sum(pair.f(n, 0) for n in range(N + 1))
-            == sum(pair.f(n, K) for n in range(N + 1))
-            + sum(pair.g(N + 1, k) - pair.g(0, k) for k in range(1, K + 1)))
+    f, g = (lambda n, k, cell=cell: Fraction(*cell(n, k)) for cell in (pair.f, pair.g))
+    return (sum(f(n, 0) for n in range(N + 1))
+            == sum(f(n, K) for n in range(N + 1))
+            + sum(g(N + 1, k) - g(0, k) for k in range(1, K + 1)))

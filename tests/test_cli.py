@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import supercong
 from supercong import cli, congruences, harness
 from supercong.cli import main
 
@@ -20,6 +25,17 @@ def test_list_all(capsys):
     assert len(lines) == 47
     assert any(line.startswith("GUO-64") and "[theorem]" in line
                for line in lines)
+
+
+def test_module_entry_point(capsys):
+    """`python -m supercong list` prints what cli.main(["list"]) prints."""
+    src = str(Path(supercong.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "supercong", "list"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    code, out, _ = run_cli(capsys, "list")
+    assert proc.returncode == code == 0 and proc.stdout == out
 
 
 def test_list_filters(capsys):

@@ -270,6 +270,21 @@ def test_row_slices_match_direct_cells():
             assert slices._slices is None       # the pass is dropped after the tail
 
 
+def test_tail_point_divides_one_slice():
+    # reading a row's tail steps the slices to its left but leaves them
+    # unreduced, and each becomes a Fraction only when it is read
+    _sums.cache_clear()
+    try:
+        slices = _sums("GUO64", 7, 2)
+        tail = slices[2]
+        assert [type(s) for s in slices._done] == [tuple, tuple, F]
+        assert slices[0] + slices[1] + tail == sum(
+            wz.eval_G("GUO64", 49, k) for k in range(1, 49))
+        assert [type(s) for s in slices._done] == [F, F, F]
+    finally:
+        _sums.cache_clear()
+
+
 # theta(k) of LEM-4.2 as its statement writes it
 THETA_STATED = ("theta(k) = -p^(3r) C(2p^r-1,p^r-1)^2 / ((2p^r-1) 4^(3p^r-3)) * "
                 "(-4)^k/C(2k,k) * C(-2p^r-1,2k-2)/(k(2k-1)) * C(2p^r-2,p^r-k-1)")

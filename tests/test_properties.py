@@ -1,17 +1,20 @@
 """Algebraic laws of the arithmetic primitives, on draws from hypothesis: vp
 is additive, residue is a ring homomorphism on p-integral rationals, a
 binomial with a negative upper index follows the reflection rule, the
-binary-split slice kernel equals a termwise sum, the running exact series
-pass equals a termwise sum at any sequence of caps, and the binomial-product
-evaluator, its Lucas reader and the stepped family kernel agree with
-per-factor arithmetic.  Skipped when hypothesis is not installed."""
+binary-split slice kernel equals a termwise sum, the exact division that
+ends each slice equals Fraction's, the running exact series pass equals a
+termwise sum at any sequence of caps, and the binomial-product evaluator,
+its Lucas reader and the stepped family kernel agree with per-factor
+arithmetic.  Skipped when hypothesis is not installed."""
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from supercong import congruences
 from supercong.combinat import binomial, binomial_product, binomial_rat, lucas_product
-from supercong.congruences import SERIES, _ratio_slices, _stepped, list_cases
+from supercong.congruences import (SERIES, _over_power_of_two, _ratio_slices, _stepped,
+                                   list_cases)
 from supercong.exactnum import INFINITE, PadicContext, residue, vp
 
 pytest.importorskip("hypothesis")
@@ -82,6 +85,36 @@ def ratio_sum_inputs(draw):
     t0 = Fraction(draw(st.integers(-99, 99)), draw(st.integers(1, 99)))
     poly = tuple(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3)))
     return t0, lo, steps, ends, poly
+
+
+odd = st.integers(-10 ** 30, 10 ** 30).map(lambda b: 2 * b + 1)
+
+
+@small
+@given(st.integers(-10 ** 60, 10 ** 60), odd, st.integers(0, 200))
+@example(0, 1, 0)
+@example(-1, 1, 0)
+@example(10 ** 50 + 1, 3, 0)            # B odd
+@example(-(10 ** 50) - 1, 1, 97)        # B a power of two
+@example(3 << 40, 5, 20)                # n's 2s cancel part of 2^e
+def test_exact_division_by_odd_part(n, b_odd, e):
+    with mock.patch.object(congruences, "_Lowest", wraps=congruences._Lowest) as lowest:
+        got = _over_power_of_two(n * b_odd, b_odd << e)
+    assert lowest.call_count == 1           # the 2-adic quotient, not the fallback
+    want = Fraction(n, 1 << e)
+    # in lowest terms, as Fraction's own normalisation gives
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert type(got) is Fraction and hash(got) == hash(want)
+
+
+@small
+@given(st.integers(-10 ** 60, 10 ** 60), odd, st.integers(0, 200))
+def test_exact_division_falls_back(x, b_odd, e):
+    assume(x % b_odd)
+    with mock.patch.object(congruences, "_Lowest", wraps=congruences._Lowest) as lowest:
+        got = _over_power_of_two(x, b_odd << e)
+    assert lowest.call_count == 0
+    assert got == Fraction(x, b_odd << e) and type(got) is Fraction
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)

@@ -1,12 +1,15 @@
 """The ratio-stepped slice kernel behind every certificate sum in _SUMS,
-against sums known in closed form and against the WZ cells."""
+against sums known in closed form and against the WZ cells, and the exact
+division that ends each of its slices."""
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from supercong import wz
-from supercong.congruences import CheckParams, _ratio_slices, series_sum_exact
+from supercong.congruences import (_SUMS, CheckParams, _over_power_of_two,
+                                   _ratio_slices, _slice_pairs, series_sum_exact)
+from supercong.exactnum import is_prime
 
 
 def binomial_step(n):
@@ -65,3 +68,33 @@ def test_lem21_sum_matches_wz_cells(p, r):
     cap = P // 3
     got = series_sum_exact("LEM-2.1", CheckParams(p=p, r=r, delta=1, upper_override=cap))
     assert got == sum(cells[:cap + 1])
+
+
+def test_certificate_slices_divide_exactly():
+    """Every slice of every _SUMS entry, at primes 5-47 with r <= 2 and at
+    primes 5-13 with r = 3, has an X that the odd part of its B divides, so
+    _over_power_of_two never falls back to Fraction(X, B) there."""
+    grid = [(p, r) for p in range(5, 48) if is_prime(p) for r in (1, 2)]
+    grid += [(p, 3) for p in (5, 7, 11, 13)]
+    fallbacks, slices = [], 0
+    for p, r in grid:
+        for name, entry in _SUMS.items():
+            for i, (x, b) in enumerate(_slice_pairs(*entry(p, r))):
+                slices += 1
+                b = abs(b)
+                if x % (b >> (b & -b).bit_length() - 1):
+                    fallbacks.append((name, p, r, i))
+    assert slices == 390 and fallbacks == []
+
+
+def test_exact_division_examples():
+    # an odd B: the quotient is an integer; a power-of-two B: no odd part
+    assert _over_power_of_two(3 * 12345, 3) == 12345
+    assert _over_power_of_two(-7 * 10 ** 40, -7) == 10 ** 40
+    assert _over_power_of_two(5, 1 << 70) == Fraction(5, 1 << 70)
+    assert _over_power_of_two(-12, 16) == Fraction(-3, 4)
+    assert _over_power_of_two(0, 3 << 9) == 0
+    # odd part not dividing X: the exact value all the same
+    assert _over_power_of_two(10, 6) == Fraction(5, 3)
+    assert _over_power_of_two(1, 3) == Fraction(1, 3)
+    assert all(isinstance(_over_power_of_two(x, b), Fraction) for x, b in ((6, 3), (1, 3)))

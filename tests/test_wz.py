@@ -128,7 +128,8 @@ def test_cells_equal_registered_definition(pid):
 
 @pytest.mark.parametrize("pid", ALL)
 def test_one_fraction_per_cell(monkeypatch, pid):
-    """Each f and g call builds exactly one Fraction, and returns it."""
+    """Each eval_F and eval_G call builds exactly one Fraction, and returns
+    it; the pair's f and g return the unreduced (numerator, denominator)."""
     built = []
 
     class Counted(F):
@@ -141,10 +142,13 @@ def test_one_fraction_per_cell(monkeypatch, pid):
     pair = PAIRS[pid]
     for n in range(8):
         for k in range(10):
-            for name, cell in (("f", pair.f), ("g", pair.g))[:1 + (k > 0)]:
+            for name, cell, public in (("f", pair.f, eval_F),
+                                       ("g", pair.g, eval_G))[:1 + (k > 0)]:
                 built.clear()
-                value = cell(n, k)
+                value = public(pid, n, k)
                 assert len(built) == 1 and type(value) is Counted, (name, n, k, built)
+                num, den = cell(n, k)
+                assert type(num) is int and type(den) is int and value == F(num, den)
 
 
 def layout(desc, n, k):
@@ -251,23 +255,47 @@ def naive_violations(pair, n_max, k_max):
     out = []
     for n in range(n_max + 1):
         for k in range(1, k_max + 1):
-            lhs = pair.f(n, k - 1) - pair.f(n, k)
-            rhs = pair.g(n + 1, k) - pair.g(n, k)
+            lhs = eval_F(pair, n, k - 1) - eval_F(pair, n, k)
+            rhs = eval_G(pair, n + 1, k) - eval_G(pair, n, k)
             if lhs != rhs:
                 out.append((n, k, lhs, rhs))
     return out
 
 
+def shifted(cell, cells, d):
+    """cell, an unreduced (num, den) evaluator, plus d at the given cells."""
+    def out(n, k):
+        num, den = cell(n, k)
+        return (num + d * den, den) if (n, k) in cells else (num, den)
+    return out
+
+
 def test_telescoping_violations_in_grid_order():
     good = PAIRS["GUO64"]
-    bad = dataclasses.replace(
-        good, f=lambda n, k: good.f(n, k) + ((n, k) in ((3, 5), (7, 0))),
-        g=lambda n, k: good.g(n, k) - ((n, k) == (4, 2)))
+    bad = dataclasses.replace(good, f=shifted(good.f, ((3, 5), (7, 0)), 1),
+                              g=shifted(good.g, ((4, 2),), -1))
     report = check_telescoping(bad, 12, 12)
     assert [v[:2] for v in report.violations] == \
         [(3, 2), (3, 5), (3, 6), (4, 2), (7, 1)]
     assert report.violations == naive_violations(bad, 12, 12)
     assert report.cells_checked == 13 * 12
+
+
+def test_passing_grid_builds_no_fraction(monkeypatch):
+    built = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    eval_F("GUO64", 2, 1)
+    assert len(built) == 1          # the count sees a cell's Fraction
+    built.clear()
+    for pid in ALL:
+        assert check_telescoping(pid, 40, 40).passed, pid
+    assert built == []
 
 
 def test_summand_column_linkage():
