@@ -1,11 +1,11 @@
-"""Combinatorial primitives: factorials, binomials, Pochhammer symbols,
-harmonic numbers, Euler numbers, Fermat quotients, Lucas reduction, and
-binomial products: descriptions (c, e, *factors) meaning c 2^e prod C(n, m)^j
-over factors (n, m, j), a linear factor x written C(x, 1), in which the
-catalog and the WZ cells are written.
+"""Combinatorial primitives: binomials, harmonic numbers, Euler numbers,
+Fermat quotients, and binomial products: descriptions (c, e, *factors)
+meaning c 2^e prod C(n, m)^j over factors (n, m, j), a linear factor x
+written C(x, 1), in which the catalog and the WZ cells are written, with
+their Lucas reduction mod p.
 
-Every function is stateless: each call computes its value afresh (factorials
-and binomials by `math`), so nothing is retained between calls.
+Every function is stateless: each call computes its value afresh (binomials
+by `math`), so nothing is retained between calls.
 """
 from __future__ import annotations
 
@@ -13,21 +13,6 @@ import math
 from fractions import Fraction
 
 from .exactnum import Rational, _check_odd_prime
-
-
-class UnsupportedConvention(ValueError):
-    """Raised for reciprocal-Pochhammer arguments outside the stated convention."""
-
-
-# the zero-Pochhammer reciprocal raises the stdlib division error
-DivisionByZero = ZeroDivisionError
-
-
-def factorial(n: int) -> int:
-    """n!."""
-    if n < 0:
-        raise ValueError(f"factorial of negative {n}")
-    return math.factorial(n)
 
 
 def central_binomial(m: int) -> int:
@@ -77,45 +62,6 @@ def _product(c: int, e: int, powers) -> tuple[int, int]:
     return (num << e, den) if e >= 0 else (num, den << -e)
 
 
-def binomial_rat(a, k: int) -> Rational:
-    """C(a, k) = a(a-1)...(a-k+1)/k! for rational upper argument a."""
-    if k < 0:
-        raise ValueError(f"binomial_rat lower index must be >= 0, got {k}")
-    a = Fraction(a)
-    num = Fraction(1)
-    for j in range(k):
-        num *= a - j
-    return num / factorial(k)
-
-
-def pochhammer(a, n: int) -> Rational:
-    """Rising factorial (a)_n = a(a+1)...(a+n-1); (a)_0 = 1."""
-    if n < 0:
-        raise ValueError(f"pochhammer index must be >= 0, got {n}")
-    a = Fraction(a)
-    out = Fraction(1)
-    for j in range(n):
-        out *= a + j
-    return out
-
-
-def recip_pochhammer(a, n: int) -> Rational:
-    """1/(a)_n, extended by the convention 1/(1)_n = 0 for n < 0.
-
-    Only a = 1 supports negative n (the convention actually used); any
-    other a with n < 0 raises UnsupportedConvention rather than guessing.
-    """
-    a = Fraction(a)
-    if n < 0:
-        if a == 1:
-            return Fraction(0)
-        raise UnsupportedConvention(f"1/({a})_{n} has no registered convention")
-    val = pochhammer(a, n)
-    if val == 0:
-        raise ZeroDivisionError(f"({a})_{n} = 0")
-    return 1 / val
-
-
 def harmonic(n: int, order: int = 1) -> Rational:
     """H_n^(order) = sum over 1 <= k <= n of 1/k^order; H_0 = 0."""
     if n < 0:
@@ -139,14 +85,6 @@ def fermat_quotient(p: int) -> int:
     """q_p(2) = (2^(p-1) - 1)/p, an integer for odd prime p."""
     _check_odd_prime(p)
     return (2 ** (p - 1) - 1) // p
-
-
-def lucas_residue(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p via the base-p digit product."""
-    _check_odd_prime(p)
-    if n < 0 or k < 0:
-        raise ValueError("lucas_residue needs n, k >= 0")
-    return lucas_product(p, 1, 0, (n, k, 1))
 
 
 def lucas_product(p: int, c: int, e: int, *factors: tuple[int, int, int]) -> int:

@@ -29,9 +29,8 @@ from functools import lru_cache
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .combinat import (_product, binomial, binomial_product, binomial_rat,
-                       central_binomial, euler_number, fermat_quotient, harmonic,
-                       lucas_product)
+from .combinat import (_product, binomial, binomial_product, central_binomial,
+                       euler_number, fermat_quotient, harmonic, lucas_product)
 from .exactnum import (INFINITE, PadicContext, Rational, Valuation, _vp_int,
                        is_prime, residue)
 from .exactnum import vp  # noqa: F401  (unused here; perfbench/tracer.py wraps congruences.vp)
@@ -292,7 +291,22 @@ def _over_power_of_two(x: int, b: int) -> Fraction:
 def _slice_pairs(t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
                  ends: Iterable[int], poly: tuple[int, ...]
                  ) -> Iterator[tuple[int, int]]:
-    """The range sums of _ratio_slices, each as an unreduced (X, B), X / B."""
+    """Sums of t_k = t0 poly(k) u_k over the ranges lo..e1, e1+1..e2, ... of
+    ends (e1, e2, ...; a range with e_i <= e_(i-1) sums to 0), each yielded
+    when its range ends as an unreduced (X, B), X / B, where u_lo = 1 and
+    u_(k+1) = u_k a_k / b_k for integers (a_k, b_k) = step(k), b_k != 0,
+    called once for each k below the last end, in increasing order, as the
+    ranges are reached.
+
+    Binary splitting (Haible and Papanikolaou, ANTS-III, 1998): each range
+    is one (A, B, T) product tree (_split) over its terms, the ratio of term
+    k being a_(k-1) / b_(k-1) (1 at lo), and its seed u_(start-1) is the
+    product of the A / B of the ranges to its left.  The products of a
+    range of n terms grow to O(n log n) bits, so its tree costs
+    O(M(n log n) log n) for the multiplication time M, where a stepped loop
+    takes O(n^2 log n).  A range becomes a Fraction by _over_power_of_two:
+    one exact division by B's odd part, with no gcd of X and B when that
+    part divides X."""
     t0 = Fraction(t0)
     a, b, ra, k = t0.numerator, t0.denominator, 1, lo
     for end in ends:
@@ -305,27 +319,6 @@ def _slice_pairs(t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
         b *= rb
         yield a * t, b
         k = end + 1
-
-
-def _ratio_slices(t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
-                  ends: Iterable[int], poly: tuple[int, ...]) -> Iterator[Rational]:
-    """Sums of t_k = t0 poly(k) u_k over the ranges lo..e1, e1+1..e2, ... of
-    ends (e1, e2, ...; a range with e_i <= e_(i-1) sums to 0), each yielded
-    when its range ends, where u_lo = 1 and u_(k+1) = u_k a_k / b_k for
-    integers (a_k, b_k) = step(k), b_k != 0, called once for each k below
-    the last end, in increasing order, as the ranges are reached.
-
-    Binary splitting (Haible and Papanikolaou, ANTS-III, 1998): each range
-    is one (A, B, T) product tree (_split) over its terms, the ratio of term
-    k being a_(k-1) / b_(k-1) (1 at lo), and its seed u_(start-1) is the
-    product of the A / B of the ranges to its left.  The products of a
-    range of n terms grow to O(n log n) bits, so its tree costs
-    O(M(n log n) log n) for the multiplication time M, where a stepped loop
-    takes O(n^2 log n).  Each range ends as an unreduced X / B (_slice_pairs)
-    and becomes a Fraction by _over_power_of_two: one exact division by B's
-    odd part, with no gcd of X and B when that part divides X."""
-    return (_over_power_of_two(x, b)
-            for x, b in _slice_pairs(t0, step, lo, ends, poly))
 
 
 class _Slices:
@@ -434,7 +427,7 @@ def _series_residue(name: str, upper: int, p: int, m: int) -> int:
 
 # --------------------------------------------------------------------------
 # certificate sums: stretches of one WZ pair's cells.  _SUMS maps a name to
-# (p, r) -> (t0, step, lo, ends, poly), the arguments of its _ratio_slices pass.
+# (p, r) -> (t0, step, lo, ends, poly), the arguments of its _slice_pairs pass.
 
 def _theta_direct(p: int, r: int, k: int) -> Rational:
     """theta(k) of LEM-4.2 in closed form: it seeds the theta row at k = 1,
@@ -675,12 +668,15 @@ _binomial_scalar("WOLST-BIN", "C(2p-1,p-1) == 1  (mod p^3)",
                  lambda p, r: 3, lambda p, r: (1, 0, (2 * p - 1, p - 1, 1)),
                  lambda p, r: Fraction(1), uses_r=False)
 
+# C(-3/2, m) = (-1)^m (2m+1) C(2m, m) / 4^m, so with m = (p-1)/2 the right side
+# is p^2 C(p-1, m)^2 / (2^(4m) (m+1))
 _scalar("MAO-I2-IDENT", "theorem",
         "sum_{n=0}^{(p-1)/2} C(2n,n)^2 / ((n+1) 16^n) = C(-3/2,(p-1)/2)^2 / ((p+1)/2)"
         "  (exact rational identity)",
         None,
         lambda p, r: Fraction(_series_exact("mao", _mao_cap(p, r, 1))),
-        lambda p, r: binomial_rat(Fraction(-3, 2), (p - 1) // 2) ** 2 / Fraction((p + 1) // 2),
+        lambda p, r: Fraction(*binomial_product(
+            1, 2 - 2 * p, (p, 1, 2), (p - 1, (p - 1) // 2, 2), ((p + 1) // 2, 1, -1))),
         uses_r=False, kind="identity", kernel="mao", upper=_mao_cap)
 
 _row_scalar("LEM-2.2",
@@ -897,7 +893,8 @@ def series_sum_exact(case, params: CheckParams) -> Rational:
     if case.series_name is None:
         if params.upper_override is not None:
             t0, step, lo, _, poly = _SUMS[case.kernel](params.p, params.r)
-            return next(_ratio_slices(t0, step, lo, (params.upper_override,), poly))
+            return _over_power_of_two(*next(
+                _slice_pairs(t0, step, lo, (params.upper_override,), poly)))
         windows = _sums(case.kernel, params.p, params.r)
         return windows[0] if params.delta == 2 else windows[0] + windows[1]
     return _series_exact(case.series_name, _series_upper(case, params))

@@ -120,15 +120,6 @@ def _vp_int(n: int, p: int) -> Valuation:
     return v
 
 
-def congruent(x, y, ctx: PadicContext) -> bool:
-    """x == y (mod p^m) in the valuation sense: vp(x - y) >= m.
-
-    Defined through the valuation of the difference rather than residue
-    equality so it stays meaningful when x or y has p in a denominator.
-    """
-    return vp(Fraction(x) - Fraction(y), ctx.p) >= ctx.m
-
-
 def residue(x, ctx: PadicContext) -> int:
     """Canonical representative of x in [0, p^m) via modular inverse.
 

@@ -195,7 +195,6 @@ class SweepReport:
     results: list[CheckResult]
     errors: list[dict] = field(default_factory=list)
     wall_s: float = 0.0                 # object-level only, never serialized
-    version: str = TOOL_VERSION
 
     def summary(self) -> dict:
         counts = {"pass": 0, "fail": 0, "informational": 0, "error": len(self.errors)}
@@ -329,19 +328,18 @@ def _ser_record(res: CheckResult) -> dict:
     }
 
 
-def write_report(report: SweepReport, path: Union[str, Path],
-                 report_format: Optional[str] = None) -> Path:
-    """Write the report; a path that cannot be written raises ConfigInvalid."""
+def write_report(report: SweepReport, path: Union[str, Path]) -> Path:
+    """Write the report in its config's report_format; a path that cannot be
+    written raises ConfigInvalid."""
     allow_long_int_str()
     path = Path(path)
-    fmt = report_format or report.config.report_format
     records = [_ser_record(r) for r in report.results]
-    if fmt == "json-lines":
-        meta = {"tool": TOOL, "version": report.version,
+    if report.config.report_format == "json-lines":
+        meta = {"tool": TOOL, "version": TOOL_VERSION,
                 "config": report.config.echo(), "summary": report.summary()}
         lines = [json.dumps(meta)] + [json.dumps(r) for r in records]
         text = "\n".join(lines) + "\n"
-    elif fmt == "csv":
+    else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS, lineterminator="\n")
         writer.writeheader()
@@ -356,8 +354,6 @@ def write_report(report: SweepReport, path: Union[str, Path],
                     row[k] = v
             writer.writerow(row)
         text = buf.getvalue()
-    else:
-        raise ConfigInvalid(f"report_format must be json-lines or csv, got {fmt!r}")
     try:
         path.write_text(text)
     except OSError as e:

@@ -13,11 +13,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from supercong import wz
-from supercong.combinat import binomial_rat, euler_number
+from supercong.combinat import euler_number
 from supercong.congruences import (CheckParams, cross_validate, evaluate_case,
                                    get_case, list_cases)
 from supercong.exactnum import INFINITE, PadicContext, residue, vp
 from supercong.harness import SweepConfig, run_sweep
+
+from helpers import binomial_rat
 
 BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"
 PRIMES_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -104,18 +106,21 @@ def test_c05_alternating_vs_unsigned_form():
 
 
 def test_c06_square_over_kplus1_series_and_identity():
-    """MAO-I2 at p=5: congruence mod p^4 plus the closed form holding with
-    exact equality."""
+    """MAO-I2 at p=5: congruence mod p^4; and its closed form holding with
+    exact equality at every prime 5-47, against C(-3/2,(p-1)/2)^2/((p+1)/2)
+    from the falling factorial."""
     res = run("MAO-I2", p=5)
     assert res.lhs == F(75, 64)
     assert res.rhs == 1300
     assert vp(res.lhs - res.rhs, 5) == 4
     assert res.passed
 
-    ident = run("MAO-I2-IDENT", p=5)
-    assert ident.lhs == ident.rhs == binomial_rat(F(-3, 2), 2) ** 2 / 3
-    assert ident.observed_valuation is INFINITE
-    assert ident.passed
+    for p in PRIMES_31 + (37, 41, 43, 47):
+        ident = run("MAO-I2-IDENT", p=p)
+        closed_form = binomial_rat(F(-3, 2), (p - 1) // 2) ** 2 / ((p + 1) // 2)
+        assert ident.lhs == ident.rhs == closed_form, p
+        assert ident.observed_valuation is INFINITE
+        assert ident.passed
 
 
 def test_c07_telescoping_grids():

@@ -3,12 +3,14 @@ from fractions import Fraction as F
 import pytest
 
 from supercong import wz
-from supercong.combinat import binomial, binomial_rat
+from supercong.combinat import binomial
 from supercong.congruences import (_SUMS, BackendIneligible, CheckParams,
-                                   PrimeBelowFloor, UnknownCase, _ratio_slices,
-                                   _sums, _theta_direct, cross_validate,
-                                   evaluate_case, get_case, list_cases)
+                                   PrimeBelowFloor, UnknownCase, _sums,
+                                   _theta_direct, cross_validate, evaluate_case,
+                                   get_case, list_cases)
 from supercong.exactnum import INFINITE, PadicContext, residue, vp
+
+from helpers import binomial_rat, ratio_slices
 
 PRIMES_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -318,7 +320,7 @@ def test_column_sums_match_direct_cells():
 def lem21_terms(p, r, n):
     """The first n terms of LEM-2.1's _SUMS entry, one slice each."""
     t0, step, lo, _, poly = _SUMS["LEM-2.1"](p, r)
-    return list(_ratio_slices(t0, step, lo, range(n), poly))
+    return list(ratio_slices(t0, step, lo, range(n), poly))
 
 
 def test_shifted_series_matches_direct_cells():

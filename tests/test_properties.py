@@ -12,10 +12,11 @@ from unittest import mock
 import pytest
 
 from supercong import congruences
-from supercong.combinat import binomial, binomial_product, binomial_rat, lucas_product
-from supercong.congruences import (SERIES, _over_power_of_two, _ratio_slices, _stepped,
-                                   list_cases)
+from supercong.combinat import binomial, binomial_product, lucas_product
+from supercong.congruences import SERIES, _over_power_of_two, _stepped, list_cases
 from supercong.exactnum import INFINITE, PadicContext, residue, vp
+
+from helpers import binomial_rat, ratio_slices
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
@@ -127,7 +128,7 @@ def test_ratio_sums_equal_termwise_sums(inputs):
         calls.append(k)
         return steps[k - lo]
 
-    got = tuple(_ratio_slices(t0, step, lo, ends, poly))
+    got = ratio_slices(t0, step, lo, ends, poly)
     # t_k = t0 poly(k) u_k, u_lo = 1, u_(k+1) = u_k a_k / b_k, one Fraction a term
     terms, u = {}, Fraction(1)
     for k in range(lo, lo + len(steps) + 1):

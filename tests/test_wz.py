@@ -1,15 +1,17 @@
 import dataclasses
 from fractions import Fraction as F
-from math import prod
+from math import factorial, prod
 
 import pytest
 
 from supercong import combinat, wz
-from supercong.combinat import binomial, factorial, pochhammer, recip_pochhammer
+from supercong.combinat import binomial
 from supercong.wz import (PAIRS, boundary_identity, check_summand,
                           check_telescoping, eval_F, eval_G, get_pair,
                           summand_sign)
 from supercong.congruences import SERIES
+
+from helpers import pochhammer
 
 ALL = sorted(PAIRS)
 
@@ -50,7 +52,7 @@ HALF, NEG_HALF = F(1, 2), F(-1, 2)
 
 def recip_fact(m):
     """1/(1)_m, with 1/(1)_m = 0 for m < 0 as the definitions state."""
-    return recip_pochhammer(1, m)
+    return 0 if m < 0 else F(1, factorial(m))
 
 
 def gz_f(n, k):
