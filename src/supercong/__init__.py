@@ -4,7 +4,7 @@ prime powers, with certificate-pair telescoping checks and a sweep harness."""
 from .exactnum import (INFINITE, PadicContext, PNotIntegral, Rational,
                        Valuation, is_prime, residue, vp)
 from .combinat import (binomial, binomial_product, central_binomial,
-                       euler_number, fermat_quotient, harmonic, lucas_product)
+                       euler_number, fermat_quotient, lucas_product)
 from .wz import (PAIRS, GridReport, WzPair, boundary_identity,
                  check_summand, check_telescoping, eval_F, eval_G, get_pair,
                  summand_sign)
@@ -21,7 +21,7 @@ __all__ = [
     "INFINITE", "PadicContext", "PNotIntegral", "Rational", "Valuation",
     "is_prime", "residue", "vp",
     "binomial", "binomial_product", "central_binomial", "euler_number",
-    "fermat_quotient", "harmonic", "lucas_product",
+    "fermat_quotient", "lucas_product",
     "PAIRS", "GridReport", "WzPair", "boundary_identity", "check_summand",
     "check_telescoping", "eval_F", "eval_G", "get_pair", "summand_sign",
     "CATALOG", "P_FLOOR", "STATUSES", "BackendDisagreement",

@@ -1,8 +1,7 @@
-"""Combinatorial primitives: binomials, harmonic numbers, Euler numbers,
-Fermat quotients, and binomial products: descriptions (c, e, *factors)
-meaning c 2^e prod C(n, m)^j over factors (n, m, j), a linear factor x
-written C(x, 1), in which the catalog and the WZ cells are written, with
-their Lucas reduction mod p.
+"""Combinatorial primitives: binomials, Euler numbers, Fermat quotients, and
+binomial products: descriptions (c, e, *factors) meaning c 2^e prod C(n, m)^j
+over factors (n, m, j), a linear factor x written C(x, 1), in which the
+catalog and the WZ cells are written, with their Lucas reduction mod p.
 
 Every function is stateless: each call computes its value afresh (binomials
 by `math`), so nothing is retained between calls.
@@ -10,9 +9,8 @@ by `math`), so nothing is retained between calls.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .exactnum import Rational, _check_odd_prime
+from .exactnum import _check_odd_prime
 
 
 def central_binomial(m: int) -> int:
@@ -60,15 +58,6 @@ def _product(c: int, e: int, powers) -> tuple[int, int]:
         elif j < 0:
             den *= binomial(n, m) ** -j
     return (num << e, den) if e >= 0 else (num, den << -e)
-
-
-def harmonic(n: int, order: int = 1) -> Rational:
-    """H_n^(order) = sum over 1 <= k <= n of 1/k^order; H_0 = 0."""
-    if n < 0:
-        raise ValueError(f"harmonic index must be >= 0, got {n}")
-    if order < 1:
-        raise ValueError(f"harmonic order must be >= 1, got {order}")
-    return sum((Fraction(1, k ** order) for k in range(1, n + 1)), Fraction(0))
 
 
 def euler_number(n: int) -> int:

@@ -2,8 +2,8 @@
 certificate-row sums, each scored by the p-adic valuation of LHS - RHS.
 
 Case kinds:
-  series   -- a truncated sum described by a SeriesSpec (exact sum over one
-              common denominator, plus a residue path in Z/p^m that steps
+  series   -- a truncated sum described by a SeriesSpec (exact sum by binary
+              splitting, plus a residue path in Z/p^m that steps
               (valuation, unit) pairs when the terms are p-integral)
   scalar   -- a single closed-form quantity
   family   -- a k-indexed batch of scalar congruences, aggregated by the
@@ -27,10 +27,11 @@ from fractions import Fraction
 from fnmatch import fnmatch
 from functools import lru_cache
 from itertools import count, islice
-from typing import Callable, Iterable, Iterator, Optional, Union
+from math import gcd, lcm
+from typing import Callable, Iterator, Optional, Union
 
 from .combinat import (_product, binomial, binomial_product, central_binomial,
-                       euler_number, fermat_quotient, harmonic, lucas_product)
+                       euler_number, fermat_quotient, lucas_product)
 from .exactnum import (INFINITE, PadicContext, Rational, Valuation, _vp_int,
                        is_prime, residue)
 from .exactnum import vp  # noqa: F401  (unused here; perfbench/tracer.py wraps congruences.vp)
@@ -133,9 +134,9 @@ class CheckResult:
 
 # --------------------------------------------------------------------------
 # series specs: one declarative description per catalog series, read by the
-# exact kernel, the residue kernel and the Fraction term view.  Every term is
-# an integer over a power of two times a small odd factor, so the exact kernel
-# needs no gcd until the one Fraction it builds at the end.
+# exact kernel (in split form), the residue kernel (as steps) and the Fraction
+# term view.  Every term is an integer over a power of two times a small odd
+# factor, and the one exact kernel, _Pass, sums them all.
 
 
 def _poly(coeffs: tuple[int, ...], k: int) -> int:
@@ -153,8 +154,9 @@ class SeriesSpec:
     only when alternating (alternating specs start at 0).  poly holds any other
     sign (glr's minus); polynomials are coefficient tuples, constant term first,
     and den(k) is the small odd denominator factor.  Both kernels read the binomial
-    part x_k^a C(4k,2k)^b through steps(): the exact one steps it as a big integer
-    (parts), the residue one as a p-adic (valuation, unit) pair."""
+    part x_k^a C(4k,2k)^b through steps(): the exact one folds its ratio, with
+    the sign, den and 2^rate, into one integer pair per term (split), the
+    residue one steps it as a p-adic (valuation, unit) pair."""
 
     def __init__(self, poly: tuple[int, ...], *, a: int = 0, b: int = 0,
                  rate: int = 0, den: tuple[int, ...] = (1,),
@@ -179,16 +181,24 @@ class SeriesSpec:
                    (k * q1) ** a * (k * (2 * k - 1)) ** b)
             q = q1
 
-    def parts(self) -> Iterator[tuple[int, int, int]]:
-        """(k, integer numerator, den(k)) of t_k for k = start, start + 1, ...
-        without end; the binomial part is a big integer, stepped exactly by
-        steps()."""
-        s, part = 1, 1
-        for k, num, den in self.steps():
-            part = part * num // den
-            yield k, s * _poly(self.poly, k) * part, _poly(self.den, k)
-            if self.alternating:
-                s = -s
+    def split(self) -> tuple:
+        """The spec as a _Pass over t_k = t0 poly(k) u_k, u_start = 1, with no
+        ends: (t0, step, start, (), poly).  step(k) = u_(k+1) / u_k is the
+        binomial part's ratio at k + 1 from steps(), times the sign, den(k) /
+        den(k+1) and 2^-rate, as an integer pair in lowest terms.  It reads
+        steps() once per k, so the pass must call it for k = start, start + 1,
+        ... in turn, which a pass does."""
+        steps, den, rate = self.steps(), self.den, self.rate
+        _, part, _ = next(steps)
+        sign = -1 if self.alternating else 1
+
+        def step(k):
+            _, num, dn = next(steps)
+            num, dn = sign * num * _poly(den, k), dn * _poly(den, k + 1) << rate
+            g = gcd(num, dn)
+            return num // g, dn // g
+        t0 = Fraction(part, _poly(den, self.start) << rate * self.start)
+        return t0, step, self.start, (), self.poly
 
     def terms(self, upper: int) -> Iterator[Rational]:
         """The sum's terms one by one as Fractions, each from a list of
@@ -288,79 +298,86 @@ def _over_power_of_two(x: int, b: int) -> Fraction:
     return Fraction(_Lowest(n >> s, 1 << (e - s)))
 
 
-def _slice_pairs(t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
-                 ends: Iterable[int], poly: tuple[int, ...]
-                 ) -> Iterator[tuple[int, int]]:
-    """Sums of t_k = t0 poly(k) u_k over the ranges lo..e1, e1+1..e2, ... of
-    ends (e1, e2, ...; a range with e_i <= e_(i-1) sums to 0), each yielded
-    when its range ends as an unreduced (X, B), X / B, where u_lo = 1 and
-    u_(k+1) = u_k a_k / b_k for integers (a_k, b_k) = step(k), b_k != 0,
-    called once for each k below the last end, in increasing order, as the
-    ranges are reached.
+class _Pass:
+    """The one exact-sum kernel: the sums of t_k = t0 poly(k) u_k, k = lo,
+    lo + 1, ..., where u_lo = 1 and u_(k+1) = u_k a_k / b_k for the integer
+    pair (a_k, b_k) = step(k), b_k != 0, called once per k in increasing
+    order as the pass reaches it.  Every series spec (SeriesSpec.split) and
+    every certificate sum (_SUMS) is one.  The pass only moves forward; at
+    k it holds the sum of the terms lo .. k-1 as x / d and the seed
+    t0 u_(k-1) (t0 at k = lo) as s / d.
 
-    Binary splitting (Haible and Papanikolaou, ANTS-III, 1998): each range
-    is one (A, B, T) product tree (_split) over its terms, the ratio of term
-    k being a_(k-1) / b_(k-1) (1 at lo), and its seed u_(start-1) is the
-    product of the A / B of the ranges to its left.  The products of a
-    range of n terms grow to O(n log n) bits, so its tree costs
-    O(M(n log n) log n) for the multiplication time M, where a stepped loop
-    takes O(n^2 log n).  A range becomes a Fraction by _over_power_of_two:
-    one exact division by B's odd part, with no gcd of X and B when that
-    part divides X."""
-    t0 = Fraction(t0)
-    a, b, ra, k = t0.numerator, t0.denominator, 1, lo
-    for end in ends:
+    Binary splitting (Haible and Papanikolaou, ANTS-III, 1998): a stretch
+    of n terms is one (A, B, T) product tree (_split), whose sum is
+    s T / (d B), after which the pass holds x B + s T, s A and d B.  The
+    products grow to O(n log n) bits, so the tree costs O(M(n log n) log n)
+    for the multiplication time M, where a stepped loop takes O(n^2 log n).
+    A sum becomes a Fraction by _over_power_of_two, one exact division with
+    no gcd when the odd part of its denominator divides its numerator.
+
+    A certificate sum declares ends e1 <= e2 <= ...; the pass stops at each
+    and holds there, unreduced, the range sum since the previous end (a
+    row's slice, pass[i]) and the prefix sum (a LEM-2.1 window), each made
+    a Fraction at its first read, so a point reading a row's tail pays for
+    one division.  At the last end, which nothing steps past, x and s are
+    dropped, not moved on."""
+
+    def __init__(self, t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
+                 ends: tuple[int, ...], poly: tuple[int, ...]):
+        self.args = t0, step, lo, ends, poly
+        t0 = Fraction(t0)
+        self.step, self.lo, self.ends, self.poly = step, lo, ends, poly
+        self.k, self.x, self.s, self.d = lo, 0, t0.numerator, t0.denominator
+        self.held: list[list] = []      # [range, prefix] at each end reached
+
+    def _to(self, end: int) -> tuple[int, int, int]:
+        """Step the terms k .. end: (A, B, s T) of their tree, (1, 1, 0) when
+        end < k, with d multiplied by B.  The caller moves x and s on."""
+        k = self.k
         if end < k:
-            yield 0, 1
-            continue
-        ratios = [step(j - 1) if j > lo else (1, 1) for j in range(k, end + 1)]
-        a *= ra         # a / b: t0 times the A / B of the ranges to the left
-        ra, rb, t = _split(ratios, poly, k, k, end + 1)
-        b *= rb
-        yield a * t, b
-        k = end + 1
+            return 1, 1, 0
+        ratios = [self.step(j - 1) if j > self.lo else (1, 1) for j in range(k, end + 1)]
+        a, b, t = _split(ratios, self.poly, k, k, end + 1)
+        self.d, self.k = self.d * b, end + 1
+        return a, b, self.s * t
 
-
-class _Slices:
-    """The n range sums of one _slice_pairs pass.  A range is stepped when it
-    or a range to its right is first read, and is held as its unreduced
-    (X, B) until it is itself read, when _over_power_of_two makes it a
-    Fraction; so a point reading the last range pays for one division, not
-    one per range.  The pass, which holds unreduced products, is dropped
-    after the last range."""
-
-    def __init__(self, pairs: Iterator[tuple[int, int]], n: int):
-        self._slices, self._n, self._done = pairs, n, []
+    def _read(self, i: int, which: int) -> Rational:
+        """The range (which 0) or prefix (which 1) sum at ends[i], held as
+        (x, b, t, d) for (x b + t) / d until it is read."""
+        while len(self.held) <= i:
+            a, b, t = self._to(self.ends[len(self.held)])
+            self.held.append([(0, 1, t, self.d), (self.x, b, t, self.d)])
+            if len(self.held) == len(self.ends):
+                self.step = self.x = self.s = None
+            else:
+                self.x, self.s = self.x * b + t, self.s * a
+        held = self.held[i]
+        if isinstance(held[which], tuple):
+            x, b, t, d = held[which]
+            held[which] = _over_power_of_two(x * b + t, d)
+        return held[which]
 
     def __getitem__(self, i: int) -> Rational:
-        while len(self._done) <= i:
-            self._done.append(next(self._slices))
-            if len(self._done) == self._n:
-                self._slices = None
-        value = self._done[i]
-        if isinstance(value, tuple):
-            value = self._done[i] = _over_power_of_two(*value)
-        return value
+        """The sum of the terms e_(i-1)+1 .. e_i (lo .. e_1 for i = 0)."""
+        return self._read(i, 0)
 
-
-class _Pass:
-    """One running exact pass over a spec's terms, which only moves forward:
-    num / (odd 2^(rate k)) is the sum of the terms up to k, one integer
-    numerator over den(start) ... den(k) 2^(rate k)."""
-
-    def __init__(self, spec: SeriesSpec):
-        self.parts, self.rate = spec.parts(), spec.rate
-        self.k, self.num, self.odd = spec.start - 1, 0, 1
-
-    def at(self, upper: int) -> Rational:
-        """The sum up to upper >= k, stepping the terms k+1 .. upper; its
-        denominator and its Fraction (the only gcd) are built here alone."""
-        num, odd, rate = self.num, self.odd, self.rate
-        for _, t, d in islice(self.parts, upper - self.k):
-            num = (num * d << rate) + t * odd
-            odd *= d
-        self.k, self.num, self.odd = upper, num, odd
-        return Fraction(num, odd << (rate * upper))
+    def prefix(self, upper: int) -> Rational:
+        """The sum of the terms lo .. upper, upper >= k - 1: the one held at
+        an end, the sum of a pass of its own at any other cap of a pass with
+        ends, and else one _over_power_of_two after stepping to upper.  The
+        pass then renormalises: it holds its prefix and seed in lowest terms
+        over the lcm of their denominators, so that a pass read at many caps
+        carries no factor that cancels into its next stretch."""
+        if upper in self.ends:
+            return self._read(self.ends.index(upper), 1)
+        if self.ends:
+            t0, step, lo, _, poly = self.args
+            return _Pass(t0, step, lo, (), poly).prefix(upper)
+        a, b, t = self._to(upper)
+        total, seed = (_over_power_of_two(v, self.d) for v in (self.x * b + t, self.s * a))
+        self.d = lcm(total.denominator, seed.denominator)
+        self.x, self.s = (v.numerator * (self.d // v.denominator) for v in (total, seed))
+        return total
 
 
 _running: dict[str, _Pass] = {}    # the running pass of each spec, by name
@@ -368,17 +385,15 @@ _running: dict[str, _Pass] = {}    # the running pass of each spec, by name
 
 @lru_cache(maxsize=256)
 def _series_exact(name: str, upper: int) -> Rational:
-    """Exact kernel: the sum of a spec's terms up to upper, read from the
-    spec's running pass (_running).  The terms do not depend on p, so a
-    shorter sum is a prefix of a longer one: a cap at or beyond the pass's
-    position advances it, and a cap behind it starts a fresh pass, which
-    costs what a sum from k = start costs.  The pass is out of _running
-    while it steps, so one that raises is dropped and the next read starts
-    afresh."""
+    """Exact kernel: the sum of a spec's terms up to upper, a prefix of its
+    running pass (_running).  The terms do not depend on p, so a shorter sum
+    is a prefix of a longer one: a cap at or beyond the pass's position
+    advances it, and a cap behind it starts a fresh pass.  The pass is out
+    of _running while it steps, so one that raises is dropped."""
     run = _running.pop(name, None)
-    if run is None or run.k > upper:
-        run = _Pass(SERIES[name])
-    value = run.at(upper)
+    if run is None or run.k > upper + 1:
+        run = _Pass(*SERIES[name].split())
+    value = run.prefix(upper)
     _running[name] = run
     return value
 
@@ -427,7 +442,7 @@ def _series_residue(name: str, upper: int, p: int, m: int) -> int:
 
 # --------------------------------------------------------------------------
 # certificate sums: stretches of one WZ pair's cells.  _SUMS maps a name to
-# (p, r) -> (t0, step, lo, ends, poly), the arguments of its _slice_pairs pass.
+# (p, r) -> (t0, step, lo, ends, poly), the arguments of its _Pass.
 
 def _theta_direct(p: int, r: int, k: int) -> Rational:
     """theta(k) of LEM-4.2 in closed form: it seeds the theta row at k = 1,
@@ -459,8 +474,8 @@ def _gz_row(p: int, r: int, n0: int) -> tuple:
 
 
 def _lem21_column(p: int, r: int) -> tuple:
-    """F(n, K) of the five-factor pair at K = (p^r-1)/2, in LEM-2.1's two windows
-    0 .. K (delta = 2) and K+1 .. 2K: 10n^2+(12K+6)n+4K^2+4K+1 times (1/2)_n
+    """F(n, K) of the five-factor pair at K = (p^r-1)/2, whose prefixes to K
+    (delta = 2) and to 2K are LEM-2.1's two windows: 10n^2+(12K+6)n+4K^2+4K+1 times (1/2)_n
     (1/2+K)_n^4 (-4)^n / (1)_n^5, stepped by -(2n+1)(2K+2n+1)^4/(8(n+1)^5)."""
     K = (p ** r - 1) // 2
     return (1, lambda n: (-(2 * n + 1) * (2 * K + 2 * n + 1) ** 4, 8 * (n + 1) ** 5),
@@ -478,10 +493,9 @@ _SUMS: dict[str, Callable[[int, int], tuple]] = {
 
 
 @lru_cache(maxsize=256)
-def _sums(name: str, p: int, r: int) -> _Slices:
-    """The slices of _SUMS[name] at (p, r), each computed at first use."""
-    t0, step, lo, ends, poly = _SUMS[name](p, r)
-    return _Slices(_slice_pairs(t0, step, lo, ends, poly), len(ends))
+def _sums(name: str, p: int, r: int) -> _Pass:
+    """The pass over _SUMS[name] at (p, r), each of its sums computed at first use."""
+    return _Pass(*_SUMS[name](p, r))
 
 
 # --------------------------------------------------------------------------
@@ -754,7 +768,7 @@ _binomial_scalar("BIN-3.4", "C(p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) 4^(p^r-1)  (
 
 _binomial_scalar("BIN-3.5", "C(3p^r-1,p^r) == 2 (1 - 3 p^r H_(p^r-1))  (mod p^2)",
                  lambda p, r: 2, lambda p, r: (1, 0, (3 * p ** r - 1, p ** r, 1)),
-                 lambda p, r: 2 * (1 - 3 * p ** r * harmonic(p ** r - 1)))
+                 lambda p, r: 2 * (1 - 3 * p ** r * _series_exact("h1", p ** r - 1)))
 
 _binomial_scalar("BIN-3.6", "C(2p^r-1,p^r-1) == 1  (mod p^2)",
                  lambda p, r: 2, lambda p, r: (1, 0, (2 * p ** r - 1, p ** r - 1, 1)),
@@ -763,7 +777,7 @@ _binomial_scalar("BIN-3.6", "C(2p^r-1,p^r-1) == 1  (mod p^2)",
 _binomial_scalar("BIN-3.7",
                  "C(2p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) (1 - 2 p H_((p-1)/2))  (mod p^2)",
                  lambda p, r: 2, lambda p, r: (1, 0, (2 * p ** r - 1, (p ** r - 1) // 2, 1)),
-                 lambda p, r: _sign_pr(p, r) * (1 - 2 * p * harmonic((p - 1) // 2)))
+                 lambda p, r: _sign_pr(p, r) * (1 - 2 * p * _series_exact("h1", (p - 1) // 2)))
 
 # --- k-indexed fact families: lhs and rhs are binomial products (see _stepped)
 
@@ -883,21 +897,16 @@ def _require_residue(case: CongruenceCase) -> None:
 
 
 def series_sum_exact(case, params: CheckParams) -> Rational:
-    """Exact value of a series case's truncated sum: a SERIES spec's from the
-    cached kernel, and LEM-2.1's (series_name None) from _sums, whose pass
-    per (p, r) serves both windows; a LEM-2.1 sum capped by upper_override
-    is one uncached slice of the same _SUMS entry."""
+    """Exact value of a series case's truncated sum, a prefix of one _Pass:
+    a SERIES spec's from the cached kernel, and LEM-2.1's (series_name None)
+    from _sums, whose pass per (p, r) holds both windows."""
     case = get_case(case)
     if case.kind != "series":
         raise ValueError(f"{case.id} is not a series case")
+    upper = _series_upper(case, params)
     if case.series_name is None:
-        if params.upper_override is not None:
-            t0, step, lo, _, poly = _SUMS[case.kernel](params.p, params.r)
-            return _over_power_of_two(*next(
-                _slice_pairs(t0, step, lo, (params.upper_override,), poly)))
-        windows = _sums(case.kernel, params.p, params.r)
-        return windows[0] if params.delta == 2 else windows[0] + windows[1]
-    return _series_exact(case.series_name, _series_upper(case, params))
+        return _sums(case.kernel, params.p, params.r).prefix(upper)
+    return _series_exact(case.series_name, upper)
 
 
 def series_sum_residue(case, params: CheckParams, ctx: PadicContext) -> int:

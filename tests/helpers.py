@@ -1,11 +1,11 @@
 """Helpers shared by the tests: the textbook references they compare
-against, the Pochhammer symbol (rising factorial) and the binomial C(a, k)
-for rational a, each written as its plain product; and the certificate-sum
-slices read as Fractions."""
+against, the Pochhammer symbol (rising factorial), the binomial C(a, k) for
+rational a and the harmonic number H_n^(order), each written as its plain
+sum or product; and the range sums of one kernel pass read as Fractions."""
 from fractions import Fraction
 from math import factorial, prod
 
-from supercong.congruences import _over_power_of_two, _slice_pairs
+from supercong.congruences import _Pass
 
 
 def pochhammer(a, n):
@@ -18,7 +18,13 @@ def binomial_rat(a, k):
     return prod((Fraction(a) - j for j in range(k)), start=Fraction(1)) / factorial(k)
 
 
+def harmonic(n, order=1):
+    """H_n^(order) = 1 + 1/2^order + ... + 1/n^order; H_0 = 0."""
+    return sum((Fraction(1, k ** order) for k in range(1, n + 1)), Fraction(0))
+
+
 def ratio_slices(t0, step, lo, ends, poly):
-    """The slices of one _slice_pairs pass, each divided out as the verifier
-    divides it."""
-    return tuple(_over_power_of_two(x, b) for x, b in _slice_pairs(t0, step, lo, ends, poly))
+    """The range sums of one _Pass over the given ends, each divided out as
+    the verifier divides it."""
+    run = _Pass(t0, step, lo, ends, poly)
+    return tuple(run[i] for i in range(len(ends)))

@@ -262,7 +262,7 @@ def test_row_prefix_point_builds_one_slice(capsys, monkeypatch):
     try:
         code, out, _ = run_cli(capsys, "verify", "--case", "LEM-3.2", "--p", "7", "--r", "2")
         assert code == 0 and out.rstrip().endswith("-> PASS")
-        assert len(congruences._sums("GUO64", 7, 2)._done) == 1
+        assert len(congruences._sums("GUO64", 7, 2).held) == 1
         assert calls == list(range(1, 24))
     finally:
         congruences._sums.cache_clear()

@@ -6,10 +6,16 @@ from fractions import Fraction as F
 import pytest
 
 from supercong.combinat import (binomial, central_binomial, euler_number,
-                                fermat_quotient, harmonic, lucas_product)
+                                fermat_quotient, lucas_product)
+from supercong.congruences import _series_exact, get_case
 from supercong.exactnum import is_prime, vp
 
-from helpers import binomial_rat
+from helpers import binomial_rat, harmonic
+
+
+def spec_harmonic(n, order=1):
+    """H_n^(order), order 1 or 2, as the verifier sums it: the h1 or h2 spec."""
+    return _series_exact.__wrapped__("h1" if order == 1 else "h2", n)
 
 
 def test_central_binomial_table():
@@ -78,13 +84,25 @@ def test_subset_of_subset_identity():
 
 
 def test_harmonic_frozen_values():
-    assert harmonic(0) == 0
-    assert harmonic(4) == F(25, 12)
-    assert harmonic(4, 2) == F(205, 144)
-    with pytest.raises(ValueError):
-        harmonic(-1)
-    with pytest.raises(ValueError):
-        harmonic(3, 0)
+    # the h1 and h2 specs against frozen values and the plain-sum reference
+    for H in (harmonic, spec_harmonic):
+        assert H(0) == 0 and H(0, 2) == 0
+        assert H(4) == F(25, 12)
+        assert H(4, 2) == F(205, 144)
+    for n in (1, 2, 7, 30, 200):
+        assert spec_harmonic(n) == harmonic(n) and spec_harmonic(n, 2) == harmonic(n, 2), n
+
+
+def test_binomial_scalars_read_the_h1_sum():
+    # BIN-3.5 and BIN-3.7 state their right sides through H_(p^r-1) and
+    # H_((p-1)/2), which the verifier reads from the h1 spec's pass
+    for p in (5, 7, 11, 13):
+        for r in (1, 2):
+            P = p ** r
+            sign = -1 if (P - 1) // 2 % 2 else 1
+            assert get_case("BIN-3.5").rhs(p, r) == 2 * (1 - 3 * P * harmonic(P - 1))
+            assert get_case("BIN-3.7").rhs(p, r) == \
+                sign * (1 - 2 * p * harmonic((p - 1) // 2)), (p, r)
 
 
 def test_euler_numbers():
@@ -127,12 +145,12 @@ def test_wolstenholme_harmonic():
     for p in range(5, 101):
         if not is_prime(p):
             continue
-        assert vp(harmonic(p - 1), p) >= 2, p
-        assert vp(harmonic(p - 1, 2), p) >= 1, p
+        assert vp(spec_harmonic(p - 1), p) >= 2, p
+        assert vp(spec_harmonic(p - 1, 2), p) >= 1, p
 
 
 def test_half_harmonic_vs_fermat_quotient():
     for p in range(3, 101):
         if not is_prime(p):
             continue
-        assert vp(harmonic((p - 1) // 2) + 2 * fermat_quotient(p), p) >= 1, p
+        assert vp(spec_harmonic((p - 1) // 2) + 2 * fermat_quotient(p), p) >= 1, p

@@ -269,7 +269,7 @@ def test_row_slices_match_direct_cells():
             tail = sum(cell(k) for k in range(half + 2, P))
             slices = _sums(name, p, r)
             assert (slices[0], slices[1], slices[2]) == (prefix, mid, tail), (p, r)
-            assert slices._slices is None       # the pass is dropped after the tail
+            assert slices.s is None     # the running products are dropped after the tail
 
 
 def test_tail_point_divides_one_slice():
@@ -279,10 +279,10 @@ def test_tail_point_divides_one_slice():
     try:
         slices = _sums("GUO64", 7, 2)
         tail = slices[2]
-        assert [type(s) for s in slices._done] == [tuple, tuple, F]
+        assert [type(s) for s, _ in slices.held] == [tuple, tuple, F]
         assert slices[0] + slices[1] + tail == sum(
             wz.eval_G("GUO64", 49, k) for k in range(1, 49))
-        assert [type(s) for s in slices._done] == [F, F, F]
+        assert [type(s) for s, _ in slices.held] == [F, F, F]
     finally:
         _sums.cache_clear()
 

@@ -1,9 +1,9 @@
 """Algebraic laws of the arithmetic primitives, on draws from hypothesis: vp
 is additive, residue is a ring homomorphism on p-integral rationals, a
 binomial with a negative upper index follows the reflection rule, the
-binary-split slice kernel equals a termwise sum, the exact division that
-ends each slice equals Fraction's, the running exact series pass equals a
-termwise sum at any sequence of caps, and the binomial-product evaluator,
+binary-split kernel's range and prefix sums equal termwise sums, the exact
+division that ends each sum equals Fraction's, the running exact series pass
+equals a termwise sum at any sequence of caps, and the binomial-product evaluator,
 its Lucas reader and the stepped family kernel agree with per-factor
 arithmetic.  Skipped when hypothesis is not installed."""
 from fractions import Fraction
@@ -13,7 +13,8 @@ import pytest
 
 from supercong import congruences
 from supercong.combinat import binomial, binomial_product, lucas_product
-from supercong.congruences import SERIES, _over_power_of_two, _stepped, list_cases
+from supercong.congruences import (SERIES, _over_power_of_two, _Pass, _stepped,
+                                   list_cases)
 from supercong.exactnum import INFINITE, PadicContext, residue, vp
 
 from helpers import binomial_rat, ratio_slices
@@ -142,6 +143,16 @@ def test_ratio_sums_equal_termwise_sums(inputs):
     assert got == tuple(want)
     assert all(isinstance(s, Fraction) for s in got)
     assert calls == list(range(lo, lo + len(steps)))
+    # prefix reads: at the ends, in reverse, of a pass with ascending ends,
+    # and at ascending caps of a pass with none
+    def prefix(end):
+        return sum((terms[k] for k in range(lo, end + 1)), Fraction(0))
+    ends = sorted(ends)
+    run = _Pass(t0, lambda k: steps[k - lo], lo, tuple(ends), poly)
+    assert [run.prefix(end) for end in reversed(ends)] == [prefix(e) for e in reversed(ends)]
+    run = _Pass(t0, lambda k: steps[k - lo], lo, (), poly)
+    assert [run.prefix(end) for end in ends if end >= lo - 1] == \
+        [prefix(end) for end in ends if end >= lo - 1]
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -151,9 +162,12 @@ def test_ratio_sums_equal_termwise_sums(inputs):
 @example(name="gz10n2", caps=[60, 41, 40, 3, 0, 0])          # descending
 @example(name="h1", caps=[7, 0, 0, 1, 0, 9, 2])              # below start = 1
 @example(name="mao", caps=[5, 2, 9, 9, 1, 30, 0, 31])        # back and forth
+@example(name="h2", caps=[0, 1, 1, 2, 60, 59])                # start = 1, odd den
+@example(name="suncat", caps=[3, 4, 2, 40])                   # odd den
 def test_running_pass_equals_sum_of_terms(name, caps):
     # each read goes through the spec's running pass, not the lru_cache; a
-    # cap behind the pass, and only such a cap, starts a fresh pass
+    # cap behind the pass, and only such a cap, starts a fresh pass, which
+    # stands after the read at the term past the cap
     congruences._running.clear()
     terms = list(SERIES[name].terms(60))
     for cap in caps:
@@ -161,8 +175,8 @@ def test_running_pass_equals_sum_of_terms(name, caps):
         want = sum(terms[:cap + 1 - SERIES[name].start], Fraction(0))
         assert congruences._series_exact.__wrapped__(name, cap) == want, cap
         run = congruences._running[name]
-        assert run.k == cap
-        assert (run is before) == (before is not None and before.k <= cap)
+        assert isinstance(run, congruences._Pass) and run.k == cap + 1
+        assert (run is before) == (before is not None and before.k <= cap + 1)
 
 
 # a small pool of (n, m), so that a product often repeats one, with m > n and

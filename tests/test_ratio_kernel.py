@@ -1,14 +1,15 @@
-"""The ratio-stepped slice kernel behind every certificate sum in _SUMS,
+"""The binary-split kernel (_Pass) behind every certificate sum in _SUMS,
 against sums known in closed form and against the WZ cells, and the exact
-division that ends each of its slices."""
+division that ends each of its sums."""
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 
-from supercong import wz
+from supercong import congruences, wz
 from supercong.congruences import (_SUMS, CheckParams, _over_power_of_two,
-                                   _slice_pairs, series_sum_exact)
+                                   _Pass, series_sum_exact)
 from supercong.exactnum import is_prime
 
 from helpers import ratio_slices
@@ -72,21 +73,67 @@ def test_lem21_sum_matches_wz_cells(p, r):
     assert got == sum(cells[:cap + 1])
 
 
+@pytest.mark.parametrize("order", [(1, 2, 1, 2), (2, 1, 2, 1)],
+                         ids=["delta1-first", "delta2-first"])
+def test_lem21_window_is_one_prefix(monkeypatch, order):
+    """Each LEM-2.1 window is one prefix of the one pass at its (p, r): one
+    _over_power_of_two per window read, no Fraction addition, in either
+    order; a window read again divides nothing."""
+    points = ((5, 2), (7, 1), (11, 1))
+    want = {(p, r, d): sum(wz.eval_F("GZ10N2", n, (p ** r - 1) // 2)
+                           for n in range((p ** r - 1) // d + 1))
+            for p, r in points for d in (1, 2)}
+    passes, divisions = [], []
+    real_pass, real_division = congruences._Pass, congruences._over_power_of_two
+
+    def counted_pass(*args):
+        passes.append(args)
+        return real_pass(*args)
+
+    def counted_division(x, b):
+        divisions.append(b)
+        return real_division(x, b)
+
+    def refuse(*args):
+        raise AssertionError("Fraction addition in a LEM-2.1 window")
+
+    monkeypatch.setattr(congruences, "_Pass", counted_pass)
+    monkeypatch.setattr(congruences, "_over_power_of_two", counted_division)
+    monkeypatch.setattr(Fraction, "__add__", refuse)
+    congruences._sums.cache_clear()
+    try:
+        for p, r in points:
+            for i, delta in enumerate(order):
+                got = series_sum_exact("LEM-2.1", CheckParams(p=p, r=r, delta=delta))
+                assert got == want[p, r, delta] and type(got) is Fraction, (p, r, delta)
+                assert len(divisions) == min(i + 1, 2), (p, r, i)
+            assert len(passes) == 1, (p, r)
+            passes.clear(), divisions.clear()
+    finally:
+        congruences._sums.cache_clear()
+
+
 def test_certificate_slices_divide_exactly():
-    """Every slice of every _SUMS entry, at primes 5-47 with r <= 2 and at
-    primes 5-13 with r = 3, has an X that the odd part of its B divides, so
-    _over_power_of_two never falls back to Fraction(X, B) there."""
+    """Every range and prefix sum of every _SUMS entry, at primes 5-47 with
+    r <= 2 and at primes 5-13 with r = 3, has an X that the odd part of its
+    B divides, so _over_power_of_two never falls back to Fraction(X, B)
+    there."""
     grid = [(p, r) for p in range(5, 48) if is_prime(p) for r in (1, 2)]
     grid += [(p, 3) for p in (5, 7, 11, 13)]
-    fallbacks, slices = [], 0
-    for p, r in grid:
-        for name, entry in _SUMS.items():
-            for i, (x, b) in enumerate(_slice_pairs(*entry(p, r))):
-                slices += 1
-                b = abs(b)
-                if x % (b >> (b & -b).bit_length() - 1):
-                    fallbacks.append((name, p, r, i))
-    assert slices == 390 and fallbacks == []
+    divided = []
+
+    def recorded(x, b):
+        divided.append((x, abs(b)))
+        return _over_power_of_two(x, b)
+
+    with mock.patch.object(congruences, "_over_power_of_two", recorded):
+        for p, r in grid:
+            for entry in _SUMS.values():
+                run = _Pass(*entry(p, r))
+                for i in range(len(run.ends)):
+                    run[i], run.prefix(run.ends[i])
+    assert len(divided) == 2 * 390
+    assert all(x % (b >> (b & -b).bit_length() - 1) == 0 for x, b in divided)
 
 
 def test_exact_division_examples():

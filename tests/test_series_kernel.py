@@ -1,5 +1,7 @@
 """The two series kernels against the Fraction term view of the same spec."""
 from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import pytest
 
@@ -95,36 +97,76 @@ def test_residue_kernel_never_steps_the_exact_parts(monkeypatch):
     # code and no big-integer stepping
     expected = {name: residue(exact(name, 20), PadicContext(43, 3)) for name in SERIES}
 
-    def refuse(self):
-        raise AssertionError("SeriesSpec.parts stepped by the residue kernel")
+    def refuse(*args):
+        raise AssertionError("exact kernel run by the residue kernel")
 
-    monkeypatch.setattr(congruences.SeriesSpec, "parts", refuse)
-    # the running passes above already stand at 20; a fresh one steps parts
+    monkeypatch.setattr(congruences, "_Pass", refuse)
+    monkeypatch.setattr(congruences, "_split", refuse)
+    # the running passes above already stand at 20; a fresh one is a _Pass
     congruences._running.clear()
-    with pytest.raises(AssertionError):
-        exact("guo64", 20)
     for name in SERIES:
+        with pytest.raises(AssertionError):
+            exact(name, 20)
         assert residue_kernel(name, 20, 43, 3) == expected[name], name
 
 
 def test_a_pass_that_raises_is_dropped(monkeypatch):
-    # parts raises once, mid-pass: the half-stepped pass must not be read again
-    parts, raised = congruences.SeriesSpec.parts, []
+    # a spec's step raises once, mid-pass: the half-stepped pass must not be
+    # read again, for every spec, the start = 1 and odd-den ones among them
+    split, raised = congruences.SeriesSpec.split, []
 
     def flaky(spec):
-        for k, t, d in parts(spec):
-            if k == 15 and not raised:
+        t0, step, *rest = split(spec)
+
+        def flaky_step(k):
+            if k == 15 and len(raised) < len(done):
                 raised.append(k)
                 raise MemoryError("mid-pass")
-            yield k, t, d
-    monkeypatch.setattr(congruences.SeriesSpec, "parts", flaky)
+            return step(k)
+        return (t0, flaky_step, *rest)
+    monkeypatch.setattr(congruences.SeriesSpec, "split", flaky)
     congruences._running.clear()
-    assert exact("guo64", 10) == sum(SERIES["guo64"].terms(10))
-    with pytest.raises(MemoryError):
-        exact("guo64", 20)
-    for cap in (20, 30):
-        assert exact("guo64", cap) == sum(SERIES["guo64"].terms(cap)), cap
-    assert raised == [15]
+    done = []
+    for name, spec in SERIES.items():
+        done.append(name)
+        assert exact(name, 10) == sum(spec.terms(10)), name
+        with pytest.raises(MemoryError):
+            exact(name, 20)
+        assert name not in congruences._running
+        for cap in (20, 30):
+            assert exact(name, cap) == sum(spec.terms(cap)), (name, cap)
+    assert raised == [15] * len(SERIES)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_pass_renormalises_after_each_read(name):
+    """After each prefix read the pass holds its prefix x / d and its seed
+    s / d, the term at the cap over poly(cap), over d = the lcm of their
+    reduced denominators: no factor that cancels is carried into the next
+    stretch."""
+    spec = SERIES[name]
+    terms = list(spec.terms(200))
+    run = congruences._Pass(*spec.split())
+    for cap in (0, 1, 2, 3, 7, 8, 40, 41, 41, 120, 200):
+        got = run.prefix(cap)
+        assert got == sum(terms[:cap + 1 - spec.start], Fraction(0)), cap
+        assert run.k == cap + 1
+        prefix, seed = Fraction(run.x, run.d), Fraction(run.s, run.d)
+        assert prefix == got
+        if cap >= spec.start:
+            assert seed == terms[cap - spec.start] / _poly(spec.poly, cap), cap
+        assert run.d == lcm(prefix.denominator, seed.denominator), cap
+
+
+@pytest.mark.parametrize("name", POWER_OF_TWO)
+def test_power_of_two_reads_divide_exactly(name):
+    # a power-of-two spec's prefix and seed have reduced denominators that
+    # are powers of two, so every division of its reads takes the 2-adic path
+    with mock.patch.object(congruences, "_Lowest", wraps=congruences._Lowest) as lowest:
+        run = congruences._Pass(*SERIES[name].split())
+        for cap in (0, 5, 6, 100, 47 ** 2 - 1):
+            run.prefix(cap)
+    assert lowest.call_count == 2 * 5
 
 
 def _binomial_part_valuations(spec, p, upper):
