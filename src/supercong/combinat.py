@@ -1,16 +1,20 @@
 """Combinatorial primitives: binomials, Euler numbers, Fermat quotients, and
 binomial products: descriptions (c, e, *factors) meaning c 2^e prod C(n, m)^j
 over factors (n, m, j), a linear factor x written C(x, 1), in which the
-catalog and the WZ cells are written, with their Lucas reduction mod p.
+catalog and the WZ cells are written, with their Lucas reduction mod p and
+their p-adic (valuation, unit) pair read from a factorial table.
 
 Every function is stateless: each call computes its value afresh (binomials
-by `math`), so nothing is retained between calls.
+by `math`), so nothing is retained between calls.  A Factorials table holds
+what it was built with, and its owner decides how long it lives.
 """
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import accumulate
 
-from .exactnum import _check_odd_prime
+from .exactnum import INFINITE, Valuation, _check_odd_prime
 
 
 def central_binomial(m: int) -> int:
@@ -37,20 +41,15 @@ def binomial(n: int, k: int) -> int:
 def binomial_product(c: int, e: int, *factors: tuple[int, int, int]) -> tuple[int, int]:
     """c 2^e prod C(n, m)^j over factors (n, m, j), as (numerator, denominator),
     not reduced.  A binomial that occurs twice, say C(2n, n) above the line and
-    C(2k, k) below it at n = k, is first taken once with its powers summed."""
+    C(2k, k) below it at n = k, is first taken once with its powers summed.
+    Each binomial is then built in turn, and a vanishing one above the line
+    ends the product: no later one is built."""
     powers: dict[tuple[int, int], int] = {}
     for n, m, j in factors:
         key = n, m
         powers[key] = powers.get(key, 0) + j
-    return _product(c, e, powers.items())
-
-
-def _product(c: int, e: int, powers) -> tuple[int, int]:
-    """binomial_product over the pairs ((n, m), j) of powers, merging none.
-    Each binomial is built in turn, and a vanishing one above the line ends
-    the product: no later one is built."""
     num, den = c, 1
-    for (n, m), j in powers:
+    for (n, m), j in powers.items():
         if j > 0:
             num *= binomial(n, m) ** j
             if not num:
@@ -88,3 +87,58 @@ def lucas_product(p: int, c: int, e: int, *factors: tuple[int, int, int]) -> int
             n, m = n // p, m // p
         out = out * pow(v, j, p) % p
     return out
+
+
+class Factorials:
+    """Legendre's factorial table at an odd prime p for x = 0 .. n: V[x] =
+    vp(x!) and U[x], the unit x! / p^V[x] mod p^M, with Ui[x] = U[x]^-1 mod
+    p^M.  C(a, b), 0 <= b <= a <= n, is p^(V[a] - V[b] - V[a-b]) times the
+    unit U[a] Ui[b] Ui[a-b] mod p^M (A. Granville, "Arithmetic properties of
+    binomial coefficients I", 1997), so pair() reads a binomial product in
+    O(1) per factor.  Each unit is exact mod p^M: a valuation is carried as
+    an integer, negative below the line, and never costs precision.
+
+    x's unit and vp(x) are those of x / p for a multiple of p, and x itself
+    otherwise; V and U are their running sum and product, and Ui comes from
+    one pow(U[n], -1) and a backward pass.  U and Ui are 64-bit arrays, a
+    quarter of the memory of lists of ints, so p^M must be below 2^63; the
+    families take M <= r + 3, which stays below that for every p^r a table
+    can reach."""
+
+    def __init__(self, p: int, M: int, n: int):
+        self.p, self.M, self.n, self.mod = p, M, n, p ** M
+        mod = self.mod
+        if mod >> 63:
+            raise ValueError(f"units mod {p}^{M} do not fit in 64 bits")
+        units, counts = list(range(n + 1)), [0] * (n + 1)
+        units[0] = 1
+        for x in range(p, n + 1, p):
+            units[x], counts[x] = units[x // p], counts[x // p] + 1
+
+        def mul(a, b):
+            return a * b % mod
+        self.V = list(accumulate(counts))
+        self.U = array("q", accumulate(units, mul))
+        # U[x-1]^-1 = U[x]^-1 unit(x), from x = n down; the last product, past
+        # x = 0, is dropped
+        self.Ui = array("q", accumulate(reversed(units), mul, initial=pow(self.U[n], -1, mod)))
+        self.Ui.pop()
+        self.Ui.reverse()
+
+    def pair(self, c: int, e: int, *factors: tuple[int, int, int]) -> tuple[Valuation, int]:
+        """binomial_product's value as (v, u), p^v times the unit u mod p^M,
+        and (INFINITE, 0) when c = 0.  Every factor needs 0 <= m <= n <=
+        self.n, which the caller checks: an index below 0 would read from
+        the top of the table."""
+        if not c:
+            return INFINITE, 0
+        p, mod, V, U, Ui = self.p, self.mod, self.V, self.U, self.Ui
+        v = 0
+        while c % p == 0:
+            c, v = c // p, v + 1
+        u = c * pow(2, e, mod) % mod
+        for n, m, j in factors:
+            v += j * (V[n] - V[m] - V[n - m])
+            b = U[n] * Ui[m] * Ui[n - m] if j > 0 else Ui[n] * U[m] * U[n - m]
+            u = u * (b if j in (1, -1) else pow(b, abs(j), mod)) % mod
+        return v, u

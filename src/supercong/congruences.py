@@ -12,6 +12,9 @@ Case kinds:
 
 Family members, binomial scalars and WZ cells are binomial products, read by
 combinat.binomial_product and, digitwise for backend "both", lucas_product.
+Family members are scored from their (valuation, unit) pairs, read from one
+combinat.Factorials table (_factorials); only the member a record reports is
+built exact.
 
 Statuses: theorem / known / lemma / fact-family / conjecture / informational.
 Conjecture and informational cases report honestly but are flagged so sweep
@@ -30,8 +33,9 @@ from itertools import count, islice
 from math import gcd, lcm
 from typing import Callable, Iterator, Optional, Union
 
-from .combinat import (_product, binomial, binomial_product, central_binomial,
-                       euler_number, fermat_quotient, lucas_product)
+from .combinat import (Factorials, binomial_product, central_binomial, euler_number,
+                       fermat_quotient, lucas_product)
+from .combinat import binomial  # noqa: F401  (unused here; perfbench/tracer.py wraps it)
 from .exactnum import (INFINITE, PadicContext, Rational, Valuation, _vp_int,
                        is_prime, residue)
 from .exactnum import vp  # noqa: F401  (unused here; perfbench/tracer.py wraps congruences.vp)
@@ -101,8 +105,8 @@ class CongruenceCase:
     lhs_scalar: Optional[Callable[[int, int], Rational]] = None
     # family
     members: Optional[Callable[[int, int], range]] = None
-    member_lhs: Optional[Callable[[int, int, int], tuple]] = None  # descriptions,
-    member_rhs: Optional[Callable[[int, int, int], tuple]] = None  # see _stepped
+    member_lhs: Optional[Callable[[int, int, int], tuple]] = None  # binomial products,
+    member_rhs: Optional[Callable[[int, int, int], tuple]] = None  # see _family_items
     lucas: Optional[Callable[[int, int, Optional[int]], int]] = None  # lhs mod p, digitwise
     uses_r: bool = True
     uses_delta: bool = False
@@ -329,6 +333,18 @@ class _Pass:
         self.step, self.lo, self.ends, self.poly = step, lo, ends, poly
         self.k, self.x, self.s, self.d = lo, 0, t0.numerator, t0.denominator
         self.held: list[list] = []      # [range, prefix] at each end reached
+        self.total: Optional[Fraction] = None   # the last prefix read, until renormalised
+
+    def _renormalise(self) -> None:
+        """Hold the prefix read last and the seed in lowest terms over the
+        lcm of their denominators, so that a pass read at many caps carries
+        no factor that cancels into its next stretch: one division of the
+        seed, paid only by a pass that steps on after a read."""
+        if self.total is not None:
+            total, seed = self.total, _over_power_of_two(self.s, self.d)
+            self.d = lcm(total.denominator, seed.denominator)
+            self.x, self.s = (v.numerator * (self.d // v.denominator) for v in (total, seed))
+            self.total = None
 
     def _to(self, end: int) -> tuple[int, int, int]:
         """Step the terms k .. end: (A, B, s T) of their tree, (1, 1, 0) when
@@ -336,6 +352,7 @@ class _Pass:
         k = self.k
         if end < k:
             return 1, 1, 0
+        self._renormalise()
         ratios = [self.step(j - 1) if j > self.lo else (1, 1) for j in range(k, end + 1)]
         a, b, t = _split(ratios, self.poly, k, k, end + 1)
         self.d, self.k = self.d * b, end + 1
@@ -365,19 +382,17 @@ class _Pass:
         """The sum of the terms lo .. upper, upper >= k - 1: the one held at
         an end, the sum of a pass of its own at any other cap of a pass with
         ends, and else one _over_power_of_two after stepping to upper.  The
-        pass then renormalises: it holds its prefix and seed in lowest terms
-        over the lcm of their denominators, so that a pass read at many caps
-        carries no factor that cancels into its next stretch."""
+        pass renormalises (_renormalise) when it next steps on, so a pass
+        read once divides its seed zero times."""
         if upper in self.ends:
             return self._read(self.ends.index(upper), 1)
         if self.ends:
             t0, step, lo, _, poly = self.args
             return _Pass(t0, step, lo, (), poly).prefix(upper)
         a, b, t = self._to(upper)
-        total, seed = (_over_power_of_two(v, self.d) for v in (self.x * b + t, self.s * a))
-        self.d = lcm(total.denominator, seed.denominator)
-        self.x, self.s = (v.numerator * (self.d // v.denominator) for v in (total, seed))
-        return total
+        self.x, self.s = self.x * b + t, self.s * a
+        self.total = _over_power_of_two(self.x, self.d)
+        return self.total
 
 
 _running: dict[str, _Pass] = {}    # the running pass of each spec, by name
@@ -539,11 +554,13 @@ def _scalar(id, status, statement, m, lhs, rhs, *, uses_r=True, p_integral=False
                         kernel=kernel, lucas=lucas))
 
 
-def _binomial_scalar(id, statement, m, lhs, rhs, *, uses_r=True):
+def _binomial_scalar(id, statement, m, lhs, rhs, *, uses_r=True, kernel=None, upper=None):
     """A known fact claiming p^m(p, r) for the binomial product lhs(p, r),
-    which `both` checks digitwise."""
+    which `both` checks digitwise.  A right side that reads a series spec's
+    sum names the spec as kernel and its cap as upper(p, r, delta), so the
+    sweep runs it in the spec's unit."""
     _scalar(id, "known", statement, m, lambda p, r: Fraction(*binomial_product(*lhs(p, r))),
-            rhs, uses_r=uses_r, p_integral=True,
+            rhs, uses_r=uses_r, p_integral=True, kernel=kernel, upper=upper,
             lucas=lambda p, r, k: lucas_product(p, *lhs(p, r)))
 
 
@@ -768,7 +785,8 @@ _binomial_scalar("BIN-3.4", "C(p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) 4^(p^r-1)  (
 
 _binomial_scalar("BIN-3.5", "C(3p^r-1,p^r) == 2 (1 - 3 p^r H_(p^r-1))  (mod p^2)",
                  lambda p, r: 2, lambda p, r: (1, 0, (3 * p ** r - 1, p ** r, 1)),
-                 lambda p, r: 2 * (1 - 3 * p ** r * _series_exact("h1", p ** r - 1)))
+                 lambda p, r: 2 * (1 - 3 * p ** r * _series_exact("h1", p ** r - 1)),
+                 kernel="h1", upper=lambda p, r, d: p ** r - 1)
 
 _binomial_scalar("BIN-3.6", "C(2p^r-1,p^r-1) == 1  (mod p^2)",
                  lambda p, r: 2, lambda p, r: (1, 0, (2 * p ** r - 1, p ** r - 1, 1)),
@@ -777,9 +795,10 @@ _binomial_scalar("BIN-3.6", "C(2p^r-1,p^r-1) == 1  (mod p^2)",
 _binomial_scalar("BIN-3.7",
                  "C(2p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) (1 - 2 p H_((p-1)/2))  (mod p^2)",
                  lambda p, r: 2, lambda p, r: (1, 0, (2 * p ** r - 1, (p ** r - 1) // 2, 1)),
-                 lambda p, r: _sign_pr(p, r) * (1 - 2 * p * _series_exact("h1", (p - 1) // 2)))
+                 lambda p, r: _sign_pr(p, r) * (1 - 2 * p * _series_exact("h1", (p - 1) // 2)),
+                 kernel="h1", upper=lambda p, r, d: (p - 1) // 2)
 
-# --- k-indexed fact families: lhs and rhs are binomial products (see _stepped)
+# --- k-indexed fact families: lhs and rhs are binomial products (see _family_items)
 
 _family("FACT-2LL",
         "l C(2l,l) C(2k,k) == -2 p^r  (mod p^(r+1)) for k + l = p^r, 0 < l < p^r/2",
@@ -921,43 +940,32 @@ def series_sum_residue(case, params: CheckParams, ctx: PadicContext) -> int:
         raise BackendIneligible(f"{case.id}: {e}; use the exact backend") from None
 
 
-def _walk(v: int, n0: int, m0: int, n: int, m: int) -> int:
-    """C(n, m) from v = C(n0, m0), 0 <= m0 <= n0 and 0 <= m <= n, by unit term
-    ratios, each an exact integer division.  C(a+b, a) is symmetric in a = m and
-    b = n - m; stepping a, then b, keeps both >= 0, so no step passes a zero."""
-    for a, b, a1 in ((m0, n0 - m0, m), (n0 - m0, m, n - m)):
-        while a < a1:
-            v, a = v * (a + b + 1) // (a + 1), a + 1
-        while a > a1:
-            v, a = v * a // (a + b), a - 1
-    return v
+_table: Optional[Factorials] = None     # the one factorial table kept (_factorials)
 
 
-Member = Union[int, tuple[int, int]]
+def _factorials(p: int, M: int, n: int) -> Factorials:
+    """A factorial table at p to precision p^M and to n: the kept one when it
+    reaches that far, else a new one, which replaces it.  A new table at the
+    kept one's p takes the larger precision and reach of the two, so the
+    points at one p share a table; at most one table lives at a time."""
+    global _table
+    t = _table
+    if t is None or t.p != p or t.M < M or t.n < n:
+        if t is not None and t.p == p:
+            M, n = max(M, t.M), max(n, t.n)
+        _table = None                       # the old one goes before the new is built
+        _table = t = Factorials(p, M, n)
+    return t
 
 
-def _stepped(desc: Callable[[int, int, int], tuple], p: int, r: int,
-             keys: list[int]) -> list[Member]:
-    """Values at consecutive members keys of a family description desc(p, r, k)
-    = (c, e, *factors), a binomial product (combinat.binomial_product) with one
-    factor layout at every member.  Each factor is binomial at keys[0], then
-    _walk from the factor in its place at the previous member; combinat._product
-    assembles the member from the walked values v as linear factors C(v, 1).
-    A member is a plain int when nothing divides, and otherwise the integer
-    pair (numerator, denominator), denominator > 0 and not reduced: no member
-    pays for a Fraction or a gcd."""
-    out, at = [], None
-    for k in keys:
-        c, e, *factors = desc(p, r, k)
-        at = at or [(f, binomial(f[0], f[1])) for f in factors]  # the first member
-        at = [(f, _walk(v, f0[0], f0[1], f[0], f[1])) for (f0, v), f in zip(at, factors)]
-        num, den = _product(c, e, [((v, 1), f[2]) for f, v in at])
-        out.append(num if den == 1 else (num, den))
-    return out
-
-
-def _family_members(case: CongruenceCase, params: CheckParams
-                    ) -> list[tuple[int, Member, Member]]:
+def _family_items(case: CongruenceCase, params: CheckParams, M: int
+                  ) -> tuple[list[tuple[int, tuple, tuple]], Optional[Factorials]]:
+    """(k, lhs, rhs) per member, all of them or the one --k selects, each
+    side the (v, u) pair of its binomial product (c, e, *factors) read from
+    one factorial table with units mod p^M or finer (Factorials.pair), with
+    the table; (no items, None) for an empty range.  Every binomial argument
+    of a description is linear in k, so the first and last members bound
+    the table's reach and show that 0 <= m <= n holds at every member."""
     p, r = params.p, params.r
     rng = case.members(p, r)
     if params.k is not None and params.k not in rng:
@@ -965,75 +973,107 @@ def _family_members(case: CongruenceCase, params: CheckParams
             f"{case.id}: member index {params.k} outside admissible range "
             f"[{rng.start}, {rng.stop - 1}] at p={p}, r={r}")
     keys = list(rng) if params.k is None else [params.k]
-    return list(zip(keys, _stepped(case.member_lhs, p, r, keys),
-                    _stepped(case.member_rhs, p, r, keys)))
+    if not keys:
+        return [], None
+    reach = 0
+    for k in (keys[0], keys[-1]):
+        for desc in (case.member_lhs, case.member_rhs):
+            for n, m, _ in desc(p, r, k)[2:]:
+                if not 0 <= m <= n:
+                    raise ValueError(f"{case.id}: member k={k} at p={p}, r={r} has a "
+                                     f"binomial C({n}, {m}) outside 0 <= m <= n")
+                reach = max(reach, n)
+    table = _factorials(p, M, reach)
+    pair, lhs, rhs = table.pair, case.member_lhs, case.member_rhs
+    return [(k, pair(*lhs(p, r, k)), pair(*rhs(p, r, k))) for k in keys], table
 
 
-def _point_items(case: CongruenceCase, params: CheckParams
-                 ) -> list[tuple[Optional[int], Union[Rational, Member], Union[Rational, Member]]]:
-    """Exact (k, lhs, rhs) items of a point: one per family member, as
-    _stepped gives it, and a single item with k = None and Fraction values
-    for every other kind."""
-    if case.kind == "family":
-        return _family_members(case, params)
-    p, r = params.p, params.r
-    lhs = series_sum_exact(case, params) if case.kind == "series" else case.lhs_scalar(p, r)
-    return [(None, lhs, case.rhs(p, r))]
+def _exact_valuation(a: int, b: int, c: int, d: int, p: int) -> Valuation:
+    """vp(a / b - c / d), b, d > 0, in integers: vp(a d - c b) - vp(b d)."""
+    obs = _vp_int(a * d - c * b, p)
+    if obs is not INFINITE and b * d > 1:
+        obs -= _vp_int(b * d, p)
+    return obs
 
 
-def _num_den(x: Union[Rational, Member]) -> tuple[int, int]:
-    """An exact item's value as (numerator, denominator), not reduced."""
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, tuple):
-        return x
-    return x.numerator, x.denominator
+def _pair_valuation(lhs: tuple, rhs: tuple, p: int, mod: int) -> Optional[Valuation]:
+    """vp(lhs - rhs) for two (v, u) pairs with units mod p^M, mod = p^M, or
+    None when their units agree mod p^M (see _score)."""
+    (vl, ul), (vr, ur) = lhs, rhs
+    if vl != vr or vl is INFINITE:
+        return min(vl, vr)
+    d = (ul - ur) % mod
+    if not d:
+        return None
+    while d % p == 0:
+        d, vl = d // p, vl + 1
+    return vl
 
 
-def _score(items: list, p: int, m: Optional[int], single: bool):
-    """(lhs, rhs, valuation, note) of the first item of least valuation.
+def _score(items: list, p: int, m: Optional[int], table: Optional[Factorials] = None,
+           exact: Optional[Callable[[int], tuple]] = None) -> tuple:
+    """(k, lhs, rhs, valuation) of the first item of least valuation, with
+    k None and valuation INFINITE (m on residues) for no items.  p is the
+    point's odd prime, checked once by CheckParams, so no item pays a prime
+    check.  Items (k, lhs, rhs) come in three forms:
 
-    Exact items (m None) are Fractions, ints or (numerator, denominator)
-    pairs (see _stepped).  Each is scored in integers, as vp(a d - c b) -
-    vp(b d) for lhs a / b and rhs c / d, and only the reported item becomes
-    a Fraction.  Residue items are ints, scored by the valuation of their
-    difference in Z/p^m, saturated at m (a difference of 0 mod p^m has
-    valuation at least m).  p is the point's odd prime, checked once by
-    CheckParams, so no item pays a prime check.  The note names a family's
-    worst member, or the one member asked for when single."""
+    - residues (m given): ints mod p^m, scored by the valuation of their
+      difference in Z/p^m, saturated at m (a difference of 0 mod p^m has
+      valuation at least m);
+    - exact values (m and table None): the Fraction sides of a series sum or
+      a scalar, scored in integers as vp(a d - c b) - vp(b d);
+    - family members (table given): (v, u) pairs, p^v times a unit known
+      mod p^M, M = table.M (see _family_items), scored in small integers.
+      Sides of different v give the smaller v, and a side of 0 (v INFINITE)
+      the other side's v, exactly.  Sides of equal v give v + vp((u_l - u_r)
+      mod p^M), exact when that difference is not 0 mod p^M.  When it is,
+      the member is undetermined: its valuation is only known to be at
+      least v + M.  It is resolved in integers from exact(k), its two sides
+      as binomial_product pairs, only if it could still be the first of
+      least valuation: if v + M is at most every determined valuation and
+      below every valuation before it.  A side that divides by a multiple
+      of p (FACT-INV and DAO-HB divide by binomials) carries its v as an
+      integer, negative when more p divide below the line than above; its
+      unit is still exact mod p^M, so the rule holds unchanged, with a
+      bound v + M that may fall below M."""
     if not items:
-        if m is None:
-            return Fraction(0), Fraction(0), INFINITE, "empty member range"
-        return 0, 0, m, "empty member range"
-    mod = None if m is None else p ** m
+        return None, 0, 0, INFINITE if m is None else m
+    if table is not None:
+        mod = p ** table.M
+        found = [_pair_valuation(lhs, rhs, p, mod) for _, lhs, rhs in items]
+        least = min((v for v in found if v is not None), default=INFINITE)
+    elif m is not None:
+        mod = p ** m
     worst = None
-    for k, lhs, rhs in items:
-        if mod is None:
-            (a, b), (c, d) = _num_den(lhs), _num_den(rhs)
-            obs = _vp_int(a * d - c * b, p)
-            if obs is not INFINITE and b * d > 1:
-                obs -= _vp_int(b * d, p)
-        else:
+    for i, (k, lhs, rhs) in enumerate(items):
+        if m is not None:
             obs = min(_vp_int((lhs - rhs) % mod, p), m)
+        elif table is None:
+            obs = _exact_valuation(lhs.numerator, lhs.denominator,
+                                   rhs.numerator, rhs.denominator, p)
+        else:
+            obs = found[i]
+            if obs is None:
+                bound = lhs[0] + table.M
+                if bound > least or worst is not None and bound >= worst[3]:
+                    continue            # not the first of least valuation
+                obs = _exact_valuation(*exact(k), p)
         if worst is None or obs < worst[3]:
             worst = (k, lhs, rhs, obs)
-    k, lhs, rhs, observed = worst
-    if mod is None:     # a series sum or scalar is a Fraction already: no second gcd
-        lhs, rhs = (x if isinstance(x, Fraction) else Fraction(*_num_den(x)) for x in (lhs, rhs))
-    note = "" if k is None else f"k={k}" if single else \
-        f"worst member k={k} of {len(items)}"
-    return lhs, rhs, observed, note
+    return worst
 
 
 def _cross_check(case: CongruenceCase, params: CheckParams, items: list,
                  ctx: PadicContext) -> None:
-    """Check each exact value of a point that has an independent modular path:
-    a series sum against the termwise residue kernel mod p^m, and the left
-    side of every family member or binomial scalar against its digitwise
-    Lucas product mod p (case.lucas).  The members of a p-integral family are
-    ints (see _stepped), so each is reduced by one % p.  The row and cell
-    lemmas and the identities have no second path.  Raises
-    BackendDisagreement naming the case, point and member."""
+    """Check each value of a point that has an independent modular path: a
+    series sum against the termwise residue kernel mod p^m, and the left
+    side of every family member or binomial scalar mod p against its
+    digitwise Lucas product (case.lucas).  A family member's left side is
+    its factorial-table pair (v, u) (see _family_items), which is 0 mod p
+    when v > 0 and u mod p otherwise: Legendre's tables and base-p digits
+    are two independent arithmetic paths.  The row and cell lemmas and the
+    identities have no second path.  Raises BackendDisagreement naming the
+    case, point and member."""
     if case.kind == "series":
         # the kernel runs first: it refuses a p in a denominator by name, where
         # reducing the exact sum would fail with PNotIntegral
@@ -1046,13 +1086,72 @@ def _cross_check(case: CongruenceCase, params: CheckParams, items: list,
                 f"backend, {kernel} on the termwise residue kernel")
     elif case.lucas is not None:
         for k, lhs, _ in items:
-            exact, lucas = lhs % ctx.p, case.lucas(params.p, params.r, k)
+            if k is None:
+                exact, source = lhs % ctx.p, "exact backend"
+            else:
+                exact, source = 0 if lhs[0] > 0 else lhs[1] % ctx.p, "factorial table"
+            lucas = case.lucas(params.p, params.r, k)
             if exact != lucas:
                 member = "" if k is None else f", member k={k}"
                 raise BackendDisagreement(
                     f"{case.id}: exact and digitwise values disagree at {params}"
-                    f"{member}: lhs reduces to {exact} mod {ctx.p} on the exact "
-                    f"backend, {lucas} by Lucas' theorem")
+                    f"{member}: lhs reduces to {exact} mod {ctx.p} on the "
+                    f"{source}, {lucas} by Lucas' theorem")
+
+
+def _family_point(case: CongruenceCase, params: CheckParams, backend: str,
+                  claimed: int) -> tuple:
+    """(lhs, rhs, valuation, note) of a family point, its worst member picked
+    by _score from the factorial table.  On "residue" each side is p^v u mod
+    p^m, m = claimed, and no member is built exact.  Otherwise the units are
+    taken mod p^(claimed + 2), "both" checks every member's left side
+    digitwise (_cross_check), and only the reported member, and any
+    undetermined one that _score resolves, is built exact, by
+    binomial_product.  On "both" the reported member's exact valuation must
+    equal the table's."""
+    p, r = params.p, params.r
+    if backend == "residue":
+        mod = p ** claimed
+        items, _ = _family_items(case, params, claimed)
+        items = [(k, *(0 if v >= claimed else u * p ** v % mod for v, u in sides))
+                 for k, *sides in items]
+        k, lhs, rhs, observed = _score(items, p, claimed)
+    else:
+        items, table = _family_items(case, params, claimed + 2)
+        if backend == "both" and case.p_integral:
+            _cross_check(case, params, items, PadicContext(p, claimed))
+
+        def exact(k):
+            return (*binomial_product(*case.member_lhs(p, r, k)),
+                    *binomial_product(*case.member_rhs(p, r, k)))
+        k, lhs, rhs, observed = _score(items, p, None, table, exact)
+        if k is None:
+            lhs, rhs = Fraction(0), Fraction(0)
+        else:
+            a, b, c, d = exact(k)
+            if backend == "both":
+                v = _exact_valuation(a, b, c, d, p)
+                if v != observed:
+                    raise BackendDisagreement(
+                        f"{case.id}: factorial table and exact values disagree at "
+                        f"{params}, member k={k}: valuation {observed} from the "
+                        f"table, {v} from the exact member")
+            lhs, rhs = Fraction(a, b), Fraction(c, d)
+    note = ("empty member range" if k is None else f"k={k}" if params.k is not None
+            else f"worst member k={k} of {len(items)}")
+    return lhs, rhs, observed, note
+
+
+def _point_items(case: CongruenceCase, params: CheckParams) -> list:
+    """The (k, lhs, rhs) items of a point on the exact backend: one per
+    family member, its sides as factorial-table pairs mod p^(claimed + 2)
+    (_family_items), and a single item with k None and Fraction values for
+    every other kind."""
+    p, r = params.p, params.r
+    if case.kind == "family":
+        return _family_items(case, params, case.claimed(p, r) + 2)[0]
+    lhs = series_sum_exact(case, params) if case.kind == "series" else case.lhs_scalar(p, r)
+    return [(None, lhs, case.rhs(p, r))]
 
 
 def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
@@ -1061,7 +1160,8 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
 
     backend "both" runs the exact path, cross-checks it against the
     independent modular paths when the case is p-integral (see
-    _cross_check), and reports the exact values.
+    _cross_check), and reports the exact values; a family point also
+    checks its reported member (see _family_point).
     """
     case = get_case(case)
     if backend not in BACKENDS:
@@ -1077,23 +1177,22 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
     elif params.r < case.r_floor:
         note = f"statement hypotheses need r >= {case.r_floor}; r = {params.r} is informational"
 
-    m = None
     if backend == "residue":
         _require_residue(case)
-        ctx, m = PadicContext(p, claimed), claimed
-        if case.kind == "series":
-            items = [(None, series_sum_residue(case, params, ctx),
-                      residue(case.rhs(p, params.r), ctx))]
-        else:
-            items = [(k, residue(lhs, ctx), residue(rhs, ctx))
-                     for k, lhs, rhs in _point_items(case, params)]
+    if case.kind == "family":
+        lhs, rhs, observed, member_note = _family_point(case, params, backend, claimed)
+        note = f"{member_note}; {note}" if note else member_note
+    elif backend == "residue":
+        ctx = PadicContext(p, claimed)
+        lhs = (series_sum_residue(case, params, ctx) if case.kind == "series"
+               else residue(case.lhs_scalar(p, params.r), ctx))
+        _, lhs, rhs, observed = _score([(None, lhs, residue(case.rhs(p, params.r), ctx))],
+                                       p, claimed)
     else:
         items = _point_items(case, params)
         if backend == "both" and case.p_integral and claimed is not None:
             _cross_check(case, params, items, PadicContext(p, claimed))
-    lhs, rhs, observed, member_note = _score(items, p, m, params.k is not None)
-    if member_note:
-        note = f"{member_note}; {note}" if note else member_note
+        _, lhs, rhs, observed = _score(items, p, None)
 
     elapsed = (time.perf_counter() - t0) * 1000.0
     return CheckResult(case_id=case.id, params=params, lhs=lhs, rhs=rhs,

@@ -1,55 +1,84 @@
-"""The family kernel: each member's binomial description, stepped along k,
-against the same description evaluated factor by factor, and the Lucas
-check derived from it."""
+"""The family kernel: each member's binomial description read as a p-adic
+(valuation, unit) pair from one factorial table, against the same
+description evaluated factor by factor, the scorer that picks the worst
+member from those pairs, and the Lucas check derived from the description."""
+import dataclasses
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 
 from supercong import congruences
-from supercong.combinat import binomial
+from supercong.combinat import Factorials, binomial
 from supercong.congruences import (BackendDisagreement, BackendIneligible,
-                                   CheckParams, _family_members, _stepped,
-                                   _walk, evaluate_case, get_case, list_cases)
-from supercong.exactnum import PadicContext, residue, vp
+                                   CheckParams, _family_items, _score,
+                                   evaluate_case, get_case, list_cases)
+from supercong.exactnum import INFINITE, PadicContext, residue, vp
 from supercong.harness import SweepConfig, _ser_record, run_sweep
+
+from helpers import vp_unit
 
 FAMILIES = list_cases(status="fact-family")
 # (7, 2) and (11, 2) step BIN-3.11 by q = p^(r-1) > 1 along n and m
 POINTS = [(5, 1), (7, 2), (11, 2)]
 
 
-def per_factor(desc, p, r, k):
+def per_factor(desc, p, r, k, comb=binomial):
     """The description's value with one binomial call per factor."""
     c, e, *factors = desc(p, r, k)
     value = Fraction(c) * Fraction(2) ** e
     for n, m, j in factors:
         assert j in (1, -1)
-        value = value / binomial(n, m) if j < 0 else value * binomial(n, m)
+        value = value / comb(n, m) if j < 0 else value * comb(n, m)
     return value
 
 
-def value(member):
-    """A kernel member as a number: an int, or the Fraction of its
-    (numerator, denominator) pair."""
-    return Fraction(*member) if isinstance(member, tuple) else member
+def members(case, p, r, M=None):
+    """The family's (k, lhs, rhs) pairs at (p, r), from a table of units mod
+    p^M (claimed + 2 by default, as the exact backend takes them), and M."""
+    M = M or case.claimed(p, r) + 2
+    items, _ = _family_items(case, CheckParams(p=p, r=r), M)
+    return [(k, reduce(lhs, p, M), reduce(rhs, p, M)) for k, lhs, rhs in items], M
 
 
-def test_walk_reaches_every_binomial():
-    cells = [(n, m) for n in range(13) for m in range(n + 1)]
-    for n0, m0 in cells:
-        for n, m in cells:
-            assert _walk(math.comb(n0, m0), n0, m0, n, m) == math.comb(n, m), (n0, m0, n, m)
+def reduce(pair, p, M):
+    """A table pair with its unit mod p^M: a kept table may be finer."""
+    v, u = pair
+    return v, u % p ** M
+
+
+def test_table_reaches_every_binomial():
+    # every C(n, m) and its inverse, n <= 40, at three precisions; p = 3 and 5
+    # divide many of them, to several powers
+    for p in (3, 5, 7):
+        for M in (1, 2, 4):
+            table = Factorials(p, M, 40)
+            assert table.V[:8] == [vp(math.factorial(x), p) for x in range(8)]
+            for n in range(41):
+                for m in range(n + 1):
+                    want = vp_unit(math.comb(n, m), p, M)
+                    assert table.pair(1, 0, (n, m, 1)) == want, (p, M, n, m)
+                    assert table.pair(1, 0, (n, m, -1)) == \
+                        vp_unit(Fraction(1, math.comb(n, m)), p, M), (p, M, n, m)
+                    assert table.pair(1, 0, (n, m, 2)) == \
+                        vp_unit(math.comb(n, m) ** 2, p, M), (p, M, n, m)
+            assert table.pair(0, 0, (40, 3, 1)) == (INFINITE, 0)
+            assert table.pair(-6 * p ** 2, -3, (12, 5, 1)) == \
+                vp_unit(Fraction(-6 * p ** 2 * math.comb(12, 5), 8), p, M)
+    assert Factorials(3, 39, 4).U[4] == 8 and Factorials(47, 11, 4).U[4] == 24
+    with pytest.raises(ValueError, match=r"units mod 3\^40 do not fit in 64 bits"):
+        Factorials(3, 40, 4)
 
 
 @pytest.mark.parametrize("p, r", POINTS)
 def test_kernel_matches_binomial_per_factor(p, r):
     for case in FAMILIES:
-        keys = list(case.members(p, r))
-        assert keys, (case.id, p, r)
-        for desc in (case.member_lhs, case.member_rhs):
-            assert [value(v) for v in _stepped(desc, p, r, keys)] == \
-                [per_factor(desc, p, r, k) for k in keys], (case.id, p, r)
+        items, M = members(case, p, r)
+        assert items, (case.id, p, r)
+        for side, desc in ((1, case.member_lhs), (2, case.member_rhs)):
+            assert [item[side] for item in items] == \
+                [vp_unit(per_factor(desc, p, r, k), p, M) for k, *_ in items], (case.id, p, r)
 
 
 def layout(desc, p, r, k):
@@ -61,10 +90,10 @@ def layout(desc, p, r, k):
 
 @pytest.mark.parametrize("p, r", POINTS + [(13, 2)])
 def test_family_descriptions_are_linear(p, r):
-    """_stepped pairs each factor with the previous member's by position, so
-    each description keeps one factor layout, and e and every binomial
-    argument and power are linear in k: equal to their interpolation from
-    the first two members."""
+    """_family_items sizes the factorial table, and checks 0 <= m <= n, at
+    the first and last members only, so each description keeps one factor
+    layout, and e and every binomial argument and power are linear in k:
+    equal to their interpolation from the first two members."""
     for case in FAMILIES:
         keys = list(case.members(p, r))
         for desc in (case.member_lhs, case.member_rhs):
@@ -79,18 +108,28 @@ def test_reflected_upper_index():
     for p, r in POINTS:
         P = p ** r
         for cid, a in (("BIN-3.10", 2), ("BIN-5.6", 4)):
-            case = get_case(cid)
-            keys = list(case.members(p, r))
-            assert _stepped(case.member_lhs, p, r, keys) == \
-                [binomial(-a * P - 1, 2 * P - 2 * k - 2) for k in keys], (cid, p, r)
+            items, M = members(get_case(cid), p, r)
+            assert [lhs for _, lhs, _ in items] == \
+                [vp_unit(binomial(-a * P - 1, 2 * P - 2 * k - 2), p, M)
+                 for k, *_ in items], (cid, p, r)
 
 
 def test_single_member_matches_full_list():
     for case in FAMILIES:
-        full = _family_members(case, CheckParams(p=7, r=2))
+        full, M = members(case, 7, 2)
         for item in full:
-            assert _family_members(case, CheckParams(p=7, r=2, k=item[0])) == [item], \
-                (case.id, item[0])
+            one, _ = _family_items(case, CheckParams(p=7, r=2, k=item[0]), M)
+            assert [(k, reduce(lhs, 7, M), reduce(rhs, 7, M)) for k, lhs, rhs in one] \
+                == [item], (case.id, item[0])
+
+
+def test_out_of_range_binomial_is_refused():
+    # a negative list index would read the table from its top
+    case = get_case("BIN-3.9")
+    bad = dataclasses.replace(
+        case, member_lhs=lambda p, r, k: (1, 0, (7 - k, k, 1)))
+    with pytest.raises(ValueError, match=r"BIN-3\.9: member k=4 .* C\(3, 4\) outside"):
+        evaluate_case(bad, CheckParams(p=11), "exact")
 
 
 # each p-integral family's lhs with the arguments its statement writes
@@ -116,22 +155,48 @@ def test_derived_lucas_matches_statement():
                 assert case.lucas(p, r, k) == lhs(p, p ** r, k) % p, (cid, p, r, k)
 
 
-def wrong_kernel_at(monkeypatch, bad_k):
-    """Every family value off by one at member bad_k only."""
-    good = congruences._stepped
+def wrong_kernel_at(monkeypatch, x, table="U", by=2):
+    """Every factorial table built from now on has one wrong entry: the
+    unit of x! times `by` (with its inverse to match), or with table="V"
+    the valuation of x! plus `by`."""
+    build = Factorials.__init__
 
-    def stepped(desc, p, r, keys):
-        return [v + (k == bad_k) for k, v in zip(keys, good(desc, p, r, keys))]
+    def wrong(self, p, M, n):
+        build(self, p, M, n)
+        if table == "U":
+            self.U[x] = self.U[x] * by % self.mod
+            self.Ui[x] = pow(self.U[x], -1, self.mod)
+        else:
+            self.V[x] += by
 
-    monkeypatch.setattr(congruences, "_stepped", stepped)
+    monkeypatch.setattr(Factorials, "__init__", wrong)
+    monkeypatch.setattr(congruences, "_table", None)      # drop the kept table
 
 
 def test_wrong_kernel_raises_disagreement(monkeypatch):
-    params = CheckParams(p=11)                  # members k = 1 .. 4
+    # BIN-3.9 at p = 11 reads C(21, k), k = 1 .. 4, as U[21] Ui[k] Ui[21 - k]:
+    # a wrong unit of 3! is read by member k = 3 alone
+    params = CheckParams(p=11)
     assert evaluate_case("BIN-3.9", params, "both").passed
     wrong_kernel_at(monkeypatch, 3)
-    with pytest.raises(BackendDisagreement, match=r"BIN-3\.9.*p=11, r=1.*member k=3"):
+    with pytest.raises(BackendDisagreement, match=r"BIN-3\.9.*p=11, r=1.*member k=3.*"
+                                                  r"factorial table, \d+ by Lucas"):
         evaluate_case("BIN-3.9", params, "both")
+
+
+def test_wrong_valuation_of_reported_member_is_a_disagreement(monkeypatch):
+    # FACT-INV has no Lucas check.  At (7, 2) a vp(48!) 5 too large lowers
+    # the valuation of member k = 48's right side, C(96, 48), by 10, so the
+    # table reports k = 48 at -8, which its exact member refutes on "both"
+    params = CheckParams(p=7, r=2)
+    assert evaluate_case("FACT-INV", params, "both").passed
+    wrong_kernel_at(monkeypatch, 48, table="V", by=5)
+    with pytest.raises(BackendDisagreement,
+                       match=r"^FACT-INV: factorial table and exact values disagree at "
+                             r"CheckParams\(p=7, r=2.*member k=48: valuation -8 from the "
+                             r"table, 4 from the exact member"):
+        evaluate_case("FACT-INV", params, "both")
+    assert evaluate_case("FACT-INV", params, "exact").observed_valuation == -8
 
 
 def test_wrong_kernel_is_a_sweep_error(monkeypatch):
@@ -144,14 +209,22 @@ def test_wrong_kernel_is_a_sweep_error(monkeypatch):
     assert report.failed
 
 
-def reference_score(case, params, backend):
-    """(lhs, rhs, observed_valuation, passed, note) with every member a
-    Fraction from per_factor, scored by exactnum.vp: the first member of
-    least valuation."""
+def reference_items(case, params, comb=binomial):
+    """(k, lhs, rhs) of every member a point reads, each side a Fraction
+    from per_factor."""
     p, r = params.p, params.r
     keys = list(case.members(p, r)) if params.k is None else [params.k]
-    items = [(k, per_factor(case.member_lhs, p, r, k), per_factor(case.member_rhs, p, r, k))
-             for k in keys]
+    return [(k, per_factor(case.member_lhs, p, r, k, comb),
+             per_factor(case.member_rhs, p, r, k, comb)) for k in keys]
+
+
+def reference_score(case, params, backend, items=None):
+    """(lhs, rhs, observed_valuation, passed, note) with every member a
+    Fraction from per_factor (or the given reference_items), scored by
+    exactnum.vp: the first member of least valuation."""
+    p, r = params.p, params.r
+    items = items or reference_items(case, params)
+    keys = [k for k, _, _ in items]
     m = case.claimed(p, r)
     if backend == "residue":
         ctx = PadicContext(p, m)
@@ -167,9 +240,9 @@ def reference_score(case, params, backend):
 @pytest.mark.parametrize("backend", ["exact", "both", "residue"])
 @pytest.mark.parametrize("point", POINTS + [(13, 2), "k"])
 def test_integer_kernel_scores_like_fraction_reference(point, backend):
-    """The int and (numerator, denominator) members, scored in integers,
-    give the results of Fraction members scored by vp.  "k" is the middle
-    member of each family at (7, 2), selected as --k selects it."""
+    """The table's (v, u) members, scored in small integers, give the
+    results of Fraction members scored by vp.  "k" is the middle member of
+    each family at (7, 2), selected as --k selects it."""
     assert {c.id for c in FAMILIES if not c.p_integral} == {"FACT-INV", "DAO-HB"}
     for case in FAMILIES:
         if point == "k":
@@ -186,20 +259,88 @@ def test_integer_kernel_scores_like_fraction_reference(point, backend):
         assert got == reference_score(case, params, backend), (case.id, params, backend)
 
 
-def test_integral_members_are_plain_ints():
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_every_family_at_r3_scores_like_fraction_reference(p):
+    """At r = 3 every family on every backend gives the reference's record:
+    BIN-3.11 steps its binomials by q = p^2, and FACT-2LL claims p^4."""
+    params = CheckParams(p=p, r=3)
+    comb = functools.lru_cache(maxsize=None)(binomial)   # C(2k, k) serves four families
     for case in FAMILIES:
-        keys = list(case.members(11, 2))
-        for desc in (case.member_lhs, case.member_rhs):
-            members = _stepped(desc, 11, 2, keys)
-            if case.p_integral or desc is case.member_rhs:
-                assert all(type(v) is int for v in members), case.id
-            else:       # FACT-INV and DAO-HB divide by a binomial
-                assert all(type(v) is tuple and type(v[0]) is int and type(v[1]) is int
-                           and v[1] > 0 for v in members), case.id
+        items = reference_items(case, params, comb)
+        for backend in ("exact", "both", "residue"):
+            if backend == "residue" and not case.p_integral:
+                continue
+            res = evaluate_case(case, params, backend)
+            got = (res.lhs, res.rhs, res.observed_valuation, res.passed, res.note)
+            assert got == reference_score(case, params, backend, items), (case.id, p, backend)
+
+
+def test_undetermined_members_are_resolved_exactly(monkeypatch):
+    """BIN-3.11 at r = 1 is C(2j-2, j-1) on both sides: every member's units
+    agree mod p^M, and each is resolved exactly, to INFINITE.  Every other
+    point's members are determined by the table alone."""
+    resolved = []
+    exact_valuation = congruences._exact_valuation
+    monkeypatch.setattr(congruences, "_exact_valuation",
+                        lambda *args: resolved.append(args) or exact_valuation(*args))
+    for backend in ("exact", "both"):
+        resolved.clear()
+        res = evaluate_case("BIN-3.11", CheckParams(p=13), backend)
+        assert res.observed_valuation is INFINITE and res.passed
+        assert res.note == "worst member k=1 of 6"
+        assert res.lhs == res.rhs == 1
+        # six members, and on "both" the reported one checked once more
+        assert len(resolved) == 6 + (backend == "both"), backend
+    # with units mod p^(claimed + 2) no other family point has a member to resolve
+    for p, r in POINTS + [(13, 2)]:
+        for case in FAMILIES:
+            resolved.clear()
+            evaluate_case(case, CheckParams(p=p, r=r), "exact")
+            assert len(resolved) == (p - 1) // 2 if (case.id, r) == ("BIN-3.11", 1) \
+                else not resolved, (case.id, p, r)
+
+
+def test_undetermined_member_is_resolved_only_when_it_could_be_reported():
+    """Pairs (v, u) mod 5^2: member 1 is determined at 1; member 2 is
+    undetermined with bound 0 + 2 = 2, above 1, so it is never built;
+    member 3 is undetermined with bound -2 + 2 = 0, below 1, so it is built,
+    and its exact valuation, 0, makes it the reported member."""
+    table = Factorials(5, 2, 1)
+    built = []
+
+    def exact(k):
+        built.append(k)
+        return (2, 1, 1, 1) if k == 3 else (1, 1, 1, 1)
+    items = [(1, (1, 3), (1, 8)), (2, (0, 7), (0, 7)), (3, (-2, 4), (-2, 4))]
+    assert _score(items, 5, None, table, exact) == (3, (-2, 4), (-2, 4), 0)
+    assert built == [3]
+    # with a member of valuation 0 before it, member 3 can not be first
+    built.clear()
+    items.insert(0, (0, (0, 1), (0, 2)))
+    assert _score(items, 5, None, table, exact) == (0, (0, 1), (0, 2), 0)
+    assert built == []
+
+
+def test_integral_members_are_plain_ints():
+    """Every member is a pair of plain ints (v, u), u a unit below p^M; the
+    p-integral families have v >= 0 on both sides, and a side of 0 reads
+    (INFINITE, 0)."""
+    for case in FAMILIES:
+        items, M = members(case, 11, 2)
+        for k, *sides in items:
+            for v, u in sides:
+                if v is INFINITE:
+                    assert u == 0 and case.id == "FACT-2KK", (case.id, k)
+                    continue
+                assert type(v) is int and type(u) is int and 0 < u < 11 ** M, (case.id, k)
+                assert u % 11, (case.id, k)
+                if case.p_integral:
+                    assert v >= 0, (case.id, k)
 
 
 def test_one_fraction_per_reported_value(monkeypatch):
-    """A family point builds Fractions only for the lhs and rhs it reports."""
+    """A family point builds Fractions only for the lhs and rhs it reports,
+    and binomial_product only for the reported member's two sides."""
     built = []
 
     class Counted(Fraction):
@@ -207,12 +348,23 @@ def test_one_fraction_per_reported_value(monkeypatch):
             built.append(args)
             return super().__new__(cls, *args)
 
+    products = []
+    product = congruences.binomial_product
     monkeypatch.setattr(congruences, "Fraction", Counted)
+    monkeypatch.setattr(congruences, "binomial_product",
+                        lambda *desc: products.append(desc) or product(*desc))
     for case in FAMILIES:
-        for backend in ("exact", "both"):
-            built.clear()
+        for backend in ("exact", "both", "residue"):
+            if backend == "residue" and not case.p_integral:
+                continue
+            built.clear(), products.clear()
             res = evaluate_case(case, CheckParams(p=11, r=2), backend)
+            if backend == "residue":
+                assert built == products == [], case.id
+                continue
             assert len(built) == 2, (case.id, backend, built)
+            k = int(res.note.split("k=")[1].split()[0])
+            assert products == [case.member_lhs(11, 2, k), case.member_rhs(11, 2, k)]
             assert isinstance(res.lhs, Fraction) and isinstance(res.rhs, Fraction)
 
 

@@ -3,21 +3,23 @@ is additive, residue is a ring homomorphism on p-integral rationals, a
 binomial with a negative upper index follows the reflection rule, the
 binary-split kernel's range and prefix sums equal termwise sums, the exact
 division that ends each sum equals Fraction's, the running exact series pass
-equals a termwise sum at any sequence of caps, and the binomial-product evaluator,
-its Lucas reader and the stepped family kernel agree with per-factor
-arithmetic.  Skipped when hypothesis is not installed."""
+equals a termwise sum at any sequence of caps, the binomial-product evaluator
+and its Lucas reader agree with per-factor arithmetic, and the factorial
+table's (valuation, unit) pairs agree with math.comb and with the evaluator.
+Skipped when hypothesis is not installed."""
+import math
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
 from supercong import congruences
-from supercong.combinat import binomial, binomial_product, lucas_product
-from supercong.congruences import (SERIES, _over_power_of_two, _Pass, _stepped,
-                                   list_cases)
+from supercong.combinat import Factorials, binomial, binomial_product, lucas_product
+from supercong.congruences import (SERIES, CheckParams, _family_items, _over_power_of_two,
+                                   _Pass, list_cases)
 from supercong.exactnum import INFINITE, PadicContext, residue, vp
 
-from helpers import binomial_rat, ratio_slices
+from helpers import binomial_rat, ratio_slices, vp_unit
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
@@ -211,12 +213,25 @@ FAMILIES = list_cases(status="fact-family")
 
 
 @small
+@given(p=st.sampled_from((3, 5, 7, 11, 13, 17, 23, 47)), M=st.integers(1, 5),
+       nm=st.integers(0, 3000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+@example(p=3, M=5, nm=(3000, 1500))     # vp(3000!) = 1495, many carries
+@example(p=47, M=1, nm=(47 ** 2, 47))
+def test_table_pair_is_vp_and_unit_of_comb(p, M, nm):
+    n, m = nm
+    table = Factorials(p, M, n)
+    assert table.pair(1, 0, (n, m, 1)) == vp_unit(math.comb(n, m), p, M)
+
+
+@small
 @given(case=st.sampled_from(FAMILIES), p=st.sampled_from((5, 7, 11, 13)),
-       r=st.integers(1, 2), start=st.integers(0, 10 ** 6), length=st.integers(1, 12))
-def test_stepped_members_equal_the_evaluator(case, p, r, start, length):
+       r=st.integers(1, 2), k=st.integers(0, 10 ** 6), M=st.integers(1, 4))
+def test_table_members_equal_the_evaluator(case, p, r, k, M):
     members = case.members(p, r)
-    keys = list(members[start % len(members):][:length])
-    for desc in (case.member_lhs, case.member_rhs):
-        got = [Fraction(*v) if isinstance(v, tuple) else v
-               for v in _stepped(desc, p, r, keys)]
-        assert got == [Fraction(*binomial_product(*desc(p, r, k))) for k in keys]
+    params = CheckParams(p=p, r=r, k=members[k % len(members)])
+    (got,), _ = _family_items(case, params, M)
+    k = params.k
+    assert got[0] == k
+    for side, desc in ((got[1], case.member_lhs), (got[2], case.member_rhs)):
+        v, u = side
+        assert (v, u % p ** M) == vp_unit(Fraction(*binomial_product(*desc(p, r, k))), p, M)

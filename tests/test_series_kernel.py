@@ -141,32 +141,46 @@ def test_a_pass_that_raises_is_dropped(monkeypatch):
 @pytest.mark.parametrize("name", sorted(SERIES))
 def test_pass_renormalises_after_each_read(name):
     """After each prefix read the pass holds its prefix x / d and its seed
-    s / d, the term at the cap over poly(cap), over d = the lcm of their
-    reduced denominators: no factor that cancels is carried into the next
-    stretch."""
+    s / d, the term at the cap over poly(cap).  It renormalises when it next
+    steps on, and only then: d becomes the lcm of their reduced
+    denominators, so no factor that cancels is carried into the next
+    stretch, and a pass read once divides its seed zero times."""
     spec = SERIES[name]
     terms = list(spec.terms(200))
     run = congruences._Pass(*spec.split())
-    for cap in (0, 1, 2, 3, 7, 8, 40, 41, 41, 120, 200):
+    renormalise, done = run._renormalise, []
+
+    def checked():
+        before = run.total, Fraction(run.x, run.d), Fraction(run.s, run.d)
+        renormalise()
+        if before[0] is not None:
+            prefix, seed = Fraction(run.x, run.d), Fraction(run.s, run.d)
+            assert (prefix, seed) == before[1:] and prefix == before[0]
+            assert run.d == lcm(prefix.denominator, seed.denominator)
+            done.append(run.k)
+    run._renormalise = checked
+    caps = (0, 1, 2, 3, 7, 8, 40, 41, 41, 120, 200)
+    for cap in caps:
         got = run.prefix(cap)
         assert got == sum(terms[:cap + 1 - spec.start], Fraction(0)), cap
         assert run.k == cap + 1
-        prefix, seed = Fraction(run.x, run.d), Fraction(run.s, run.d)
-        assert prefix == got
+        assert Fraction(run.x, run.d) == got == run.total
         if cap >= spec.start:
-            assert seed == terms[cap - spec.start] / _poly(spec.poly, cap), cap
-        assert run.d == lcm(prefix.denominator, seed.denominator), cap
+            assert Fraction(run.s, run.d) == terms[cap - spec.start] / _poly(spec.poly, cap), cap
+    # once after each cap but the last: the repeated read at 41 steps nothing
+    assert done == sorted({cap + 1 for cap in caps[:-1]})
 
 
 @pytest.mark.parametrize("name", POWER_OF_TWO)
 def test_power_of_two_reads_divide_exactly(name):
     # a power-of-two spec's prefix and seed have reduced denominators that
-    # are powers of two, so every division of its reads takes the 2-adic path
+    # are powers of two, so every division of its reads takes the 2-adic
+    # path: one per read, and one of the seed each time the pass steps on
     with mock.patch.object(congruences, "_Lowest", wraps=congruences._Lowest) as lowest:
         run = congruences._Pass(*SERIES[name].split())
         for cap in (0, 5, 6, 100, 47 ** 2 - 1):
             run.prefix(cap)
-    assert lowest.call_count == 2 * 5
+    assert lowest.call_count == 5 + 4
 
 
 def _binomial_part_valuations(spec, p, upper):

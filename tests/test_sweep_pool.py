@@ -213,8 +213,8 @@ def test_each_kernel_is_computed_once_per_sweep(monkeypatch):
 def test_each_series_pass_starts_once_per_sweep(monkeypatch):
     # a sweep reads each spec at many caps; each spec's running pass starts
     # once and steps each term up to its longest cap once.  The theorem,
-    # known and informational sweeps read all ten specs between them (BIN-3.5
-    # and BIN-3.7, which read h1 outside its unit, are left out by the glob)
+    # known and informational sweeps read all ten specs between them; the
+    # known sweep's h1 unit holds H-HALF, WOLST-H1, BIN-3.5 and BIN-3.7
     names, split = {id(spec): name for name, spec in SERIES.items()}, \
         congruences.SeriesSpec.split
     starts, steps = Counter(), Counter()
@@ -230,7 +230,7 @@ def test_each_series_pass_starts_once_per_sweep(monkeypatch):
         return (t0, counted_step, *rest)
     monkeypatch.setattr(congruences.SeriesSpec, "split", counted)
     read = set()
-    for config in (THEOREMS, dict(status="known", glob="[!B]*", primes=(5, 7, 11)),
+    for config in (THEOREMS, dict(status="known", primes=(5, 7, 11)),
                    dict(status="informational", primes=(5, 7, 11), r_max=2)):
         starts.clear(), steps.clear()
         congruences._series_exact.cache_clear()
@@ -246,6 +246,8 @@ def test_each_series_pass_starts_once_per_sweep(monkeypatch):
             assert FakePool.created == [2]
             assert longest == {"glr": 120, "guo64": 120, "gz10n2": 120, "z120n2": 120,
                                "z20n3-signed": 120, "mao": 5}
+        if config.get("status") == "known":        # BIN-3.5's H_(11^2 - 1)
+            assert longest["h1"] == 120
         assert starts == {name: 1 for name in longest}, config
         # step(k) is the ratio of term k + 1 to term k: one per term after the first
         assert steps == {name: n - SERIES[name].start for name, n in longest.items()}
