@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .exactnum import INFINITE, Valuation, _check_odd_prime
 
@@ -100,30 +100,42 @@ class Factorials:
 
     x's unit and vp(x) are those of x / p for a multiple of p, and x itself
     otherwise; V and U are their running sum and product, and Ui comes from
-    one pow(U[n], -1) and a backward pass.  U and Ui are 64-bit arrays, a
-    quarter of the memory of lists of ints, so p^M must be below 2^63; the
-    families take M <= r + 3, which stays below that for every p^r a table
-    can reach."""
+    one pow(U[n], -1) and a backward pass.  extend() runs all three on to a
+    larger n in place, so a table outgrown only in reach is not rebuilt.
+    U and Ui are 64-bit arrays, a quarter of the memory of lists of ints,
+    so p^M must be below 2^63; the families take M <= r + 3, which stays
+    below that for every p^r a table can reach."""
 
     def __init__(self, p: int, M: int, n: int):
-        self.p, self.M, self.n, self.mod = p, M, n, p ** M
-        mod = self.mod
-        if mod >> 63:
+        self.p, self.M, self.n, self.mod = p, M, 0, p ** M
+        if self.mod >> 63:
             raise ValueError(f"units mod {p}^{M} do not fit in 64 bits")
-        units, counts = list(range(n + 1)), [0] * (n + 1)
-        units[0] = 1
-        for x in range(p, n + 1, p):
-            units[x], counts[x] = units[x // p], counts[x // p] + 1
+        self.V, self.U, self.Ui = [0], array("q", [1]), array("q", [1])     # 0! = 1
+        self.extend(n)
+
+    def extend(self, n: int) -> None:
+        """Run the table on from self.n to n in place: V and U from their
+        last entries, and Ui's new segment from one pow(U[n], -1) and a
+        backward pass over that segment only."""
+        p, mod, lo = self.p, self.mod, self.n + 1
+        units, counts = list(range(lo, n + 1)), [0] * (n + 1 - lo)
+        for x in range(-(-lo // p) * p, n + 1, p):
+            y, c = x // p, 1
+            while y % p == 0:
+                y, c = y // p, c + 1
+            units[x - lo], counts[x - lo] = y, c
 
         def mul(a, b):
             return a * b % mod
-        self.V = list(accumulate(counts))
-        self.U = array("q", accumulate(units, mul))
-        # U[x-1]^-1 = U[x]^-1 unit(x), from x = n down; the last product, past
-        # x = 0, is dropped
-        self.Ui = array("q", accumulate(reversed(units), mul, initial=pow(self.U[n], -1, mod)))
-        self.Ui.pop()
-        self.Ui.reverse()
+        self.V.extend(islice(accumulate(counts, initial=self.V[-1]), 1, None))
+        self.U.extend(islice(accumulate(units, mul, initial=self.U[-1]), 1, None))
+        # U[x-1]^-1 = U[x]^-1 unit(x), from x = n down; the last product,
+        # Ui[lo - 1], is held already
+        tail = array("q", accumulate(reversed(units), mul, initial=pow(self.U[n], -1, mod)))
+        tail.pop()
+        tail.reverse()
+        self.Ui.extend(tail)
+        self.n = n
 
     def pair(self, c: int, e: int, *factors: tuple[int, int, int]) -> tuple[Valuation, int]:
         """binomial_product's value as (v, u), p^v times the unit u mod p^M,

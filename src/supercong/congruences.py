@@ -945,16 +945,18 @@ _table: Optional[Factorials] = None     # the one factorial table kept (_factori
 
 def _factorials(p: int, M: int, n: int) -> Factorials:
     """A factorial table at p to precision p^M and to n: the kept one when it
-    reaches that far, else a new one, which replaces it.  A new table at the
-    kept one's p takes the larger precision and reach of the two, so the
-    points at one p share a table; at most one table lives at a time."""
+    is at p and as precise, run on in place to n if it falls short
+    (Factorials.extend), else a new one, which replaces it.  So the points
+    at one p and precision share a table; at most one table lives at a
+    time."""
     global _table
     t = _table
-    if t is None or t.p != p or t.M < M or t.n < n:
-        if t is not None and t.p == p:
-            M, n = max(M, t.M), max(n, t.n)
-        _table = None                       # the old one goes before the new is built
-        _table = t = Factorials(p, M, n)
+    if t is not None and t.p == p and t.M >= M:
+        if t.n < n:
+            t.extend(n)
+        return t
+    _table = None                           # the old one goes before the new is built
+    _table = t = Factorials(p, M, n)
     return t
 
 

@@ -1,6 +1,12 @@
 """Sweep orchestration: enumerate (case, p, r, delta) tuples, evaluate each,
 and serialize the outcomes so runs can be archived and diffed.
 
+Importing this module loads no process-pool machinery: concurrent.futures
+(and with it multiprocessing, socket, pickle and logging) is imported by
+_pool, when a sweep starts more than one worker, and csv and json by the
+report functions that read or write them.  So importing the package, and
+every command but a pooled sweep, never pays for them.
+
 Report formats:
   json-lines -- one meta object (tool, version, config echo, summary counts)
                 followed by one record per check
@@ -14,13 +20,10 @@ are byte-identical apart from that field.
 """
 from __future__ import annotations
 
-import csv
 import io
-import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -269,6 +272,13 @@ def _run_unit(unit: list, backend: str, include_p3: bool) -> list:
     return [_run_task(task, backend, include_p3) for task in unit]
 
 
+def _pool(workers: int):
+    """A process pool of `workers` workers.  Its modules are imported here,
+    at the first sweep that starts a pool, not when this module loads."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Evaluate the whole grid; individual case errors are collected, never
     raised. Results come back sorted by (case_id, p, r, delta), so the
@@ -277,13 +287,14 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     and other kernel): the pool is handed them largest p^r first, four to a
     chunk, and gets at most one worker per unit and per CPU (a fork pool
     starts every worker at the first submit); with one worker the sweep
-    runs in this process."""
+    runs in this process, and the pool's modules are never imported
+    (_pool)."""
     t0 = time.perf_counter()
     units = _units(config)
     args = (repeat(config.backend), repeat(config.include_p3))
     workers = min(config.jobs, len(units), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool(workers) as pool:
             done = list(pool.map(_run_unit, units, *args, chunksize=4))
     else:
         done = list(map(_run_unit, units, *args))
@@ -335,11 +346,13 @@ def write_report(report: SweepReport, path: Union[str, Path]) -> Path:
     path = Path(path)
     records = [_ser_record(r) for r in report.results]
     if report.config.report_format == "json-lines":
+        import json
         meta = {"tool": TOOL, "version": TOOL_VERSION,
                 "config": report.config.echo(), "summary": report.summary()}
         lines = [json.dumps(meta)] + [json.dumps(r) for r in records]
         text = "\n".join(lines) + "\n"
     else:
+        import csv
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS, lineterminator="\n")
         writer.writeheader()
@@ -396,6 +409,7 @@ def read_report(path: Union[str, Path]) -> tuple[Optional[dict], list[dict]]:
     first = text.lstrip()[0]
     records, meta = [], None
     if first == "{":
+        import json
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
@@ -408,6 +422,7 @@ def read_report(path: Union[str, Path]) -> tuple[Optional[dict], list[dict]]:
             else:
                 records.append(_norm_record(obj, f"{path}: line {lineno}"))
     else:
+        import csv
         reader = csv.DictReader(io.StringIO(text))
         if reader.fieldnames != list(RECORD_FIELDS):
             raise ConfigInvalid(f"{path}: bad csv header {reader.fieldnames}")

@@ -5,6 +5,7 @@ member from those pairs, and the Lucas check derived from the description."""
 import dataclasses
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,39 @@ def test_wrong_kernel_is_a_sweep_error(monkeypatch):
     assert report.errors[0]["error"].startswith("BackendDisagreement: BIN-3.9")
     assert "member k=3" in report.errors[0]["error"]
     assert report.failed
+
+
+def test_sweep_extends_a_table_outgrown_only_in_reach(monkeypatch):
+    """At each (p, r) of the fact-family sweep, BIN-3.10 builds a table to
+    4 p^r at M = 3, BIN-5.6 extends it to 6 p^r, and FACT-2LL, which needs
+    M = r + 3, builds a new one: 2 builds and 1 extension per (p, r), where
+    every table was once built afresh (3 builds).  The records do not
+    change: each extended table equals a fresh one (test_properties)."""
+    calls, extend = Counter(), Factorials.extend
+
+    def counted(self, n):
+        # a build extends its one-entry table (0!) to the reach asked for
+        calls["extend" if self.n else "build"] += 1
+        extend(self, n)
+    monkeypatch.setattr(Factorials, "extend", counted)
+    monkeypatch.setattr(congruences, "_table", None)
+    report = run_sweep(SweepConfig(status="fact-family", pmax=41))
+    assert report.errors == [] and len(report.results) == 198
+    assert len({(res.params.p, res.params.r) for res in report.results}) == 22
+    assert calls == {"build": 44, "extend": 22}
+
+
+def test_one_point_builds_a_table_to_its_own_reach(monkeypatch):
+    # a single point, with no table kept, builds one table that reaches its
+    # largest binomial and no further
+    p, r = 13, 2
+    for case in FAMILIES:
+        monkeypatch.setattr(congruences, "_table", None)
+        evaluate_case(case.id, CheckParams(p=p, r=r), "both")
+        reach = max(n for k in case.members(p, r)
+                    for desc in (case.member_lhs, case.member_rhs)
+                    for n, _, _ in desc(p, r, k)[2:])
+        assert congruences._table.n == reach, case.id
 
 
 def reference_items(case, params, comb=binomial):

@@ -238,10 +238,21 @@ def test_compare_baseline(tmp_path):
         compare_baseline(report, [{"case_id": "WOLST-BIN"}])
 
 
-def test_parallel_matches_serial():
-    cfg = SweepConfig(primes=(5, 7), r_max=1, glob="MAO-*")
+def test_parallel_matches_serial(monkeypatch):
+    # MAO-* alone is one unit (one series spec); the WOLST-* points add four
+    # more, so jobs=2 starts a real pool of two workers
+    started, pool = [], harness._pool
+
+    def recorded(workers):
+        started.append(workers)
+        return pool(workers)
+    monkeypatch.setattr(harness, "_pool", recorded)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    cfg = SweepConfig(primes=(5, 7), r_max=1, glob="[MW]*")
     serial = run_sweep(cfg)
+    assert started == []
     parallel = run_sweep(dataclasses.replace(cfg, jobs=2))
+    assert started == [2]
     strip = lambda rs: [dataclasses.replace(r, elapsed_ms=0.0) for r in rs]
     assert strip(serial.results) == strip(parallel.results)
     ident = [r for r in parallel.results if r.case_id == "MAO-I2-IDENT"]

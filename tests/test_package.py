@@ -1,5 +1,9 @@
 """The package's public surface: every name in __all__ resolves, once, and
-the star import brings them all."""
+the star import brings them all; importing the CLI loads only what every
+command reads."""
+import subprocess
+import sys
+
 import supercong
 from supercong import harness
 
@@ -13,3 +17,15 @@ def test_all_names_resolve_once():
     exec("from supercong import *", namespace)
     assert set(names) <= namespace.keys()
     assert supercong.__version__ is harness.TOOL_VERSION
+
+
+def test_cli_import_loads_no_pool_or_report_modules():
+    # concurrent.futures (and multiprocessing) load only when a sweep starts a
+    # pool, csv and json only when a report is written or read
+    probe = ("import sys; before = set(sys.modules); import supercong.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "supercong.cli" in added and "supercong.harness" in added
+    deferred = ("concurrent", "multiprocessing", "csv", "json")
+    assert [name for name in added if name.lstrip("_").split(".")[0] in deferred] == []

@@ -224,6 +224,19 @@ def test_table_pair_is_vp_and_unit_of_comb(p, M, nm):
 
 
 @small
+@given(p=st.sampled_from((3, 5, 7, 11, 47)), M=st.integers(1, 5),
+       reach=st.lists(st.integers(0, 3000), min_size=1, max_size=4, unique=True))
+@example(p=3, M=2, reach=[0, 1, 2, 3, 9, 27])   # segments that start on a multiple of p
+def test_extended_table_equals_a_fresh_one(p, M, reach):
+    first, *rest = sorted(reach)
+    table = Factorials(p, M, first)
+    for n in rest:
+        table.extend(n)
+        fresh = Factorials(p, M, n)
+        assert (table.n, table.V, table.U, table.Ui) == (n, fresh.V, fresh.U, fresh.Ui)
+
+
+@small
 @given(case=st.sampled_from(FAMILIES), p=st.sampled_from((5, 7, 11, 13)),
        r=st.integers(1, 2), k=st.integers(0, 10 ** 6), M=st.integers(1, 4))
 def test_table_members_equal_the_evaluator(case, p, r, k, M):

@@ -1,5 +1,5 @@
 """Sizing and scheduling of the sweep's worker pool.  A fake executor stands
-in for the process pool, so these tests start no process."""
+in for the process pool (harness._pool), so these tests start no process."""
 from collections import Counter
 from functools import lru_cache
 
@@ -41,7 +41,7 @@ class FakePool:
 
 def sweep(monkeypatch, cpus, **config):
     FakePool.created, FakePool.units = [], []
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness, "_pool", FakePool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     return run_sweep(SweepConfig(**config))
 
