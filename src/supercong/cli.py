@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional
 
 from . import congruences, wz
@@ -58,9 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", help="flat key = value config file")
     grid = p_sweep.add_mutually_exclusive_group()
     grid.add_argument("--pmax", type=int, help="primes 5..pmax (default 47)")
-    grid.add_argument("--primes", help="comma-separated primes, e.g. 5,7,11")
-    p_sweep.add_argument("--rmax", type=int, help="max exponent r (default 2)")
-    p_sweep.add_argument("--deltas", help="comma-separated subset of 1,2")
+    grid.add_argument("--primes", type=parse_int_list, help="comma-separated primes, e.g. 5,7,11")
+    p_sweep.add_argument("--rmax", type=int, dest="r_max", help="max exponent r (default 2)")
+    p_sweep.add_argument("--deltas", type=parse_int_list, help="comma-separated subset of 1,2")
     p_sweep.add_argument("--glob", help="filter case ids")
     p_sweep.add_argument("--status", choices=congruences.STATUSES)
     p_sweep.add_argument("--backend", choices=congruences.BACKENDS)
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          const=True, default=None,
                          help="count conjecture failures in the exit code")
     p_sweep.add_argument("--jobs", type=int, help="parallel worker processes")
-    p_sweep.add_argument("--report", help="write a report to this path")
+    p_sweep.add_argument("--report", dest="report_path", help="write a report to this path")
     p_sweep.add_argument("--format", choices=REPORT_FORMATS,
                          dest="report_format")
 
@@ -147,26 +147,12 @@ def _cmd_wz_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = parse_config(args.config) if args.config else SweepConfig()
-    overrides = {}
-    if args.pmax is not None:
-        overrides["pmax"] = args.pmax
-        if config.primes is not None:
-            overrides["primes"] = None
-    if args.primes is not None:
-        overrides["primes"] = parse_int_list(args.primes)
-        if config.pmax is not None:
-            overrides["pmax"] = None
-    if args.rmax is not None:
-        overrides["r_max"] = args.rmax
-    if args.deltas is not None:
-        overrides["deltas"] = parse_int_list(args.deltas)
-    for name in ("glob", "status", "backend", "include_p3",
-                 "strict_conjectures", "jobs", "report_format"):
-        val = getattr(args, name)
-        if val is not None:
-            overrides[name] = val
-    if args.report is not None:
-        overrides["report_path"] = args.report
+    # each sweep flag's dest is its SweepConfig field; a flag given overrides
+    # the file, and --pmax or --primes replaces the file's grid
+    overrides = {f.name: getattr(args, f.name) for f in fields(SweepConfig)
+                 if getattr(args, f.name) is not None}
+    if "pmax" in overrides or "primes" in overrides:
+        overrides = {"pmax": None, "primes": None, **overrides}
     try:
         config = replace(config, **overrides)
     except ValueError as e:

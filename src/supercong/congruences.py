@@ -324,7 +324,9 @@ class _Pass:
     row's slice, pass[i]) and the prefix sum (a LEM-2.1 window), each made
     a Fraction at its first read, so a point reading a row's tail pays for
     one division.  At the last end, which nothing steps past, x and s are
-    dropped, not moved on."""
+    dropped, not moved on.  Each stretch computes the pass's new state
+    before it assigns any of it, so a product that raises (a MemoryError
+    at a large p^r) leaves a cached pass as it was, for the next read."""
 
     def __init__(self, t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
                  ends: tuple[int, ...], poly: tuple[int, ...]):
@@ -342,32 +344,35 @@ class _Pass:
         seed, paid only by a pass that steps on after a read."""
         if self.total is not None:
             total, seed = self.total, _over_power_of_two(self.s, self.d)
-            self.d = lcm(total.denominator, seed.denominator)
-            self.x, self.s = (v.numerator * (self.d // v.denominator) for v in (total, seed))
-            self.total = None
+            d = lcm(total.denominator, seed.denominator)
+            x, s = (v.numerator * (d // v.denominator) for v in (total, seed))
+            self.x, self.s, self.d, self.total = x, s, d, None
 
-    def _to(self, end: int) -> tuple[int, int, int]:
-        """Step the terms k .. end: (A, B, s T) of their tree, (1, 1, 0) when
-        end < k, with d multiplied by B.  The caller moves x and s on."""
+    def _to(self, end: int) -> tuple[int, int, int, int]:
+        """Step the terms k .. end: the position after them and (A, B, s T)
+        of their tree, (k, 1, 1, 0) when end < k.  It moves nothing on: the
+        caller commits the new k, x, s and d = d B in one assignment."""
         k = self.k
         if end < k:
-            return 1, 1, 0
+            return k, 1, 1, 0
         self._renormalise()
         ratios = [self.step(j - 1) if j > self.lo else (1, 1) for j in range(k, end + 1)]
         a, b, t = _split(ratios, self.poly, k, k, end + 1)
-        self.d, self.k = self.d * b, end + 1
-        return a, b, self.s * t
+        return end + 1, a, b, self.s * t
 
     def _read(self, i: int, which: int) -> Rational:
         """The range (which 0) or prefix (which 1) sum at ends[i], held as
         (x, b, t, d) for (x b + t) / d until it is read."""
         while len(self.held) <= i:
-            a, b, t = self._to(self.ends[len(self.held)])
-            self.held.append([(0, 1, t, self.d), (self.x, b, t, self.d)])
-            if len(self.held) == len(self.ends):
-                self.step = self.x = self.s = None
+            k, a, b, t = self._to(self.ends[len(self.held)])
+            d = self.d * b
+            entry = [(0, 1, t, d), (self.x, b, t, d)]
+            if len(self.held) + 1 == len(self.ends):
+                step = x = s = None
             else:
-                self.x, self.s = self.x * b + t, self.s * a
+                step, x, s = self.step, self.x * b + t, self.s * a
+            self.k, self.x, self.s, self.d, self.step, self.held = \
+                k, x, s, d, step, [*self.held, entry]
         held = self.held[i]
         if isinstance(held[which], tuple):
             x, b, t, d = held[which]
@@ -389,10 +394,11 @@ class _Pass:
         if self.ends:
             t0, step, lo, _, poly = self.args
             return _Pass(t0, step, lo, (), poly).prefix(upper)
-        a, b, t = self._to(upper)
-        self.x, self.s = self.x * b + t, self.s * a
-        self.total = _over_power_of_two(self.x, self.d)
-        return self.total
+        k, a, b, t = self._to(upper)
+        x, d = self.x * b + t, self.d * b
+        total = _over_power_of_two(x, d)
+        self.k, self.x, self.s, self.d, self.total = k, x, self.s * a, d, total
+        return total
 
 
 _running: dict[str, _Pass] = {}    # the running pass of each spec, by name

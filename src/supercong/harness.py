@@ -5,7 +5,10 @@ Importing this module loads no process-pool machinery: concurrent.futures
 (and with it multiprocessing, socket, pickle and logging) is imported by
 _pool, when a sweep starts more than one worker, and csv and json by the
 report functions that read or write them.  So importing the package, and
-every command but a pooled sweep, never pays for them.
+every command but a pooled sweep, never pays for them, nor for pathlib:
+paths go through os.path and open().  Each SweepConfig field is one sweep
+option, declared once: its name is the config-file key, the report echo's
+key and the sweep flag's dest.
 
 Report formats:
   json-lines -- one meta object (tool, version, config echo, summary counts)
@@ -24,10 +27,9 @@ import io
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import repeat
-from pathlib import Path
 from typing import Optional, Union
 
 from .congruences import (BACKENDS, SERIES, STATUSES, CheckParams, CheckResult,
@@ -62,22 +64,35 @@ class ConfigInvalid(ValueError):
     """Bad sweep configuration (file syntax, unknown key, or bad value)."""
 
 
+def parse_int_list(value: str) -> tuple[int, ...]:
+    """`primes` or `deltas`, from a config file or a flag; skips empty items."""
+    return tuple(int(v) for v in value.split(",") if v.strip())
+
+
+def _parse_bool(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return value == "true"
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid + reporting options; `primes` and `pmax` are mutually exclusive."""
+    """Grid + reporting options; `primes` and `pmax` are mutually exclusive.
+    Each field is one option: a config-file key read by its "parse"
+    metadata (str when it has none), and the dest of its sweep flag."""
 
-    primes: Optional[tuple[int, ...]] = None
-    pmax: Optional[int] = None
-    r_max: int = 2
-    deltas: tuple[int, ...] = (1, 2)
+    primes: Optional[tuple[int, ...]] = field(default=None, metadata={"parse": parse_int_list})
+    pmax: Optional[int] = field(default=None, metadata={"parse": int})
+    r_max: int = field(default=2, metadata={"parse": int})
+    deltas: tuple[int, ...] = field(default=(1, 2), metadata={"parse": parse_int_list})
     glob: Optional[str] = None
     status: Optional[str] = None
     backend: str = "both"
-    include_p3: bool = False
-    strict_conjectures: bool = False
+    include_p3: bool = field(default=False, metadata={"parse": _parse_bool})
+    strict_conjectures: bool = field(default=False, metadata={"parse": _parse_bool})
     report_path: Optional[str] = None
     report_format: str = "json-lines"
-    jobs: int = 1
+    jobs: int = field(default=1, metadata={"parse": int})
 
     def __post_init__(self):
         if self.primes is not None and self.pmax is not None:
@@ -112,13 +127,14 @@ class SweepConfig:
         if self.jobs < 1:
             raise ConfigInvalid(f"jobs must be >= 1, got {self.jobs}")
         # an unwritable report path fails here, before the sweep, and is not opened
-        path = Path(self.report_path) if self.report_path else None
-        if path and path.is_dir():
-            raise ConfigInvalid(f"cannot write report {self.report_path}: is a directory")
-        if path and not path.parent.is_dir():
-            raise ConfigInvalid(f"cannot write report {self.report_path}: no such directory")
-        if path and not os.access(path if path.exists() else path.parent, os.W_OK):
-            raise ConfigInvalid(f"cannot write report {self.report_path}: permission denied")
+        path = self.report_path
+        parent = os.path.dirname(path or "") or "."
+        if path and os.path.isdir(path):
+            raise ConfigInvalid(f"cannot write report {path}: is a directory")
+        if path and not os.path.isdir(parent):
+            raise ConfigInvalid(f"cannot write report {path}: no such directory")
+        if path and not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise ConfigInvalid(f"cannot write report {path}: permission denied")
 
     def resolved_primes(self) -> list[int]:
         if self.primes is not None:
@@ -126,38 +142,20 @@ class SweepConfig:
         return [p for p in range(5, (self.pmax or 47) + 1) if is_prime(p)]
 
     def echo(self) -> dict:
-        return {
-            "primes": self.resolved_primes(),
-            "r_max": self.r_max,
-            "deltas": list(self.deltas),
-            "glob": self.glob,
-            "status": self.status,
-            "backend": self.backend,
-            "include_p3": self.include_p3,
-            "strict_conjectures": self.strict_conjectures,
-            "report_format": self.report_format,
-            "jobs": self.jobs,
-        }
+        """The report's config: every option but pmax and report_path, primes resolved."""
+        options = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name not in ("pmax", "report_path")}
+        return {**options, "primes": self.resolved_primes(), "deltas": list(self.deltas)}
 
 
-_BOOL_KEYS = {"include_p3", "strict_conjectures"}
-_INT_KEYS = {"pmax", "r_max", "jobs"}
-_LIST_KEYS = {"primes", "deltas"}
-_STR_KEYS = {"glob", "status", "backend", "report_path", "report_format"}
-_ALL_KEYS = _BOOL_KEYS | _INT_KEYS | _LIST_KEYS | _STR_KEYS
-
-
-def parse_int_list(value: str) -> tuple[int, ...]:
-    """`primes` or `deltas`, from a config file or a flag; skips empty items."""
-    return tuple(int(v) for v in value.split(",") if v.strip())
-
-
-def parse_config(path: Union[str, Path]) -> SweepConfig:
-    """Read a flat key = value config file; unknown keys and bad values error
-    with their line number."""
+def parse_config(path: Union[str, os.PathLike]) -> SweepConfig:
+    """Read a flat key = value config file whose keys are SweepConfig's
+    fields; unknown keys and bad values error with their line number."""
+    parsers = {f.name: f.metadata.get("parse", str) for f in fields(SweepConfig)}
     kwargs = {}
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     except OSError as e:
         raise ConfigInvalid(f"cannot read config {path}: {e}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -169,21 +167,12 @@ def parse_config(path: Union[str, Path]) -> SweepConfig:
                                 f"got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in parsers:
             raise ConfigInvalid(f"{path}: line {lineno}: unknown key {key!r}")
         if key in kwargs:
             raise ConfigInvalid(f"{path}: line {lineno}: duplicate key {key!r}")
         try:
-            if key in _BOOL_KEYS:
-                if value not in ("true", "false"):
-                    raise ValueError("expected true or false")
-                kwargs[key] = value == "true"
-            elif key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _LIST_KEYS:
-                kwargs[key] = parse_int_list(value)
-            else:
-                kwargs[key] = value
+            kwargs[key] = parsers[key](value)
         except ValueError as e:
             raise ConfigInvalid(f"{path}: line {lineno}: bad value for {key}: {e}") from None
     try:
@@ -339,11 +328,10 @@ def _ser_record(res: CheckResult) -> dict:
     }
 
 
-def write_report(report: SweepReport, path: Union[str, Path]) -> Path:
-    """Write the report in its config's report_format; a path that cannot be
-    written raises ConfigInvalid."""
+def write_report(report: SweepReport, path: Union[str, os.PathLike]) -> Union[str, os.PathLike]:
+    """Write the report in its config's report_format and return its path; a
+    path that cannot be written raises ConfigInvalid."""
     allow_long_int_str()
-    path = Path(path)
     records = [_ser_record(r) for r in report.results]
     if report.config.report_format == "json-lines":
         import json
@@ -368,7 +356,8 @@ def write_report(report: SweepReport, path: Union[str, Path]) -> Path:
             writer.writerow(row)
         text = buf.getvalue()
     try:
-        path.write_text(text)
+        with open(path, "w") as f:
+            f.write(text)
     except OSError as e:
         raise ConfigInvalid(f"cannot write report {path}: {e}") from None
     return path
@@ -397,11 +386,11 @@ def _norm_record(rec: dict, where: str) -> dict:
     return out
 
 
-def read_report(path: Union[str, Path]) -> tuple[Optional[dict], list[dict]]:
+def read_report(path: Union[str, os.PathLike]) -> tuple[Optional[dict], list[dict]]:
     """Parse a report file (either format); returns (meta-or-None, records)."""
-    path = Path(path)
     try:
-        text = path.read_text()
+        with open(path) as f:
+            text = f.read()
     except OSError as e:
         raise ConfigInvalid(f"cannot read report {path}: {e}") from None
     if not text.strip():
@@ -455,7 +444,7 @@ def _records_of(source) -> list[dict]:
         allow_long_int_str()
         return [_norm_record(_ser_record(r), "in-memory report")
                 for r in source.results]
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, os.PathLike)):
         return read_report(source)[1]
     return [_norm_record(dict(r), "records") for r in source]
 

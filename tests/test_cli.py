@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -247,6 +248,58 @@ def test_comma_lists_parse_alike_in_file_and_flags(capsys, tmp_path):
     assert code == 0 and "checked 2 points: 2 pass" in out
     meta, _ = harness.read_report(report)
     assert meta["config"] == from_file.echo()
+
+
+def sweep_config(monkeypatch, capsys, *argv):
+    """The SweepConfig that `sweep` with these arguments runs; no point is evaluated."""
+    seen = []
+
+    def run_sweep(config):
+        seen.append(config)
+        return harness.SweepReport(config, [])
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    code, _, err = run_cli(capsys, "sweep", *argv)
+    assert (code, err) == (0, "")
+    return seen[0]
+
+
+def test_each_option_has_one_home(monkeypatch, capsys, tmp_path):
+    """Every SweepConfig field is set alike by its config-file key, by its
+    sweep flag, and by the file read through --config."""
+    report = str(tmp_path / "run.jsonl")
+    options = {            # field: (file value, sweep flag)
+        "primes": ("5, 7", ("--primes", "5,7")),
+        "pmax": ("11", ("--pmax", "11")),
+        "r_max": ("1", ("--rmax", "1")),
+        "deltas": ("2", ("--deltas", "2")),
+        "glob": ("VH-*", ("--glob", "VH-*")),
+        "status": ("lemma", ("--status", "lemma")),
+        "backend": ("exact", ("--backend", "exact")),
+        "include_p3": ("true", ("--include-p3",)),
+        "strict_conjectures": ("true", ("--strict-conjectures",)),
+        "report_path": (report, ("--report", report)),
+        "report_format": ("csv", ("--format", "csv")),
+        "jobs": ("2", ("--jobs", "2")),
+    }
+    assert list(options) == [f.name for f in dataclasses.fields(harness.SweepConfig)]
+    cfg, default = tmp_path / "sweep.cfg", harness.SweepConfig()
+    for name, (value, flag) in options.items():
+        cfg.write_text(f"{name} = {value}\n")
+        from_file = harness.parse_config(cfg)
+        set_value = getattr(from_file, name)
+        assert set_value != getattr(default, name), name
+        assert from_file == dataclasses.replace(default, **{name: set_value})
+        assert sweep_config(monkeypatch, capsys, *flag) == from_file, name
+        assert sweep_config(monkeypatch, capsys, "--config", str(cfg)) == from_file, name
+
+
+def test_grid_flag_replaces_the_files_grid(monkeypatch, capsys, tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    for grid, flag in (("primes = 5, 7", ("--pmax", "11")), ("pmax = 11", ("--primes", "5,7"))):
+        cfg.write_text(f"{grid}\nglob = VH-*\n")
+        assert sweep_config(monkeypatch, capsys, "--config", str(cfg), *flag) == \
+            sweep_config(monkeypatch, capsys, "--glob", "VH-*", *flag)
 
 
 def test_row_prefix_point_builds_one_slice(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from supercong import congruences, wz
+from supercong import congruences, harness, wz
 from supercong.congruences import (_SUMS, CheckParams, _over_power_of_two,
                                    _Pass, series_sum_exact)
 from supercong.exactnum import is_prime
@@ -109,6 +109,53 @@ def test_lem21_window_is_one_prefix(monkeypatch, order):
                 assert len(divisions) == min(i + 1, 2), (p, r, i)
             assert len(passes) == 1, (p, r)
             passes.clear(), divisions.clear()
+    finally:
+        congruences._sums.cache_clear()
+
+
+class RaisingProduct:
+    """A T whose every product raises, as a product too large for memory does."""
+
+    def __mul__(self, other):
+        raise MemoryError
+
+    __rmul__ = __mul__
+
+
+def test_stretch_that_raises_leaves_the_cached_pass_as_it_was(monkeypatch):
+    """The outermost tree of the first stretch of _sums("GUO64", 7, 2)
+    returns a T whose product raises: the unit's point that read it is an
+    error, and every slice and every point of the unit, read from the same
+    cached pass, equals a fresh pass's."""
+    unit = next(u for u in harness._units(harness.SweepConfig(primes=(7,), glob="LEM-3.*"))
+                if u[0][1:3] == (7, 2) and congruences.get_case(u[0][0]).kernel == "GUO64")
+    real_split, depth, armed = congruences._split, [0], [True]
+
+    def split(*args):
+        depth[0] += 1
+        try:
+            a, b, t = real_split(*args)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0 and armed:
+            armed.clear()
+            return a, b, RaisingProduct()
+        return a, b, t
+
+    def outcome(res):
+        return (res.case_id, res.params, res.lhs, res.rhs, res.observed_valuation, res.passed)
+
+    congruences._sums.cache_clear()
+    try:
+        fresh = [outcome(res) for res in harness._run_unit(unit, "both", False)]
+        congruences._sums.cache_clear()
+        monkeypatch.setattr(congruences, "_split", split)
+        first, *rest = harness._run_unit(unit, "both", False)
+        assert not armed and first == (unit[0], "MemoryError: ")
+        assert [outcome(res) for res in rest] == fresh[1:]
+        assert [outcome(res) for res in harness._run_unit(unit, "both", False)] == fresh
+        run, want = congruences._sums("GUO64", 7, 2), _Pass(*_SUMS["GUO64"](7, 2))
+        assert [run[i] for i in range(3)] == [want[i] for i in range(3)]
     finally:
         congruences._sums.cache_clear()
 
