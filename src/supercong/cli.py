@@ -25,6 +25,15 @@ from .harness import (REPORT_FORMATS, ConfigInvalid, SweepConfig, allow_long_int
                       run_sweep, write_report)
 
 
+def _int_list(value: str) -> tuple[int, ...]:
+    """parse_int_list for a sweep flag; an error names the format expected."""
+    try:
+        return parse_int_list(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {value!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supercong",
@@ -58,9 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", help="flat key = value config file")
     grid = p_sweep.add_mutually_exclusive_group()
     grid.add_argument("--pmax", type=int, help="primes 5..pmax (default 47)")
-    grid.add_argument("--primes", type=parse_int_list, help="comma-separated primes, e.g. 5,7,11")
+    grid.add_argument("--primes", type=_int_list, help="comma-separated primes, e.g. 5,7,11")
     p_sweep.add_argument("--rmax", type=int, dest="r_max", help="max exponent r (default 2)")
-    p_sweep.add_argument("--deltas", type=parse_int_list, help="comma-separated subset of 1,2")
+    p_sweep.add_argument("--deltas", type=_int_list, help="comma-separated subset of 1,2")
     p_sweep.add_argument("--glob", help="filter case ids")
     p_sweep.add_argument("--status", choices=congruences.STATUSES)
     p_sweep.add_argument("--backend", choices=congruences.BACKENDS)
@@ -124,10 +133,10 @@ def _check_pair(pair_id: str, nmax: int, kmax: int) -> bool:
     ok = ok and summand.passed
     print(f"{pair_id}: boundary column F(n,0) matches the series summand "
           f"for n <= {nmax}: {'ok' if summand.passed else 'MISMATCH'}")
-    for N, K in ((nmax, max(1, kmax // 2)), (nmax, kmax)):
-        good = wz.boundary_identity(pair_id, N, K)
+    for K in dict.fromkeys((max(1, kmax // 2), kmax)):     # once when kmax = 1
+        good = wz.boundary_identity(pair_id, nmax, K)
         ok = ok and good
-        print(f"{pair_id}: boundary identity at (N,K)=({N},{K}): "
+        print(f"{pair_id}: boundary identity at (N,K)=({nmax},{K}): "
               f"{'ok' if good else 'MISMATCH'}")
     return ok
 

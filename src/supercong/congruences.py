@@ -513,9 +513,11 @@ _SUMS: dict[str, Callable[[int, int], tuple]] = {
 }
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _sums(name: str, p: int, r: int) -> _Pass:
-    """The pass over _SUMS[name] at (p, r), each of its sums computed at first use."""
+    """The pass over _SUMS[name] at (p, r), each of its sums computed at first
+    use.  Only the last is kept: a sweep runs every point reading one pass in
+    one unit (harness._units), so a pass is not read again after its unit."""
     return _Pass(*_SUMS[name](p, r))
 
 
@@ -967,11 +969,11 @@ def _factorials(p: int, M: int, n: int) -> Factorials:
 
 
 def _family_items(case: CongruenceCase, params: CheckParams, M: int
-                  ) -> tuple[list[tuple[int, tuple, tuple]], Optional[Factorials]]:
+                  ) -> tuple[list[tuple[int, tuple, tuple]], int]:
     """(k, lhs, rhs) per member, all of them or the one --k selects, each
     side the (v, u) pair of its binomial product (c, e, *factors) read from
     one factorial table with units mod p^M or finer (Factorials.pair), with
-    the table; (no items, None) for an empty range.  Every binomial argument
+    the table's M; (no items, M) for an empty range.  Every binomial argument
     of a description is linear in k, so the first and last members bound
     the table's reach and show that 0 <= m <= n holds at every member."""
     p, r = params.p, params.r
@@ -982,7 +984,7 @@ def _family_items(case: CongruenceCase, params: CheckParams, M: int
             f"[{rng.start}, {rng.stop - 1}] at p={p}, r={r}")
     keys = list(rng) if params.k is None else [params.k]
     if not keys:
-        return [], None
+        return [], M
     reach = 0
     for k in (keys[0], keys[-1]):
         for desc in (case.member_lhs, case.member_rhs):
@@ -993,7 +995,7 @@ def _family_items(case: CongruenceCase, params: CheckParams, M: int
                 reach = max(reach, n)
     table = _factorials(p, M, reach)
     pair, lhs, rhs = table.pair, case.member_lhs, case.member_rhs
-    return [(k, pair(*lhs(p, r, k)), pair(*rhs(p, r, k))) for k in keys], table
+    return [(k, pair(*lhs(p, r, k)), pair(*rhs(p, r, k))) for k in keys], table.M
 
 
 def _exact_valuation(a: int, b: int, c: int, d: int, p: int) -> Valuation:
@@ -1018,54 +1020,44 @@ def _pair_valuation(lhs: tuple, rhs: tuple, p: int, mod: int) -> Optional[Valuat
     return vl
 
 
-def _score(items: list, p: int, m: Optional[int], table: Optional[Factorials] = None,
+def _score(items: list, p: int, M: int,
            exact: Optional[Callable[[int], tuple]] = None) -> tuple:
-    """(k, lhs, rhs, valuation) of the first item of least valuation, with
-    k None and valuation INFINITE (m on residues) for no items.  p is the
-    point's odd prime, checked once by CheckParams, so no item pays a prime
-    check.  Items (k, lhs, rhs) come in three forms:
+    """(k, lhs, rhs, valuation) of the first family member of least
+    valuation, with k None and valuation INFINITE (M without exact) for no
+    members.  p is the point's odd prime, checked once by CheckParams, so
+    no member pays a prime check.  A member (k, lhs, rhs) has (v, u) pairs
+    for sides, p^v times a unit known mod p^M or finer (see _family_items),
+    and is scored in small integers (_pair_valuation).  Sides of different
+    v give the smaller v, and a side of 0 (v INFINITE) the other side's v,
+    exactly.  Sides of equal v give v + vp((u_l - u_r) mod p^M), exact when
+    that difference is not 0 mod p^M.  When it is, the member is
+    undetermined: its valuation is only known to be at least v + M.
 
-    - residues (m given): ints mod p^m, scored by the valuation of their
-      difference in Z/p^m, saturated at m (a difference of 0 mod p^m has
-      valuation at least m);
-    - exact values (m and table None): the Fraction sides of a series sum or
-      a scalar, scored in integers as vp(a d - c b) - vp(b d);
-    - family members (table given): (v, u) pairs, p^v times a unit known
-      mod p^M, M = table.M (see _family_items), scored in small integers.
-      Sides of different v give the smaller v, and a side of 0 (v INFINITE)
-      the other side's v, exactly.  Sides of equal v give v + vp((u_l - u_r)
-      mod p^M), exact when that difference is not 0 mod p^M.  When it is,
-      the member is undetermined: its valuation is only known to be at
-      least v + M.  It is resolved in integers from exact(k), its two sides
-      as binomial_product pairs, only if it could still be the first of
-      least valuation: if v + M is at most every determined valuation and
-      below every valuation before it.  A side that divides by a multiple
-      of p (FACT-INV and DAO-HB divide by binomials) carries its v as an
-      integer, negative when more p divide below the line than above; its
-      unit is still exact mod p^M, so the rule holds unchanged, with a
-      bound v + M that may fall below M."""
+    Without exact (backend "residue", M = claimed, every v >= 0) valuations
+    are read in Z/p^M: one of M or more, and an undetermined member, read
+    as M, which is min(vp((L - R) mod p^M), M) for the residues L, R of the
+    two sides.  With exact, an undetermined member is resolved in integers
+    from exact(k), its two sides as binomial_product pairs, only if it could
+    still be the first of least valuation: if v + M is at most every
+    determined valuation and below every valuation before it.  A side that
+    divides by a multiple of p (FACT-INV and DAO-HB divide by binomials)
+    carries its v as an integer, negative when more p divide below the line
+    than above; its unit is still exact mod p^M, so the rule holds
+    unchanged, with a bound v + M that may fall below M."""
     if not items:
-        return None, 0, 0, INFINITE if m is None else m
-    if table is not None:
-        mod = p ** table.M
-        found = [_pair_valuation(lhs, rhs, p, mod) for _, lhs, rhs in items]
-        least = min((v for v in found if v is not None), default=INFINITE)
-    elif m is not None:
-        mod = p ** m
+        return None, None, None, M if exact is None else INFINITE
+    mod = p ** M
+    found = [_pair_valuation(lhs, rhs, p, mod) for _, lhs, rhs in items]
+    least = min((v for v in found if v is not None), default=INFINITE)
     worst = None
-    for i, (k, lhs, rhs) in enumerate(items):
-        if m is not None:
-            obs = min(_vp_int((lhs - rhs) % mod, p), m)
-        elif table is None:
-            obs = _exact_valuation(lhs.numerator, lhs.denominator,
-                                   rhs.numerator, rhs.denominator, p)
-        else:
-            obs = found[i]
-            if obs is None:
-                bound = lhs[0] + table.M
-                if bound > least or worst is not None and bound >= worst[3]:
-                    continue            # not the first of least valuation
-                obs = _exact_valuation(*exact(k), p)
+    for (k, lhs, rhs), obs in zip(items, found):
+        if exact is None:
+            obs = M if obs is None else min(obs, M)
+        elif obs is None:
+            bound = lhs[0] + M
+            if bound > least or worst is not None and bound >= worst[3]:
+                continue            # not the first of least valuation
+            obs = _exact_valuation(*exact(k), p)
         if worst is None or obs < worst[3]:
             worst = (k, lhs, rhs, obs)
     return worst
@@ -1109,42 +1101,39 @@ def _cross_check(case: CongruenceCase, params: CheckParams, items: list,
 
 def _family_point(case: CongruenceCase, params: CheckParams, backend: str,
                   claimed: int) -> tuple:
-    """(lhs, rhs, valuation, note) of a family point, its worst member picked
-    by _score from the factorial table.  On "residue" each side is p^v u mod
-    p^m, m = claimed, and no member is built exact.  Otherwise the units are
-    taken mod p^(claimed + 2), "both" checks every member's left side
-    digitwise (_cross_check), and only the reported member, and any
-    undetermined one that _score resolves, is built exact, by
-    binomial_product.  On "both" the reported member's exact valuation must
-    equal the table's."""
+    """(lhs, rhs, valuation, note) of a family point: its members' (v, u)
+    pairs from the factorial table (_family_items), their left sides checked
+    digitwise on "both" (_cross_check), scored by _score.  On "residue" they
+    are scored at M = claimed, the reported member's sides are written
+    p^v u mod p^claimed, and no member is built exact.  Otherwise they are
+    scored at the table's own M, claimed + 2 or finer; only the reported
+    member, and any undetermined one that _score resolves, is built exact,
+    by binomial_product, and on "both" its valuation must equal the table's."""
     p, r = params.p, params.r
-    if backend == "residue":
-        mod = p ** claimed
-        items, _ = _family_items(case, params, claimed)
-        items = [(k, *(0 if v >= claimed else u * p ** v % mod for v, u in sides))
-                 for k, *sides in items]
-        k, lhs, rhs, observed = _score(items, p, claimed)
-    else:
-        items, table = _family_items(case, params, claimed + 2)
-        if backend == "both" and case.p_integral:
-            _cross_check(case, params, items, PadicContext(p, claimed))
+    on_residue = backend == "residue"
+    items, M = _family_items(case, params, claimed if on_residue else claimed + 2)
+    if backend == "both" and case.p_integral:
+        _cross_check(case, params, items, PadicContext(p, claimed))
 
-        def exact(k):
-            return (*binomial_product(*case.member_lhs(p, r, k)),
-                    *binomial_product(*case.member_rhs(p, r, k)))
-        k, lhs, rhs, observed = _score(items, p, None, table, exact)
-        if k is None:
-            lhs, rhs = Fraction(0), Fraction(0)
-        else:
-            a, b, c, d = exact(k)
-            if backend == "both":
-                v = _exact_valuation(a, b, c, d, p)
-                if v != observed:
-                    raise BackendDisagreement(
-                        f"{case.id}: factorial table and exact values disagree at "
-                        f"{params}, member k={k}: valuation {observed} from the "
-                        f"table, {v} from the exact member")
-            lhs, rhs = Fraction(a, b), Fraction(c, d)
+    def exact(k):
+        return (*binomial_product(*case.member_lhs(p, r, k)),
+                *binomial_product(*case.member_rhs(p, r, k)))
+    k, lhs, rhs, observed = (_score(items, p, claimed) if on_residue
+                             else _score(items, p, M, exact))
+    if k is None:
+        lhs = rhs = 0 if on_residue else Fraction(0)
+    elif on_residue:
+        lhs, rhs = (0 if v >= claimed else u * p ** v % p ** claimed for v, u in (lhs, rhs))
+    else:
+        a, b, c, d = exact(k)
+        if backend == "both":
+            v = _exact_valuation(a, b, c, d, p)
+            if v != observed:
+                raise BackendDisagreement(
+                    f"{case.id}: factorial table and exact values disagree at "
+                    f"{params}, member k={k}: valuation {observed} from the "
+                    f"table, {v} from the exact member")
+        lhs, rhs = Fraction(a, b), Fraction(c, d)
     note = ("empty member range" if k is None else f"k={k}" if params.k is not None
             else f"worst member k={k} of {len(items)}")
     return lhs, rhs, observed, note
@@ -1194,13 +1183,14 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
         ctx = PadicContext(p, claimed)
         lhs = (series_sum_residue(case, params, ctx) if case.kind == "series"
                else residue(case.lhs_scalar(p, params.r), ctx))
-        _, lhs, rhs, observed = _score([(None, lhs, residue(case.rhs(p, params.r), ctx))],
-                                       p, claimed)
+        rhs = residue(case.rhs(p, params.r), ctx)
+        observed = min(_vp_int((lhs - rhs) % ctx.modulus, p), claimed)
     else:
         items = _point_items(case, params)
         if backend == "both" and case.p_integral and claimed is not None:
             _cross_check(case, params, items, PadicContext(p, claimed))
-        _, lhs, rhs, observed = _score(items, p, None)
+        (_, lhs, rhs), = items
+        observed = _exact_valuation(*lhs.as_integer_ratio(), *rhs.as_integer_ratio(), p)
 
     elapsed = (time.perf_counter() - t0) * 1000.0
     return CheckResult(case_id=case.id, params=params, lhs=lhs, rhs=rhs,

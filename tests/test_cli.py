@@ -154,6 +154,15 @@ def test_wz_check(capsys):
     assert code == 2
 
 
+def test_wz_check_runs_each_boundary_point_once(capsys):
+    # at kmax 1 the two boundary points, (N, kmax // 2 or 1) and (N, kmax), are one
+    code, out, _ = run_cli(capsys, "wz-check", "--pair", "GUO64",
+                           "--nmax", "1", "--kmax", "1")
+    assert code == 0
+    assert out.count("boundary identity") == 1
+    assert "GUO64: boundary identity at (N,K)=(1,1): ok\n" in out
+
+
 def test_sweep_with_report(capsys, tmp_path):
     report = tmp_path / "run.csv"
     code, out, _ = run_cli(capsys, "sweep", "--primes", "5,7", "--rmax", "1",
@@ -248,6 +257,16 @@ def test_comma_lists_parse_alike_in_file_and_flags(capsys, tmp_path):
     assert code == 0 and "checked 2 points: 2 pass" in out
     meta, _ = harness.read_report(report)
     assert meta["config"] == from_file.echo()
+
+
+@pytest.mark.parametrize("flag, value", [("--primes", "5,x"), ("--deltas", "1,x")])
+def test_comma_list_flag_errors_name_the_format(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {flag}: expected comma-separated "
+                        f"integers, got '{value}'\n"), err
 
 
 def sweep_config(monkeypatch, capsys, *argv):

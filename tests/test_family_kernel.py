@@ -339,20 +339,50 @@ def test_undetermined_member_is_resolved_only_when_it_could_be_reported():
     undetermined with bound 0 + 2 = 2, above 1, so it is never built;
     member 3 is undetermined with bound -2 + 2 = 0, below 1, so it is built,
     and its exact valuation, 0, makes it the reported member."""
-    table = Factorials(5, 2, 1)
     built = []
 
     def exact(k):
         built.append(k)
         return (2, 1, 1, 1) if k == 3 else (1, 1, 1, 1)
     items = [(1, (1, 3), (1, 8)), (2, (0, 7), (0, 7)), (3, (-2, 4), (-2, 4))]
-    assert _score(items, 5, None, table, exact) == (3, (-2, 4), (-2, 4), 0)
+    assert _score(items, 5, 2, exact) == (3, (-2, 4), (-2, 4), 0)
     assert built == [3]
     # with a member of valuation 0 before it, member 3 can not be first
     built.clear()
     items.insert(0, (0, (0, 1), (0, 2)))
-    assert _score(items, 5, None, table, exact) == (0, (0, 1), (0, 2), 0)
+    assert _score(items, 5, 2, exact) == (0, (0, 1), (0, 2), 0)
     assert built == []
+
+
+def test_residue_scoring_reads_valuations_in_z_mod_p_to_the_m(monkeypatch):
+    """Without exact, pairs (v, u) mod 5^2 are scored in Z/5^2, M = 2: an
+    undetermined member reads as M, a determined valuation above M is
+    capped at M, the first member of least valuation is reported, and no
+    members give M.  Each pair scores as min(vp((L - R) mod p^M), M) for
+    its sides' residues L = p^v u mod p^M."""
+    undetermined, above, equal_v_above = ((0, 7), (0, 7)), ((3, 2), (5, 1)), ((2, 1), (2, 6))
+    low, low_again = ((0, 1), (0, 6)), ((1, 2), (1, 3))
+    assert _score([(1, *undetermined)], 5, 2) == (1, *undetermined, 2)
+    assert _score([(2, *above), (3, *equal_v_above)], 5, 2) == (2, *above, 2)
+    items = [(1, *undetermined), (2, *above), (4, *low), (5, *low_again)]
+    assert _score(items, 5, 2) == (4, *low, 1)
+    assert _score(items[::-1], 5, 2) == (5, *low_again, 1)
+    assert _score([], 5, 2) == (None, None, None, 2)
+    sides = [(v, u) for v in range(4) for u in range(1, 25) if u % 5] + [(INFINITE, 0)]
+    for lhs in sides:
+        for rhs in sides:
+            L, R = (0 if v >= 2 else u * 5 ** v % 25 for v, u in (lhs, rhs))
+            assert _score([(0, lhs, rhs)], 5, 2)[3] == min(vp((L - R) % 25, 5), 2)
+
+    def refused(*args):
+        raise AssertionError("a residue point built a member exact")
+    # BIN-3.11 at r = 1 has every member undetermined; on "residue" none is
+    # built exact, and each reads as the claimed exponent
+    monkeypatch.setattr(congruences, "_exact_valuation", refused)
+    monkeypatch.setattr(congruences, "binomial_product", refused)
+    res = evaluate_case("BIN-3.11", CheckParams(p=13), "residue")
+    assert res.observed_valuation == res.claimed_exponent and res.passed
+    assert res.note == "worst member k=1 of 6" and res.lhs == res.rhs == 1
 
 
 def test_integral_members_are_plain_ints():

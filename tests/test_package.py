@@ -40,3 +40,25 @@ def test_modules_parse_as_python_3_10():
     assert len(sources) >= 8
     for source in sources:
         ast.parse(source.read_text(), str(source), feature_version=(3, 10))
+
+
+def test_modules_read_every_name_they_import():
+    # no linter runs on the package; an import the module never reads is an
+    # orphan, unless its line says it is kept on purpose (# noqa: F401)
+    sources = sorted(Path(supercong.__file__).parent.glob("*.py"))
+    orphans = []
+    for source in sources:
+        if source.name == "__init__.py":        # it imports to re-export
+            continue
+        text = source.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    orphans.append(f"{source.name}:{alias.lineno}: {name}")
+    assert orphans == []

@@ -210,6 +210,16 @@ def test_each_kernel_is_computed_once_per_sweep(monkeypatch):
     assert set(sums.values()) == {1}
 
 
+def test_only_the_certificate_pass_in_use_is_kept():
+    # every point reading one (name, p, r) runs in one unit, so keeping the
+    # last pass alone builds none twice: 24 passes built, 28 reads of a kept
+    # one, and one pass alive when the sweep ends
+    congruences._sums.cache_clear()
+    run_sweep(SweepConfig(**LEMMAS))
+    info = congruences._sums.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (28, 24, 1)
+
+
 def test_each_series_pass_starts_once_per_sweep(monkeypatch):
     # a sweep reads each spec at many caps; each spec's running pass starts
     # once and steps each term up to its longest cap once.  The theorem,
