@@ -11,7 +11,7 @@ from .wz import (PAIRS, GridReport, WzPair, boundary_identity,
 from .congruences import (CATALOG, P_FLOOR, STATUSES, BackendDisagreement,
                           BackendIneligible, CheckParams, CheckResult,
                           CongruenceCase, PrimeBelowFloor, UnknownCase,
-                          cross_validate, evaluate_case, get_case, list_cases,
+                          evaluate_case, get_case, list_cases,
                           series_sum_exact, series_sum_residue)
 from .harness import (TOOL_VERSION as __version__, BaselineDiff, ConfigInvalid,
                       SweepConfig, SweepReport, compare_baseline, parse_config,
@@ -27,7 +27,7 @@ __all__ = [
     "CATALOG", "P_FLOOR", "STATUSES", "BackendDisagreement",
     "BackendIneligible", "CheckParams", "CheckResult", "CongruenceCase",
     "PrimeBelowFloor", "UnknownCase",
-    "cross_validate", "evaluate_case", "get_case", "list_cases",
+    "evaluate_case", "get_case", "list_cases",
     "series_sum_exact", "series_sum_residue",
     "BaselineDiff", "ConfigInvalid", "SweepConfig", "SweepReport",
     "compare_baseline", "parse_config", "read_report", "run_sweep",

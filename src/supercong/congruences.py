@@ -16,6 +16,11 @@ Family members are scored from their (valuation, unit) pairs, read from one
 combinat.Factorials table (_factorials); only the member a record reports is
 built exact.
 
+Backend "both" checks each value where it is computed: a series sum against
+the termwise residue kernel mod p^m, and the left side of a binomial scalar
+or of every member of a p-integral family mod p against its Lucas product
+(_check_lucas).
+
 Statuses: theorem / known / lemma / fact-family / conjecture / informational.
 Conjecture and informational cases report honestly but are flagged so sweep
 exit codes can ignore them; the same flag is applied to p = 3 evaluations and
@@ -99,7 +104,6 @@ class CongruenceCase:
     claimed_exponent: Optional[Callable[[int, int], int]]
     rhs: Callable[[int, int], Rational]
     # series, and any case that reads a series spec's sum
-    series_name: Optional[str] = None
     upper: Optional[Callable[[int, int, int], int]] = None  # (p, r, delta) -> cap
     # scalar / identity
     lhs_scalar: Optional[Callable[[int, int], Rational]] = None
@@ -549,9 +553,9 @@ def _add(case: CongruenceCase) -> None:
 def _series(id, status, statement, m, rhs, name, upper, *, uses_r=True,
             uses_delta=False, p_integral=True, r_floor=1):
     _add(CongruenceCase(id=id, status=status, statement=statement, kind="series",
-                        claimed_exponent=m, rhs=rhs, series_name=name, upper=upper,
-                        uses_r=uses_r, uses_delta=uses_delta, p_integral=p_integral,
-                        r_floor=r_floor, kernel=name or id))
+                        claimed_exponent=m, rhs=rhs, upper=upper, uses_r=uses_r,
+                        uses_delta=uses_delta, p_integral=p_integral, r_floor=r_floor,
+                        kernel=name))
 
 
 def _scalar(id, status, statement, m, lhs, rhs, *, uses_r=True, p_integral=False,
@@ -699,7 +703,7 @@ _series("LEM-2.1", "lemma",
         "F(n,k) = (10n^2+12nk+6n+4k^2+4k+1) (1/2)_n (1/2+k)_n^4/(1)_n^5 (-4)^n; "
         "delta in {1,2}",
         lambda p, r: 2 * r + 3, lambda p, r: Fraction(p ** (2 * r)),
-        None, lambda p, r, d: (p ** r - 1) // d, uses_delta=True, p_integral=False)
+        "LEM-2.1", lambda p, r, d: (p ** r - 1) // d, uses_delta=True, p_integral=False)
 
 # --- scalar closed forms ----------------------------------------------------
 
@@ -925,15 +929,15 @@ def _require_residue(case: CongruenceCase) -> None:
 
 def series_sum_exact(case, params: CheckParams) -> Rational:
     """Exact value of a series case's truncated sum, a prefix of one _Pass:
-    a SERIES spec's from the cached kernel, and LEM-2.1's (series_name None)
-    from _sums, whose pass per (p, r) holds both windows."""
+    a SERIES spec's from the cached kernel, and LEM-2.1's (its kernel a
+    _SUMS entry) from _sums, whose pass per (p, r) holds both windows."""
     case = get_case(case)
     if case.kind != "series":
         raise ValueError(f"{case.id} is not a series case")
     upper = _series_upper(case, params)
-    if case.series_name is None:
+    if case.kernel not in SERIES:
         return _sums(case.kernel, params.p, params.r).prefix(upper)
-    return _series_exact(case.series_name, upper)
+    return _series_exact(case.kernel, upper)
 
 
 def series_sum_residue(case, params: CheckParams, ctx: PadicContext) -> int:
@@ -943,7 +947,7 @@ def series_sum_residue(case, params: CheckParams, ctx: PadicContext) -> int:
         raise ValueError(f"{case.id} is not a series case")
     _require_residue(case)
     try:
-        return _series_residue(case.series_name, _series_upper(case, params), ctx.p, ctx.m)
+        return _series_residue(case.kernel, _series_upper(case, params), ctx.p, ctx.m)
     except BackendIneligible as e:
         raise BackendIneligible(f"{case.id}: {e}; use the exact backend") from None
 
@@ -1063,47 +1067,28 @@ def _score(items: list, p: int, M: int,
     return worst
 
 
-def _cross_check(case: CongruenceCase, params: CheckParams, items: list,
-                 ctx: PadicContext) -> None:
-    """Check each value of a point that has an independent modular path: a
-    series sum against the termwise residue kernel mod p^m, and the left
-    side of every family member or binomial scalar mod p against its
-    digitwise Lucas product (case.lucas).  A family member's left side is
-    its factorial-table pair (v, u) (see _family_items), which is 0 mod p
-    when v > 0 and u mod p otherwise: Legendre's tables and base-p digits
-    are two independent arithmetic paths.  The row and cell lemmas and the
-    identities have no second path.  Raises BackendDisagreement naming the
-    case, point and member."""
-    if case.kind == "series":
-        # the kernel runs first: it refuses a p in a denominator by name, where
-        # reducing the exact sum would fail with PNotIntegral
-        kernel = series_sum_residue(case, params, ctx)
-        exact = residue(items[0][1], ctx)
-        if exact != kernel:
-            raise BackendDisagreement(
-                f"{case.id}: exact and residue backends disagree at {params} "
-                f"mod {ctx.p}^{ctx.m}: the sum reduces to {exact} on the exact "
-                f"backend, {kernel} on the termwise residue kernel")
-    elif case.lucas is not None:
-        for k, lhs, _ in items:
-            if k is None:
-                exact, source = lhs % ctx.p, "exact backend"
-            else:
-                exact, source = 0 if lhs[0] > 0 else lhs[1] % ctx.p, "factorial table"
-            lucas = case.lucas(params.p, params.r, k)
-            if exact != lucas:
-                member = "" if k is None else f", member k={k}"
-                raise BackendDisagreement(
-                    f"{case.id}: exact and digitwise values disagree at {params}"
-                    f"{member}: lhs reduces to {exact} mod {ctx.p} on the "
-                    f"{source}, {lucas} by Lucas' theorem")
+def _check_lucas(case: CongruenceCase, params: CheckParams, k: Optional[int],
+                 exact: int, source: str) -> None:
+    """Raise BackendDisagreement, naming the case, point and member, unless
+    exact, a left side mod p read from source, equals case.lucas(p, r, k),
+    the same binomial product reduced by its base-p digits: two independent
+    arithmetic paths.  k is the family member, None for a binomial scalar."""
+    lucas = case.lucas(params.p, params.r, k)
+    if exact != lucas:
+        member = "" if k is None else f", member k={k}"
+        raise BackendDisagreement(
+            f"{case.id}: exact and digitwise values disagree at {params}"
+            f"{member}: lhs reduces to {exact} mod {params.p} on the "
+            f"{source}, {lucas} by Lucas' theorem")
 
 
 def _family_point(case: CongruenceCase, params: CheckParams, backend: str,
                   claimed: int) -> tuple:
     """(lhs, rhs, valuation, note) of a family point: its members' (v, u)
-    pairs from the factorial table (_family_items), their left sides checked
-    digitwise on "both" (_cross_check), scored by _score.  On "residue" they
+    pairs from the factorial table (_family_items), scored by _score.  On
+    "both" each member's left side, 0 mod p when v > 0 and u mod p
+    otherwise, is first checked against its Lucas product (_check_lucas):
+    Legendre's tables against base-p digits.  On "residue" the members
     are scored at M = claimed, the reported member's sides are written
     p^v u mod p^claimed, and no member is built exact.  Otherwise they are
     scored at the table's own M, claimed + 2 or finer; only the reported
@@ -1112,8 +1097,9 @@ def _family_point(case: CongruenceCase, params: CheckParams, backend: str,
     p, r = params.p, params.r
     on_residue = backend == "residue"
     items, M = _family_items(case, params, claimed if on_residue else claimed + 2)
-    if backend == "both" and case.p_integral:
-        _cross_check(case, params, items, PadicContext(p, claimed))
+    if backend == "both" and case.lucas is not None:
+        for k, (v, u), _ in items:
+            _check_lucas(case, params, k, 0 if v > 0 else u % p, "factorial table")
 
     def exact(k):
         return (*binomial_product(*case.member_lhs(p, r, k)),
@@ -1139,26 +1125,18 @@ def _family_point(case: CongruenceCase, params: CheckParams, backend: str,
     return lhs, rhs, observed, note
 
 
-def _point_items(case: CongruenceCase, params: CheckParams) -> list:
-    """The (k, lhs, rhs) items of a point on the exact backend: one per
-    family member, its sides as factorial-table pairs mod p^(claimed + 2)
-    (_family_items), and a single item with k None and Fraction values for
-    every other kind."""
-    p, r = params.p, params.r
-    if case.kind == "family":
-        return _family_items(case, params, case.claimed(p, r) + 2)[0]
-    lhs = series_sum_exact(case, params) if case.kind == "series" else case.lhs_scalar(p, r)
-    return [(None, lhs, case.rhs(p, r))]
-
-
 def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
                   include_p3: bool = False) -> CheckResult:
     """Compute LHS and RHS at the given point and score the congruence.
 
-    backend "both" runs the exact path, cross-checks it against the
-    independent modular paths when the case is p-integral (see
-    _cross_check), and reports the exact values; a family point also
-    checks its reported member (see _family_point).
+    backend "both" runs the exact path and reports its values, checking
+    each value that has an independent modular path where it is computed:
+    a p-integral series sum against the termwise residue kernel mod p^m,
+    and the left side of a binomial scalar, or of each member of a
+    p-integral family, mod p against its Lucas product (_check_lucas).
+    Every family point also checks its reported member against the table
+    (see _family_point).  The row and cell lemmas, the identity and LEM-2.1
+    have no second path and run no check.
     """
     case = get_case(case)
     if backend not in BACKENDS:
@@ -1186,10 +1164,22 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
         rhs = residue(case.rhs(p, params.r), ctx)
         observed = min(_vp_int((lhs - rhs) % ctx.modulus, p), claimed)
     else:
-        items = _point_items(case, params)
-        if backend == "both" and case.p_integral and claimed is not None:
-            _cross_check(case, params, items, PadicContext(p, claimed))
-        (_, lhs, rhs), = items
+        lhs = (series_sum_exact(case, params) if case.kind == "series"
+               else case.lhs_scalar(p, params.r))
+        rhs = case.rhs(p, params.r)
+        if backend == "both" and case.kind == "series" and case.p_integral:
+            # the kernel runs first: it refuses a p in a denominator by name,
+            # where reducing the exact sum would fail with PNotIntegral
+            ctx = PadicContext(p, claimed)
+            kernel = series_sum_residue(case, params, ctx)
+            exact = residue(lhs, ctx)
+            if exact != kernel:
+                raise BackendDisagreement(
+                    f"{case.id}: exact and residue backends disagree at {params} "
+                    f"mod {ctx.p}^{ctx.m}: the sum reduces to {exact} on the exact "
+                    f"backend, {kernel} on the termwise residue kernel")
+        elif backend == "both" and case.lucas is not None:
+            _check_lucas(case, params, None, lhs % p, "exact backend")
         observed = _exact_valuation(*lhs.as_integer_ratio(), *rhs.as_integer_ratio(), p)
 
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -1204,16 +1194,3 @@ def _passes(observed: Valuation, claimed: Optional[int]) -> bool:
     if claimed is None:
         return observed is INFINITE
     return observed >= claimed
-
-
-def cross_validate(case, params: CheckParams, ctx: PadicContext) -> bool:
-    """Run the cross-check of backend "both" (_cross_check) on one point;
-    False when it finds a disagreement.  Raises BackendIneligible, with its
-    reason, for every case the residue backend refuses (see _require_residue)."""
-    case = get_case(case)
-    _require_residue(case)
-    try:
-        _cross_check(case, params, _point_items(case, params), ctx)
-    except BackendDisagreement:
-        return False
-    return True

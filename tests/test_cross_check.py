@@ -1,15 +1,16 @@
 """The `both` cross-check: each value with an independent modular path is
-compared against it, and a mismatch is reported, never absorbed."""
+compared against it where it is computed, and a mismatch is reported, never
+absorbed."""
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from supercong import congruences, wz
 from supercong.combinat import binomial_product
 from supercong.congruences import (BackendDisagreement, CheckParams,
-                                   SeriesSpec, cross_validate, evaluate_case,
-                                   get_case, list_cases)
-from supercong.exactnum import PadicContext
+                                   SeriesSpec, evaluate_case, get_case,
+                                   list_cases)
 from supercong.harness import SweepConfig, run_sweep
 
 
@@ -40,11 +41,10 @@ def test_wrong_member_is_a_sweep_error(monkeypatch):
     assert report.failed
 
 
-def test_cross_validate_reports_wrong_member():
-    params, ctx = CheckParams(p=11), PadicContext(11, 1)
-    assert cross_validate(get_case("BIN-3.9"), params, ctx)
-    assert not cross_validate(_off_by_one_at("BIN-3.9", 3), params, ctx)
-    assert not cross_validate(_off_by_one_at("BIN-3.9", 1), params, ctx)
+def test_wrong_first_member_raises_disagreement():
+    bad = _off_by_one_at("BIN-3.9", 1)
+    with pytest.raises(BackendDisagreement, match=r"BIN-3\.9.*p=11, r=1.*member k=1: "):
+        evaluate_case(bad, CheckParams(p=11), "both")
 
 
 def test_p_integral_family_needs_lucas():
@@ -74,20 +74,55 @@ def test_binomial_scalars_have_lucas():
 
 
 def test_wrong_binomial_scalar_is_a_disagreement_and_a_sweep_error(monkeypatch):
-    bad = _off_by_one_at("BIN-3.6", None)       # a scalar's only item has k None
+    bad = _off_by_one_at("BIN-3.6", None)       # a scalar's Lucas product takes k None
     params = CheckParams(p=11, r=2)
     with pytest.raises(BackendDisagreement,
                        match=r"^BIN-3\.6: exact and digitwise values disagree at "
                              r"CheckParams\(p=11, r=2[^:]*\): lhs reduces to 1 mod 11"):
         evaluate_case(bad, params, "both")
     assert evaluate_case(bad, params, "exact").passed
-    assert not cross_validate(bad, params, PadicContext(11, 2))
     monkeypatch.setitem(congruences.CATALOG, "BIN-3.6", bad)
     report = run_sweep(SweepConfig(primes=(11,), r_max=2, glob="BIN-3.6"))
     assert report.results == []
     assert [e["case_id"] for e in report.errors] == ["BIN-3.6", "BIN-3.6"]
     assert all(e["error"].startswith("BackendDisagreement: BIN-3.6") for e in report.errors)
     assert report.failed
+
+
+def test_each_kind_reaches_its_own_check(monkeypatch):
+    """On "both" a p-integral series runs the termwise residue kernel once,
+    a binomial scalar its Lucas product once, a p-integral family one Lucas
+    product per member, and a case with no second path neither."""
+    calls = {"residue": 0, "lucas": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return wrapper
+    # the lucas closures look lucas_product up in congruences at call time
+    monkeypatch.setattr(congruences, "series_sum_residue",
+                        counted("residue", congruences.series_sum_residue))
+    monkeypatch.setattr(congruences, "lucas_product",
+                        counted("lucas", congruences.lucas_product))
+    reached, expected = {}, {}
+    for case in list_cases():
+        params = CheckParams(p=7, r=2 if case.uses_r else 1,
+                             delta=2 if case.uses_delta else None)
+        before = dict(calls)
+        evaluate_case(case, params, "both")
+        reached[case.id] = (calls["residue"] - before["residue"],
+                            calls["lucas"] - before["lucas"])
+        if case.kind == "series" and case.p_integral:
+            expected[case.id] = (1, 0)
+        elif case.kind == "family" and case.p_integral:
+            expected[case.id] = (0, len(case.members(7, params.r)))
+        else:
+            expected[case.id] = (0, int(case.id in BINOMIAL_SCALARS))
+    assert reached == expected
+    checked = Counter(get_case(cid).kind for cid, n in expected.items() if n != (0, 0))
+    assert checked == {"series": 16, "family": 7, "scalar": 5}
+    assert list(expected.values()).count((0, 0)) == 18
 
 
 def test_summand_check_reads_the_catalog_spec(monkeypatch):

@@ -1,6 +1,7 @@
 """The package's public surface: every name in __all__ resolves, once, and
 the star import brings them all; importing the CLI loads only what every
-command reads; every module parses as Python 3.10, the oldest supported."""
+command reads; every module parses as Python 3.10, the oldest supported;
+and no module keeps an import or a private name that nothing reads."""
 import ast
 import subprocess
 import sys
@@ -62,3 +63,31 @@ def test_modules_read_every_name_they_import():
                 if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                     orphans.append(f"{source.name}:{alias.lineno}: {name}")
     assert orphans == []
+
+
+def test_package_reads_every_private_name_it_defines():
+    # a module-level function, class or assignment named _x that no module of
+    # the package reads, by name or as an attribute, is an orphan
+    trees = {source.name: ast.parse(source.read_text())
+             for source in sorted(Path(supercong.__file__).parent.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    assert len(defined) >= 60
+    assert [f"{module}: {name}" for module, name in defined if name not in read] == []

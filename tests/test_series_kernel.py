@@ -7,7 +7,7 @@ import pytest
 
 from supercong import congruences
 from supercong.cli import main
-from supercong.congruences import (SERIES, BackendDisagreement,
+from supercong.congruences import (_SUMS, SERIES, BackendDisagreement,
                                    BackendIneligible, CheckParams, _poly,
                                    _series_exact, _series_residue, evaluate_case,
                                    list_cases, series_sum_residue)
@@ -31,9 +31,10 @@ def test_specs_cover_the_catalog_series():
                               "suncat", "z120n2", "z20n3-raw", "z20n3-signed"]
     assert POWER_OF_TWO == ["glr", "guo64", "gz10n2", "z120n2", "z20n3-raw",
                             "z20n3-signed"]
-    # LEM-2.1's terms depend on (p, r), so it has no spec and no cached kernel
-    names = {case.id: case.series_name for case in list_cases() if case.kind == "series"}
-    assert names.pop("LEM-2.1") is None
+    # LEM-2.1's terms depend on (p, r), so it has no spec: its kernel is a _SUMS entry
+    names = {case.id: case.kernel for case in list_cases() if case.kind == "series"}
+    assert names.pop("LEM-2.1") == "LEM-2.1" and "LEM-2.1" in _SUMS
+    assert "LEM-2.1" not in SERIES
     assert set(names.values()) == set(SERIES)
     with pytest.raises(BackendIneligible, match="LEM-2.1 has p-power denominators"):
         series_sum_residue("LEM-2.1", CheckParams(p=5, delta=1), PadicContext(5, 5))
