@@ -1,8 +1,8 @@
 """Exact verification of truncated hypergeometric-series congruences modulo
 prime powers, with certificate-pair telescoping checks and a sweep harness."""
 
-from .exactnum import (INFINITE, PadicContext, PNotIntegral, Rational,
-                       Valuation, is_prime, residue, vp)
+from .exactnum import (INFINITE, PNotIntegral, Rational, Valuation, is_prime,
+                       residue, vp)
 from .combinat import (binomial, binomial_product, central_binomial,
                        euler_number, fermat_quotient, lucas_product)
 from .wz import (PAIRS, GridReport, WzPair, boundary_identity,
@@ -18,7 +18,7 @@ from .harness import (TOOL_VERSION as __version__, BaselineDiff, ConfigInvalid,
                       read_report, run_sweep, write_report)
 
 __all__ = [
-    "INFINITE", "PadicContext", "PNotIntegral", "Rational", "Valuation",
+    "INFINITE", "PNotIntegral", "Rational", "Valuation",
     "is_prime", "residue", "vp",
     "binomial", "binomial_product", "central_binomial", "euler_number",
     "fermat_quotient", "lucas_product",

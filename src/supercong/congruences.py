@@ -41,8 +41,8 @@ from typing import Callable, Iterator, Optional, Union
 from .combinat import (Factorials, binomial_product, central_binomial, euler_number,
                        fermat_quotient, lucas_product)
 from .combinat import binomial  # noqa: F401  (unused here; perfbench/tracer.py wraps it)
-from .exactnum import (INFINITE, PadicContext, Rational, Valuation, _vp_int,
-                       is_prime, residue)
+from .exactnum import (INFINITE, Rational, Valuation, _vp_int, is_prime,
+                       residue)
 from .exactnum import vp  # noqa: F401  (unused here; perfbench/tracer.py wraps congruences.vp)
 from . import wz
 
@@ -408,13 +408,15 @@ class _Pass:
 _running: dict[str, _Pass] = {}    # the running pass of each spec, by name
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _series_exact(name: str, upper: int) -> Rational:
     """Exact kernel: the sum of a spec's terms up to upper, a prefix of its
     running pass (_running).  The terms do not depend on p, so a shorter sum
     is a prefix of a longer one: a cap at or beyond the pass's position
     advances it, and a cap behind it starts a fresh pass.  The pass is out
-    of _running while it steps, so one that raises is dropped."""
+    of _running while it steps, so one that raises is dropped.  Only the
+    last sum is kept: a sweep unit reads one spec in ascending caps
+    (harness._units), so a repeated read is of the cap just before it."""
     run = _running.pop(name, None)
     if run is None or run.k > upper + 1:
         run = _Pass(*SERIES[name].split())
@@ -489,11 +491,11 @@ def _p_row(p: int, r: int, seed: Rational, c: int, d: int) -> tuple:
 
 
 def _gz_row(p: int, r: int, n0: int) -> tuple:
-    """The five-factor G(n0, k) over k = 1 .. (P-1)/2: (n0+2k-1) q_k^4
-    (-1)^n0 odd(n0) / (2^(3n0-5) (n0-1)!^5) with odd(m) = 1 3 ... (2m-1) and
-    q_k = odd(k+n0-1)/odd(k), which starts at odd(n0) and steps by
-    (2k+2n0-1)/(2k+1); odd(n0) / (n0-1)! = n0 C(2n0,n0) / 2^n0."""
-    t0 = Fraction((-1) ** n0 * (n0 * central_binomial(n0)) ** 5, 2 ** (8 * n0 - 5))
+    """The five-factor G(n0, k) over k = 1 .. (P-1)/2: (n0+2k-1) times a
+    part that starts at G(n0, 1) / (n0+1), its cell in wz.CELLS, and steps
+    by ((2k+2n0-1)/(2k+1))^4."""
+    num, den = wz.get_pair("GZ10N2").g(n0, 1)
+    t0 = Fraction(num, den * (n0 + 1))
     return (t0, lambda k: ((2 * k + 2 * n0 - 1) ** 4, (2 * k + 1) ** 4),
             1, ((p ** r - 1) // 2,), (n0 - 1, 2))
 
@@ -940,14 +942,15 @@ def series_sum_exact(case, params: CheckParams) -> Rational:
     return _series_exact(case.kernel, upper)
 
 
-def series_sum_residue(case, params: CheckParams, ctx: PadicContext) -> int:
-    """Termwise residue of a series case's truncated sum in Z/p^m."""
+def series_sum_residue(case, params: CheckParams, m: int) -> int:
+    """Termwise residue of a series case's truncated sum in Z/p^m, p the
+    point's prime."""
     case = get_case(case)
     if case.kind != "series":
         raise ValueError(f"{case.id} is not a series case")
     _require_residue(case)
     try:
-        return _series_residue(case.kernel, _series_upper(case, params), ctx.p, ctx.m)
+        return _series_residue(case.kernel, _series_upper(case, params), params.p, m)
     except BackendIneligible as e:
         raise BackendIneligible(f"{case.id}: {e}; use the exact backend") from None
 
@@ -1004,17 +1007,14 @@ def _family_items(case: CongruenceCase, params: CheckParams, M: int
 
 def _exact_valuation(a: int, b: int, c: int, d: int, p: int) -> Valuation:
     """vp(a / b - c / d), b, d > 0, in integers: vp(a d - c b) - vp(b d)."""
-    obs = _vp_int(a * d - c * b, p)
-    if obs is not INFINITE and b * d > 1:
-        obs -= _vp_int(b * d, p)
-    return obs
+    return _vp_int(a * d - c * b, p) - _vp_int(b * d, p)
 
 
 def _pair_valuation(lhs: tuple, rhs: tuple, p: int, mod: int) -> Optional[Valuation]:
     """vp(lhs - rhs) for two (v, u) pairs with units mod p^M, mod = p^M, or
     None when their units agree mod p^M (see _score)."""
     (vl, ul), (vr, ur) = lhs, rhs
-    if vl != vr or vl is INFINITE:
+    if vl != vr or vl == INFINITE:
         return min(vl, vr)
     d = (ul - ur) % mod
     if not d:
@@ -1158,11 +1158,10 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
         lhs, rhs, observed, member_note = _family_point(case, params, backend, claimed)
         note = f"{member_note}; {note}" if note else member_note
     elif backend == "residue":
-        ctx = PadicContext(p, claimed)
-        lhs = (series_sum_residue(case, params, ctx) if case.kind == "series"
-               else residue(case.lhs_scalar(p, params.r), ctx))
-        rhs = residue(case.rhs(p, params.r), ctx)
-        observed = min(_vp_int((lhs - rhs) % ctx.modulus, p), claimed)
+        lhs = (series_sum_residue(case, params, claimed) if case.kind == "series"
+               else residue(case.lhs_scalar(p, params.r), p, claimed))
+        rhs = residue(case.rhs(p, params.r), p, claimed)
+        observed = min(_vp_int((lhs - rhs) % p ** claimed, p), claimed)
     else:
         lhs = (series_sum_exact(case, params) if case.kind == "series"
                else case.lhs_scalar(p, params.r))
@@ -1170,13 +1169,12 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
         if backend == "both" and case.kind == "series" and case.p_integral:
             # the kernel runs first: it refuses a p in a denominator by name,
             # where reducing the exact sum would fail with PNotIntegral
-            ctx = PadicContext(p, claimed)
-            kernel = series_sum_residue(case, params, ctx)
-            exact = residue(lhs, ctx)
+            kernel = series_sum_residue(case, params, claimed)
+            exact = residue(lhs, p, claimed)
             if exact != kernel:
                 raise BackendDisagreement(
                     f"{case.id}: exact and residue backends disagree at {params} "
-                    f"mod {ctx.p}^{ctx.m}: the sum reduces to {exact} on the exact "
+                    f"mod {p}^{claimed}: the sum reduces to {exact} on the exact "
                     f"backend, {kernel} on the termwise residue kernel")
         elif backend == "both" and case.lucas is not None:
             _check_lucas(case, params, None, lhs % p, "exact backend")
@@ -1192,5 +1190,5 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
 
 def _passes(observed: Valuation, claimed: Optional[int]) -> bool:
     if claimed is None:
-        return observed is INFINITE
+        return observed == INFINITE
     return observed >= claimed

@@ -2,14 +2,16 @@
 
 Everything downstream computes with `Rational` (an alias for
 `fractions.Fraction`: immutable, always in lowest terms, positive
-denominator). A valuation is either a plain int or the `INFINITE`
-marker, which is the valuation of 0 and compares greater than every
-integer so that "observed >= claimed" stays well defined when a
-difference vanishes exactly.
+denominator). A valuation is a plain int, or `INFINITE` (`math.inf`) for
+the valuation of 0: it compares greater than every integer, so that
+"observed >= claimed" stays well defined when a difference vanishes
+exactly, and `INFINITE - n == INFINITE`. An infinity made by arithmetic or
+by unpickling is another float object, so test it with `==`, not `is`.
+A residue ring Z/p^m is named by its two numbers, p and m.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -20,44 +22,9 @@ class PNotIntegral(ArithmeticError):
     """Raised when a residue is requested for x with vp(x) < 0."""
 
 
-class _Infinite:
-    """Valuation of zero; a singleton ordered above every integer."""
+INFINITE = math.inf
 
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "INFINITE"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Infinite)
-
-    def __hash__(self) -> int:
-        return hash("supercong.exactnum.INFINITE")
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, _Infinite)
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, _Infinite)
-
-    def __reduce__(self):
-        # keep the singleton a singleton across pickling (worker processes)
-        return (_restore_infinite, ())
-
-
-def _restore_infinite() -> "_Infinite":
-    return INFINITE
-
-
-INFINITE = _Infinite()
-
-Valuation = Union[int, _Infinite]
+Valuation = Union[int, float]
 
 
 def is_prime(n: int) -> bool:
@@ -79,23 +46,6 @@ def _check_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
 
 
-@dataclass(frozen=True)
-class PadicContext:
-    """The residue ring Z/p^m together with valuation queries at p."""
-
-    p: int
-    m: int
-
-    def __post_init__(self) -> None:
-        _check_odd_prime(self.p)
-        if self.m < 1:
-            raise ValueError(f"exponent m must be >= 1, got {self.m}")
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.m
-
-
 def vp(x, p: int) -> Valuation:
     """p-adic valuation of a rational; INFINITE for x == 0.
 
@@ -103,8 +53,6 @@ def vp(x, p: int) -> Valuation:
     """
     _check_odd_prime(p)
     x = Fraction(x)
-    if x == 0:
-        return INFINITE
     return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
 
 
@@ -120,15 +68,19 @@ def _vp_int(n: int, p: int) -> Valuation:
     return v
 
 
-def residue(x, ctx: PadicContext) -> int:
-    """Canonical representative of x in [0, p^m) via modular inverse.
+def residue(x, p: int, m: int) -> int:
+    """Canonical representative of x in Z/p^m, in [0, p^m), via modular
+    inverse; p must be an odd prime and m >= 1.
 
     Requires x to be p-integral (vp >= 0); otherwise raises PNotIntegral
     and the caller must stay on the exact backend.
     """
+    _check_odd_prime(p)
+    if m < 1:
+        raise ValueError(f"exponent m must be >= 1, got {m}")
     x = Fraction(x)
-    mod = ctx.modulus
+    mod = p ** m
     den = x.denominator
-    if den % ctx.p == 0:
-        raise PNotIntegral(f"vp({x}, {ctx.p}) < 0; no residue mod {ctx.p}^{ctx.m}")
+    if den % p == 0:
+        raise PNotIntegral(f"vp({x}, {p}) < 0; no residue mod {p}^{m}")
     return x.numerator * pow(den, -1, mod) % mod

@@ -15,7 +15,7 @@ from pathlib import Path
 from supercong import wz
 from supercong.combinat import euler_number
 from supercong.congruences import CheckParams, evaluate_case, get_case, list_cases
-from supercong.exactnum import INFINITE, PadicContext, residue, vp
+from supercong.exactnum import INFINITE, residue, vp
 from supercong.harness import SweepConfig, run_sweep
 
 from helpers import binomial_rat
@@ -98,10 +98,9 @@ def test_c05_alternating_vs_unsigned_form():
 
     raw = run("Z-20N3-RAW", p=5)
     assert raw.informational and not raw.passed
-    ctx = PadicContext(5, 3)
-    assert residue(raw.lhs, ctx) == 86
-    assert residue(signed.lhs, ctx) == 15
-    assert residue(raw.lhs, ctx) != residue(F(15), ctx)
+    assert residue(raw.lhs, 5, 3) == 86
+    assert residue(signed.lhs, 5, 3) == 15
+    assert residue(raw.lhs, 5, 3) != residue(F(15), 5, 3)
 
 
 def test_c06_square_over_kplus1_series_and_identity():
@@ -118,7 +117,7 @@ def test_c06_square_over_kplus1_series_and_identity():
         ident = run("MAO-I2-IDENT", p=p)
         closed_form = binomial_rat(F(-3, 2), (p - 1) // 2) ** 2 / ((p + 1) // 2)
         assert ident.lhs == ident.rhs == closed_form, p
-        assert ident.observed_valuation is INFINITE
+        assert ident.observed_valuation == INFINITE
         assert ident.passed
 
 
@@ -189,9 +188,8 @@ def test_c10_lemma_suite():
                     assert res.observed_valuation == expect, (case.id, p)
 
     mid = run("LEM-3.3", p=5)
-    ctx = PadicContext(5, 3)
     assert mid.rhs == -220
-    assert residue(mid.lhs, ctx) == residue(F(-220), ctx) == 30
+    assert residue(mid.lhs, 5, 3) == residue(F(-220), 5, 3) == 30
 
 
 def test_c11_backend_cross_validation():

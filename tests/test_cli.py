@@ -68,7 +68,7 @@ def test_verify_exact_identity(capsys):
     code, out, _ = run_cli(capsys, "verify", "--case", "MAO-I2-IDENT",
                            "--p", "5")
     assert code == 0
-    assert "observed=INFINITE exact equality -> PASS" in out
+    assert "observed=inf exact equality -> PASS" in out
 
 
 def test_verify_informational_exits_zero(capsys):

@@ -256,8 +256,8 @@ def test_parallel_matches_serial(monkeypatch):
     strip = lambda rs: [dataclasses.replace(r, elapsed_ms=0.0) for r in rs]
     assert strip(serial.results) == strip(parallel.results)
     ident = [r for r in parallel.results if r.case_id == "MAO-I2-IDENT"]
-    # the sentinel valuation must survive the worker process boundary
-    assert all(r.observed_valuation is INFINITE for r in ident)
+    # the infinite valuation must survive the worker process boundary
+    assert all(r.observed_valuation == INFINITE for r in ident)
 
 
 def test_per_point_error_isolation(monkeypatch):

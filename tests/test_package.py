@@ -1,7 +1,8 @@
 """The package's public surface: every name in __all__ resolves, once, and
 the star import brings them all; importing the CLI loads only what every
 command reads; every module parses as Python 3.10, the oldest supported;
-and no module keeps an import or a private name that nothing reads."""
+no module keeps an import or a private name that nothing reads; and no
+code tests a valuation against INFINITE by identity."""
 import ast
 import subprocess
 import sys
@@ -63,6 +64,28 @@ def test_modules_read_every_name_they_import():
                 if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                     orphans.append(f"{source.name}:{alias.lineno}: {name}")
     assert orphans == []
+
+
+def test_no_identity_comparison_with_infinite():
+    # INFINITE is math.inf, and an infinity made by arithmetic or by unpickling
+    # is another float object: `v is INFINITE` can be False where v == INFINITE
+    sources = (sorted(Path(supercong.__file__).parent.glob("*.py"))
+               + sorted(Path(__file__).parent.glob("*.py")))
+    assert len(sources) >= 20
+
+    def infinite(node):
+        return (isinstance(node, ast.Name) and node.id == "INFINITE"
+                or isinstance(node, ast.Attribute) and node.attr == "INFINITE")
+    found = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, (ast.Is, ast.IsNot)) and (infinite(left) or infinite(right)):
+                    found.append(f"{source.name}:{node.lineno}")
+    assert found == []
 
 
 def test_package_reads_every_private_name_it_defines():

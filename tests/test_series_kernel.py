@@ -11,7 +11,7 @@ from supercong.congruences import (_SUMS, SERIES, BackendDisagreement,
                                    BackendIneligible, CheckParams, _poly,
                                    _series_exact, _series_residue, evaluate_case,
                                    list_cases, series_sum_residue)
-from supercong.exactnum import PadicContext, residue, vp
+from supercong.exactnum import residue, vp
 from supercong.harness import SweepConfig, run_sweep
 
 POWER_OF_TWO = sorted(name for name, spec in SERIES.items() if spec.den == (1,))
@@ -37,7 +37,7 @@ def test_specs_cover_the_catalog_series():
     assert "LEM-2.1" not in SERIES
     assert set(names.values()) == set(SERIES)
     with pytest.raises(BackendIneligible, match="LEM-2.1 has p-power denominators"):
-        series_sum_residue("LEM-2.1", CheckParams(p=5, delta=1), PadicContext(5, 5))
+        series_sum_residue("LEM-2.1", CheckParams(p=5, delta=1), 5)
 
 
 @pytest.mark.parametrize("name", sorted(SERIES))
@@ -66,7 +66,7 @@ def test_residue_kernel_power_of_two_series(name):
     for p, m in ((5, 1), (5, 4), (7, 3), (11, 6), (43, 2)):
         for upper in (0, 1, p - 1, p, 2 * p + 3, p * p - 1, p * p + 2):
             assert residue_kernel(name, upper, p, m) == \
-                residue(exact(name, upper), PadicContext(p, m)), (p, m, upper)
+                residue(exact(name, upper), p, m), (p, m, upper)
 
 
 @pytest.mark.parametrize("name", ODD_DENOMINATOR)
@@ -77,7 +77,7 @@ def test_residue_kernel_odd_denominator_series(name):
                          if _poly(spec.den, k) % p == 0)
         for upper in range(first_bad):
             assert residue_kernel(name, upper, p, m) == \
-                residue(exact(name, upper), PadicContext(p, m)), (p, m, upper)
+                residue(exact(name, upper), p, m), (p, m, upper)
         with pytest.raises(BackendIneligible, match=f"term k={first_bad} "):
             residue_kernel(name, first_bad, p, m)
 
@@ -96,7 +96,7 @@ def test_residue_kernel_builds_no_fraction(monkeypatch):
 def test_residue_kernel_never_steps_the_exact_parts(monkeypatch):
     # with the Fraction test above: the two sides of `both` share no Fraction
     # code and no big-integer stepping
-    expected = {name: residue(exact(name, 20), PadicContext(43, 3)) for name in SERIES}
+    expected = {name: residue(exact(name, 20), 43, 3) for name in SERIES}
 
     def refuse(*args):
         raise AssertionError("exact kernel run by the residue kernel")
@@ -208,7 +208,7 @@ def test_residue_kernel_deep_valuations(name):
         ref = exact(name, upper)
         for m in (1, 2, 3, 5, 8, 10):
             assert residue_kernel(name, upper, p, m) == \
-                residue(ref, PadicContext(p, m)), (upper, m)
+                residue(ref, p, m), (upper, m)
     vals = _binomial_part_valuations(spec, p, (p ** 6 - 1) // 2)
     deep = [k for k, v in enumerate(vals) if v >= 10]
     assert len(deep) > 100
@@ -234,7 +234,7 @@ def test_residue_kernel_matches_exact_sums_property():
                     residue_kernel(name, upper, p, m)
             else:
                 assert residue_kernel(name, upper, p, m) == \
-                    residue(exact(name, upper), PadicContext(p, m)), name
+                    residue(exact(name, upper), p, m), name
 
     check()
 
@@ -286,3 +286,27 @@ def test_verify_reports_backend_disagreement(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: GUO-64: exact and residue backends disagree")
     assert captured.err.count("\n") == 1
+
+
+def test_each_case_reads_its_spec_once_at_its_cap(monkeypatch):
+    """Every case whose kernel is a spec reads _series_exact once per point,
+    at its declared cap, on "both": one-entry caching and a sweep unit's
+    ascending caps (harness._units) rely on it.  BIN-3.5, BIN-3.7 and
+    MAO-I2-IDENT state their cap in their closures as well."""
+    calls = []
+    kernel = congruences._series_exact
+
+    def recorded(name, upper):
+        calls.append((name, upper))
+        return kernel(name, upper)
+    monkeypatch.setattr(congruences, "_series_exact", recorded)
+    cases = [case for case in list_cases() if case.kernel in SERIES]
+    assert len(cases) == 19
+    for case in cases:
+        for p in (5, 7, 11):
+            for r in ((1, 2) if case.uses_r else (1,)):
+                for delta in ((1, 2) if case.uses_delta else (None,)):
+                    calls.clear()
+                    evaluate_case(case, CheckParams(p=p, r=r, delta=delta), "both")
+                    assert calls == [(case.kernel, case.upper(p, r, delta or 1))], \
+                        (case.id, p, r, delta)
