@@ -10,8 +10,9 @@ Case kinds:
               minimum observed valuation over all members
   identity -- an exact rational equality (pass iff LHS equals RHS)
 
-Family members, binomial scalars and WZ cells are binomial products, read by
-combinat.binomial_product and, digitwise for backend "both", lucas_product.
+Family members, binomial scalars, WZ cells and the terms of every sum are
+binomial products, read by combinat.binomial_product and, digitwise for
+backend "both", lucas_product; each sum's step is derived from them (_derive).
 Family members are scored from their (valuation, unit) pairs, read from one
 combinat.Factorials table (_factorials); only the member a record reports is
 built exact.
@@ -33,14 +34,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from fnmatch import fnmatch
-from functools import lru_cache
-from itertools import count, islice
+from functools import lru_cache, partial
+from itertools import chain, count
 from math import gcd, lcm
 from typing import Callable, Iterator, Optional, Union
 
-from .combinat import (Factorials, binomial_product, central_binomial, euler_number,
-                       fermat_quotient, lucas_product)
-from .combinat import binomial  # noqa: F401  (unused here; perfbench/tracer.py wraps it)
+from .combinat import (Factorials, binomial_product, euler_number, fermat_quotient,
+                       lucas_product)
+from .combinat import binomial, central_binomial  # noqa: F401  (perfbench/tracer.py wraps them)
 from .exactnum import (INFINITE, Rational, Valuation, _vp_int, is_prime,
                        residue)
 from .exactnum import vp  # noqa: F401  (unused here; perfbench/tracer.py wraps congruences.vp)
@@ -141,10 +142,10 @@ class CheckResult:
 
 
 # --------------------------------------------------------------------------
-# series specs: one declarative description per catalog series, read by the
-# exact kernel (in split form), the residue kernel (as steps) and the Fraction
-# term view.  Every term is an integer over a power of two times a small odd
-# factor, and the one exact kernel, _Pass, sums them all.
+# term descriptions: every sum, a series spec or a certificate sum, adds the
+# binomial products (c, e, *factors) of a description k -> desc(k) whose c is
+# a declared polynomial poly(k) times a geometric factor.  _derive turns one
+# into the seed and step of its _Pass, which the residue kernel steps too.
 
 
 def _poly(coeffs: tuple[int, ...], k: int) -> int:
@@ -154,98 +155,106 @@ def _poly(coeffs: tuple[int, ...], k: int) -> int:
     return acc
 
 
+def _derive(name: str, desc: Callable[[int], tuple], poly: tuple[int, ...], lo: int,
+            den: tuple[int, ...] = (1,)) -> tuple[tuple[int, int], Callable]:
+    """(seed, step) of the sum of t_k = binomial_product(*desc(k)) / den(k),
+    k >= lo, as _Pass reads it, t_k = t0 poly(k) u_k: t0 = t_lo / poly(lo)
+    as an unreduced integer pair, and a pure step(k) = u_(k+1) / u_k in
+    integers.  desc is read at lo .. lo + 2 only, and ValueError names the
+    sum unless there its factor layout holds, e and every binomial argument
+    are linear in k and c / poly(k) is geometric.  The step is their
+    difference (A = B, ch. 7): an argument x moving by d gives the linear
+    forms of Gamma(x + d + 1) / Gamma(x + 1), made primitive so that equal
+    forms cancel, to the power j for the n of C(n, m)^j and -j for its m and
+    n - m; times the geometric ratio, 2^(e(k+1) - e(k)) and den(k) / den(k+1)."""
+    rows = [desc(k) for k in (lo, lo + 1, lo + 2)]
+    where = f"over k = {lo} .. {lo + 2}"
+    if len({tuple(f[2] for f in row[2:]) for row in rows}) > 1:
+        raise ValueError(f"{name}: the factor layout of its description changes {where}")
+    columns = zip(*((row[1], *(x for n, m, _ in row[2:] for x in (n, m))) for row in rows))
+    if any(x1 - x0 != x2 - x1 for x0, x1, x2 in columns):
+        raise ValueError(f"{name}: e or a binomial argument is not linear in k {where}")
+    c0, c1, c2 = (row[0] for row in rows)
+    q0, q1, q2 = (_poly(poly, k) for k in range(lo, lo + 3))
+    if not c0 * c1 * q0 * q1 * q2 or c1 * c1 * q0 * q2 != c0 * c2 * q1 * q1:
+        raise ValueError(f"{name}: c / poly(k) of its description is not geometric {where}")
+    e = rows[1][1] - rows[0][1]
+    a, b = c1 * q0 << max(e, 0), c0 * q1 << max(-e, 0)
+    forms: dict[tuple[int, int], int] = {}      # (u, w) -> power of u + w k
+    for (n, m, j), (n1, m1, _) in zip(rows[0][2:], rows[1][2:]):
+        for x, d, power in ((n, n1 - n, j), (m, m1 - m, -j), (n - m, n1 - m1 - n + m, -j)):
+            if d < 0:
+                power = -power
+            for i in (range(1, d + 1) if d > 0 else range(0, d, -1)):
+                u = x - d * lo + i                      # x(k) + i = u + d k
+                g = gcd(u, d) if d > 0 else -gcd(u, d)
+                a, b = (a * g ** power, b) if power > 0 else (a, b * g ** -power)
+                form = u // g, d // g
+                forms[form] = forms.get(form, 0) + power
+    g = gcd(a, b) if b > 0 else -gcd(a, b)
+    a, b = a // g, b // g
+    up = [(u, w, j) for (u, w), j in forms.items() if j > 0]
+    down = [(u, w, -j) for (u, w), j in forms.items() if j < 0]
+    odd = den != (1,)
+
+    def step(k: int) -> tuple[int, int]:
+        x, y = a, b
+        for u, w, j in up:
+            x *= (u + w * k) ** j
+        for u, w, j in down:
+            y *= (u + w * k) ** j
+        return (x * _poly(den, k), y * _poly(den, k + 1)) if odd else (x, y)
+    num, dn = binomial_product(*rows[0])
+    return (num, dn * q0 * _poly(den, lo)), step
+
+
 # a plain class: the dataclass decorator would add about 1.7 ms on a 2-vCPU host
-# (2-3 % of the import that every CLI run pays)
+# (2-3 % of the import that every CLI run pays), and NamedTuple about 0.2 ms
 class SeriesSpec:
-    """t_k = (-1)^k poly(k) x_k^a C(4k,2k)^b / (den(k) 2^(rate k)) for k = start ..
-    upper, with x_k = C(2k,k) / divisor(k), an exact integer quotient; the (-1)^k
-    only when alternating (alternating specs start at 0).  poly holds any other
-    sign (glr's minus); polynomials are coefficient tuples, constant term first,
-    and den(k) is the small odd denominator factor.  Both kernels read the binomial
-    part x_k^a C(4k,2k)^b through steps(): the exact one folds its ratio, with
-    the sign, den and 2^rate, into one integer pair per term (split), the
-    residue one steps it as a p-adic (valuation, unit) pair."""
+    """t_k = binomial_product(*desc(k)) / den(k) for k = start .. upper, where
+    desc(k) = (c, e, *factors) has e and every binomial argument linear in k
+    and c = poly(k) times (-1)^k or 1, and den(k) is the small odd
+    denominator factor; polynomials are coefficient tuples, constant term
+    first.  Both kernels step it by _derive's step."""
 
-    def __init__(self, poly: tuple[int, ...], *, a: int = 0, b: int = 0,
-                 rate: int = 0, den: tuple[int, ...] = (1,),
-                 divisor: tuple[int, ...] = (1,), alternating: bool = False,
-                 start: int = 0):
-        self.poly, self.a, self.b, self.rate = poly, a, b, rate
-        self.den, self.divisor = den, divisor
-        self.alternating, self.start = alternating, start
-
-    def steps(self) -> Iterator[tuple[int, int, int]]:
-        """(k, num, den) for k = start, start + 1, ... without end: the
-        binomial part at k is the one at k - 1 times num / den, an exact
-        integer quotient; at k = start num is the part itself (start <= 1, so
-        it is small) and den is 1.  The ratio is
-        (2(2k-1) divisor(k-1) / (k divisor(k)))^a (2(4k-3)(4k-1) / (k(2k-1)))^b."""
-        a, b, div, k = self.a, self.b, self.divisor, self.start
-        q = _poly(div, k)
-        yield k, (central_binomial(k) // q) ** a * central_binomial(2 * k) ** b, 1
-        for k in count(k + 1):
-            q1 = _poly(div, k)
-            yield (k, (2 * (2 * k - 1) * q) ** a * (2 * (4 * k - 3) * (4 * k - 1)) ** b,
-                   (k * q1) ** a * (k * (2 * k - 1)) ** b)
-            q = q1
-
-    def split(self) -> tuple:
-        """The spec as a _Pass over t_k = t0 poly(k) u_k, u_start = 1, with no
-        ends: (t0, step, start, (), poly).  step(k) = u_(k+1) / u_k is the
-        binomial part's ratio at k + 1 from steps(), times the sign, den(k) /
-        den(k+1) and 2^-rate, as an integer pair in lowest terms.  It reads
-        steps() once per k, so the pass must call it for k = start, start + 1,
-        ... in turn, which a pass does."""
-        steps, den, rate = self.steps(), self.den, self.rate
-        _, part, _ = next(steps)
-        sign = -1 if self.alternating else 1
-
-        def step(k):
-            _, num, dn = next(steps)
-            num, dn = sign * num * _poly(den, k), dn * _poly(den, k + 1) << rate
-            g = gcd(num, dn)
-            return num // g, dn // g
-        t0 = Fraction(part, _poly(den, self.start) << rate * self.start)
-        return t0, step, self.start, (), self.poly
+    def __init__(self, desc: Callable[[int], tuple], poly: tuple[int, ...],
+                 den: tuple[int, ...] = (1,), start: int = 0):
+        self.desc, self.poly, self.den, self.start = desc, poly, den, start
 
     def terms(self, upper: int) -> Iterator[Rational]:
-        """The sum's terms one by one as Fractions, each from a list of
-        C(2j,j), j <= 2 upper, built by its own recurrence C(2j,j) =
-        C(2j-2,j-1) 2(2j-1)/j: the reference the kernels are tested against."""
-        central = [1]
-        for j in range(1, 2 * upper + 1):
-            central.append(central[-1] * (2 * (2 * j - 1)) // j)
-        s = 1
+        """The sum's terms one by one as Fractions, each its binomial product
+        over den(k): the reference the kernels are tested against."""
         for k in range(self.start, upper + 1):
-            x = central[k] // _poly(self.divisor, k)
-            yield Fraction(s * _poly(self.poly, k) * x ** self.a
-                           * central[2 * k] ** self.b,
-                           _poly(self.den, k) << (self.rate * k))
-            if self.alternating:
-                s = -s
+            num, dn = binomial_product(*self.desc(k))
+            yield Fraction(num, dn * _poly(self.den, k))
 
 
 SERIES: dict[str, SeriesSpec] = {
     # (4k+1) C(2k,k)^3 / (-64)^k
-    "guo64": SeriesSpec((1, 4), a=3, rate=6, alternating=True),
+    "guo64": SeriesSpec(lambda k: ((-1) ** k * (4 * k + 1), -6 * k, (2 * k, k, 3)), (1, 4)),
     # (10n^2+6n+1) (-4)^n (1/2)_n^5/(1)_n^5 = (10n^2+6n+1)(-1)^n C(2n,n)^5/2^(8n)
-    "gz10n2": SeriesSpec((1, 6, 10), a=5, rate=8, alternating=True),
+    "gz10n2": SeriesSpec(lambda k: ((-1) ** k * (10 * k * k + 6 * k + 1), -8 * k,
+                                    (2 * k, k, 5)), (1, 6, 10)),
     # (-1)^n (20n+3) (1/2)_n (1/2)_(2n) / ((1)_n^3 16^n), and its unsigned variant
-    "z20n3-signed": SeriesSpec((3, 20), a=2, b=1, rate=10, alternating=True),
-    "z20n3-raw": SeriesSpec((3, 20), a=2, b=1, rate=10),
+    "z20n3-signed": SeriesSpec(lambda k: ((-1) ** k * (20 * k + 3), -10 * k, (2 * k, k, 2),
+                                          (4 * k, 2 * k, 1)), (3, 20)),
+    "z20n3-raw": SeriesSpec(lambda k: (20 * k + 3, -10 * k, (2 * k, k, 2), (4 * k, 2 * k, 1)),
+                            (3, 20)),
     # (120n^2+34n+3) (1/2)_n^3 (1/2)_(2n) / ((1)_n^5 2^(6n))
     #   = (120n^2+34n+3) C(2n,n)^4 C(4n,2n) / 2^(16n)
-    "z120n2": SeriesSpec((3, 34, 120), a=4, b=1, rate=16),
+    "z120n2": SeriesSpec(lambda k: (120 * k * k + 34 * k + 3, -16 * k, (2 * k, k, 4),
+                                    (4 * k, 2 * k, 1)), (3, 34, 120)),
     # (-1)^k (4k-1) (-1/2)_k^3/(1)_k^3 = (-1)^k (1-4k) x_k^3/64^k: the minus sign
     # of (-1/2)_k/(1)_k = -x_k/4^k is in the polynomial, and x_k = C(2k,k)/(2k-1)
     # is -1 at k = 0 and 2 C(2k-2,k-1)/k (Catalan) after
-    "glr": SeriesSpec((1, -4), a=3, divisor=(-1, 2), rate=6, alternating=True),
+    "glr": SeriesSpec(lambda k: ((-1) ** k * (1 - 4 * k), -6 * k, (2 * k, k, 3),
+                                 (2 * k - 1, 1, -3)), (1, -4)),
     # C(2n,n)^2 / ((n+1) 16^n)
-    "mao": SeriesSpec((1,), a=2, rate=4, den=(1, 1)),
+    "mao": SeriesSpec(lambda k: (1, -4 * k, (2 * k, k, 2)), (1,), den=(1, 1)),
     # C(2k,k) / ((2k+1) 4^k)
-    "suncat": SeriesSpec((1,), a=1, rate=2, den=(1, 2)),
-    "h1": SeriesSpec((1,), den=(0, 1), start=1),
-    "h2": SeriesSpec((1,), den=(0, 0, 1), start=1),
+    "suncat": SeriesSpec(lambda k: (1, -2 * k, (2 * k, k, 1)), (1,), den=(1, 2)),
+    "h1": SeriesSpec(lambda k: (1, 0), (1,), den=(0, 1), start=1),
+    "h2": SeriesSpec(lambda k: (1, 0), (1,), den=(0, 0, 1), start=1),
 }
 
 
@@ -310,10 +319,10 @@ class _Pass:
     """The one exact-sum kernel: the sums of t_k = t0 poly(k) u_k, k = lo,
     lo + 1, ..., where u_lo = 1 and u_(k+1) = u_k a_k / b_k for the integer
     pair (a_k, b_k) = step(k), b_k != 0, called once per k in increasing
-    order as the pass reaches it.  Every series spec (SeriesSpec.split) and
-    every certificate sum (_SUMS) is one.  The pass only moves forward; at
-    k it holds the sum of the terms lo .. k-1 as x / d and the seed
-    t0 u_(k-1) (t0 at k = lo) as s / d.
+    order as the pass reaches it.  Every series spec and every certificate
+    sum (_SUMS) is one, opened from its description (_open).  The pass only
+    moves forward; at k it holds the sum of the terms lo .. k-1 as x / d and
+    the seed t0 u_(k-1) (t0 at k = lo) as s / d.
 
     Binary splitting (Haible and Papanikolaou, ANTS-III, 1998): a stretch
     of n terms is one (A, B, T) product tree (_split), whose sum is
@@ -408,6 +417,13 @@ class _Pass:
 _running: dict[str, _Pass] = {}    # the running pass of each spec, by name
 
 
+def _open(name: str, desc: Callable[[int], tuple], poly: tuple[int, ...], lo: int,
+          den: tuple[int, ...] = (1,), ends: tuple[int, ...] = ()) -> _Pass:
+    """A fresh pass over a description's terms, by its derived step."""
+    seed, step = _derive(name, desc, poly, lo, den)
+    return _Pass(Fraction(*seed), step, lo, ends, poly)
+
+
 @lru_cache(maxsize=1)
 def _series_exact(name: str, upper: int) -> Rational:
     """Exact kernel: the sum of a spec's terms up to upper, a prefix of its
@@ -419,7 +435,8 @@ def _series_exact(name: str, upper: int) -> Rational:
     (harness._units), so a repeated read is of the cap just before it."""
     run = _running.pop(name, None)
     if run is None or run.k > upper + 1:
-        run = _Pass(*SERIES[name].split())
+        spec = SERIES[name]
+        run = _open(name, spec.desc, spec.poly, spec.start, spec.den)
     value = run.prefix(upper)
     _running[name] = run
     return value
@@ -427,26 +444,26 @@ def _series_exact(name: str, upper: int) -> Rational:
 
 @lru_cache(maxsize=256)
 def _series_residue(name: str, upper: int, p: int, m: int) -> int:
-    """Residue kernel: the sum mod p^m from the spec's steps alone, with no
-    Fraction and no big integer.  The binomial part B_k is carried as
-    p^v un / ud: v is its p-adic valuation, and un and ud are the units mod
-    p^m of the products of the steps' numerators and denominators.  Each step
-    strips p from its two integers, adds the valuations and multiplies the
-    units; 2^(rate k) is carried as tw mod p^m.  The running sum is num / dd,
+    """Residue kernel: the sum mod p^m from the spec's seed and steps
+    (_derive) alone, with no Fraction and no big integer.  t_k / poly(k) is
+    carried as p^v un / ud: v is its p-adic valuation, and un and ud are the
+    units mod p^m of the products of the seed's and steps' numerators and
+    denominators, each stripped of p into v.  The running sum is num / dd,
     inverted once at the end.
 
-    Precision: every catalog spec is p-integral, so B_k is an integer and
-    v >= 0, and den(k) and 2 are units at the points the kernel accepts.
-    Carrying the units mod p^m is therefore exact, and a term with v >= m
-    is 0 mod p^m (v may fall back below m later, so un and ud are still
-    stepped).  Raises BackendIneligible at the first term whose den(k) is
-    divisible by p, whatever its v."""
+    Precision: every catalog spec is p-integral, and t_k / poly(k) is its
+    integer binomial part times a sign and a power of two over den(k), so
+    v >= 0 while den(k) is a unit.  Carrying the units mod p^m is therefore
+    exact, and a term with v >= m is 0 mod p^m (v may fall back below m
+    later, so un and ud are still stepped).  Raises BackendIneligible at the
+    first term whose den(k) is divisible by p, whatever its v."""
     spec = SERIES[name]
+    seed, step = _derive(name, spec.desc, spec.poly, spec.start, spec.den)
     mod = p ** m
     powers = [p ** e for e in range(m)]
-    s, two, tw = 1, 1 << spec.rate, 1 << spec.rate * spec.start
     v, un, ud, num, dd = 0, 1, 1, 0, 1
-    for k, up, down in islice(spec.steps(), upper + 1 - spec.start):
+    pairs = chain((seed,), map(step, count(spec.start)))
+    for k, (up, down) in zip(range(spec.start, upper + 1), pairs):
         while up % p == 0:
             up, v = up // p, v + 1
         while down % p == 0:
@@ -458,64 +475,45 @@ def _series_residue(name: str, upper: int, p: int, m: int) -> int:
                 f"term k={k} of series {name} has odd denominator factor "
                 f"{d}, divisible by p = {p}")
         if v < m:
-            e = ud * d * tw % mod
-            num = (num * e + s * _poly(spec.poly, k) * powers[v] * un * dd) % mod
-            dd = dd * e % mod
-        tw = tw * two % mod
-        if spec.alternating:
-            s = -s
+            num = (num * ud + _poly(spec.poly, k) * powers[v] * un * dd) % mod
+            dd = dd * ud % mod
     return num * pow(dd, -1, mod) % mod
 
 
 # --------------------------------------------------------------------------
 # certificate sums: stretches of one WZ pair's cells.  _SUMS maps a name to
-# (p, r) -> (t0, step, lo, ends, poly), the arguments of its _Pass.
+# (p, r) -> (desc, poly, lo, ends), its terms' description (wz.CELLS or
+# _theta), the polynomial factor of its c, its first index and its ends.
 
-def _theta_direct(p: int, r: int, k: int) -> Rational:
-    """theta(k) of LEM-4.2 in closed form: it seeds the theta row at k = 1,
-    and is the per-cell reference the stepped row is tested against."""
-    P = p ** r
-    return Fraction(*binomial_product(
-        (-1) ** (k + 1) * P ** 3, 2 * k - 6 * P + 6, (2 * P - 1, P - 1, 2),
-        (-2 * P - 1, 2 * k - 2, 1), (2 * P - 2, P - k - 1, 1), (2 * P - 1, 1, -1),
-        (k, 1, -1), (2 * k - 1, 1, -1), (2 * k, k, -1)))
-
-
-def _p_row(p: int, r: int, seed: Rational, c: int, d: int) -> tuple:
-    """A row k = 1 .. P-1, P = p^r, from its cell at k = 1, stepped by the cell
-    ratio -2(cP+2k-1)(P-k-d)/(2k+1)^2 (common factor P + k cancelled), in three
-    slices: prefix (k <= (P-1)/2), middle (k = (P+1)/2) and tail."""
-    P = p ** r      # odd, so P // 2 = (P-1)/2
-    return (seed, lambda k: (-2 * (c * P + 2 * k - 1) * (P - k - d), (2 * k + 1) ** 2),
-            1, (P // 2, P // 2 + 1, P - 1), (1,))
+def _theta(P: int, k: int) -> tuple:
+    """theta(k) of LEM-4.2 at P = p^r as a binomial product: the theta row's
+    description, and the per-cell reference the row is tested against."""
+    return ((-1) ** (k + 1) * P ** 3, 2 * k - 6 * P + 6, (2 * P - 1, P - 1, 2),
+            (-2 * P - 1, 2 * k - 2, 1), (2 * P - 2, P - k - 1, 1), (2 * P - 1, 1, -1),
+            (k, 1, -1), (2 * k - 1, 1, -1), (2 * k, k, -1))
 
 
-def _gz_row(p: int, r: int, n0: int) -> tuple:
-    """The five-factor G(n0, k) over k = 1 .. (P-1)/2: (n0+2k-1) times a
-    part that starts at G(n0, 1) / (n0+1), its cell in wz.CELLS, and steps
-    by ((2k+2n0-1)/(2k+1))^4."""
-    num, den = wz.get_pair("GZ10N2").g(n0, 1)
-    t0 = Fraction(num, den * (n0 + 1))
-    return (t0, lambda k: ((2 * k + 2 * n0 - 1) ** 4, (2 * k + 1) ** 4),
-            1, ((p ** r - 1) // 2,), (n0 - 1, 2))
-
-
-def _lem21_column(p: int, r: int) -> tuple:
-    """F(n, K) of the five-factor pair at K = (p^r-1)/2, whose prefixes to K
-    (delta = 2) and to 2K are LEM-2.1's two windows: 10n^2+(12K+6)n+4K^2+4K+1 times (1/2)_n
-    (1/2+K)_n^4 (-4)^n / (1)_n^5, stepped by -(2n+1)(2K+2n+1)^4/(8(n+1)^5)."""
-    K = (p ** r - 1) // 2
-    return (1, lambda n: (-(2 * n + 1) * (2 * K + 2 * n + 1) ** 4, 8 * (n + 1) ** 5),
-            0, (K, 2 * K), (4 * K * K + 4 * K + 1, 12 * K + 6, 10))
+def _thirds(P: int) -> tuple[int, int, int]:
+    """The ends of a row k = 1 .. P-1, P = p^r odd: prefix (k <= (P-1)/2),
+    middle (k = (P+1)/2) and tail."""
+    return P // 2, P // 2 + 1, P - 1
 
 
 _SUMS: dict[str, Callable[[int, int], tuple]] = {
-    "GUO64": lambda p, r: _p_row(p, r, wz.eval_G("GUO64", p ** r, 1), 2, 0),
-    "Z20N3": lambda p, r: _p_row(p, r, wz.eval_G("Z20N3", p ** r, 1), 4, 0),
-    "theta": lambda p, r: _p_row(p, r, _theta_direct(p, r, 1), 2, 1),
-    "GZ10N2-half": lambda p, r: _gz_row(p, r, (p ** r + 1) // 2),
-    "GZ10N2": lambda p, r: _gz_row(p, r, p ** r),
-    "LEM-2.1": _lem21_column,
+    # the rows G(P, k) and theta(k): c is a constant times a sign
+    "GUO64": lambda p, r: (partial(wz.CELLS["GUO64"][1], p ** r), (1,), 1, _thirds(p ** r)),
+    "Z20N3": lambda p, r: (partial(wz.CELLS["Z20N3"][1], p ** r), (1,), 1, _thirds(p ** r)),
+    "theta": lambda p, r: (partial(_theta, p ** r), (1,), 1, _thirds(p ** r)),
+    # the five-factor G(n0, k), k = 1 .. (P-1)/2, n0 = (P+1)/2 and P: c is
+    # (n0+2k-1) times a sign
+    "GZ10N2-half": lambda p, r: (partial(wz.CELLS["GZ10N2"][1], p ** r // 2 + 1),
+                                 (p ** r // 2, 2), 1, (p ** r // 2,)),
+    "GZ10N2": lambda p, r: (partial(wz.CELLS["GZ10N2"][1], p ** r), (p ** r - 1, 2), 1,
+                            (p ** r // 2,)),
+    # LEM-2.1's column F(n, (P-1)/2), whose c is 10n^2+6Pn+P^2 times a sign;
+    # its prefixes to (P-1)/2 (delta = 2) and P-1 are the two windows
+    "LEM-2.1": lambda p, r: (partial(wz.CELLS["GZ10N2"][0], k=p ** r // 2),
+                             (p ** (2 * r), 6 * p ** r, 10), 0, (p ** r // 2, p ** r - 1)),
 }
 
 
@@ -524,7 +522,8 @@ def _sums(name: str, p: int, r: int) -> _Pass:
     """The pass over _SUMS[name] at (p, r), each of its sums computed at first
     use.  Only the last is kept: a sweep runs every point reading one pass in
     one unit (harness._units), so a pass is not read again after its unit."""
-    return _Pass(*_SUMS[name](p, r))
+    desc, poly, lo, ends = _SUMS[name](p, r)
+    return _open(name, desc, poly, lo, ends=ends)
 
 
 # --------------------------------------------------------------------------

@@ -104,9 +104,8 @@ CELLS: dict[str, tuple[Callable[[int, int], tuple], Callable[[int, int], tuple]]
 
 
 def _pair(id: str, series: str, alternating: bool, definition: str) -> WzPair:
-    """The pair id with its f and g evaluating its CELLS descriptions."""
-    f, g = (lambda n, k, desc=desc: binomial_product(*desc(n, k))
-            for desc in CELLS[id])
+    """The pair id with its f and g evaluating its CELLS descriptions at each call."""
+    f, g = (lambda n, k, i=i: binomial_product(*CELLS[id][i](n, k)) for i in (0, 1))
     return WzPair(id, f, g, series, alternating, definition)
 
 

@@ -324,12 +324,12 @@ def test_grid_flag_replaces_the_files_grid(monkeypatch, capsys, tmp_path):
 def test_row_prefix_point_builds_one_slice(capsys, monkeypatch):
     # LEM-3.2 reads the GUO64 row's prefix k = 1 .. (P-1)/2 = 24 at P = 49:
     # one slice is built, and step(k) is called for k < 24 only
-    calls, entry = [], congruences._SUMS["GUO64"]
+    calls, derive = [], congruences._derive
 
-    def counted(p, r):
-        t0, step, lo, ends, poly = entry(p, r)
-        return t0, lambda k: calls.append(k) or step(k), lo, ends, poly
-    monkeypatch.setitem(congruences._SUMS, "GUO64", counted)
+    def counted(name, *args):
+        seed, step = derive(name, *args)
+        return seed, lambda k: calls.append(k) or step(k)
+    monkeypatch.setattr(congruences, "_derive", counted)
     congruences._sums.cache_clear()
     try:
         code, out, _ = run_cli(capsys, "verify", "--case", "LEM-3.2", "--p", "7", "--r", "2")

@@ -3,11 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 from supercong import wz
-from supercong.combinat import binomial
+from supercong.combinat import binomial, binomial_product
 from supercong.congruences import (_SUMS, BackendIneligible, CheckParams,
-                                   PrimeBelowFloor, UnknownCase, _sums,
-                                   _theta_direct, evaluate_case,
-                                   get_case, list_cases)
+                                   PrimeBelowFloor, UnknownCase, _derive, _sums,
+                                   _theta, evaluate_case, get_case, list_cases)
 from supercong.exactnum import INFINITE, residue, vp
 
 from helpers import binomial_rat, ratio_slices
@@ -262,7 +261,7 @@ def test_row_slices_match_direct_cells():
         for name, cell in (
                 ("GUO64", lambda k: wz.eval_G("GUO64", P, k)),
                 ("Z20N3", lambda k: wz.eval_G("Z20N3", P, k)),
-                ("theta", lambda k: _theta_direct(p, r, k))):
+                ("theta", lambda k: theta(p, r, k))):
             prefix = sum(cell(k) for k in range(1, half + 1))
             mid = cell(half + 1)
             tail = sum(cell(k) for k in range(half + 2, P))
@@ -291,6 +290,11 @@ THETA_STATED = ("theta(k) = -p^(3r) C(2p^r-1,p^r-1)^2 / ((2p^r-1) 4^(3p^r-3)) * 
                 "(-4)^k/C(2k,k) * C(-2p^r-1,2k-2)/(k(2k-1)) * C(2p^r-2,p^r-k-1)")
 
 
+def theta(p, r, k):
+    """theta(k) from its description, the one the theta row sums."""
+    return F(*binomial_product(*_theta(p ** r, k)))
+
+
 def theta_stated(p, r, k):
     P = p ** r
     return (-p ** (3 * r) * F(binomial(2 * P - 1, P - 1)) ** 2
@@ -304,7 +308,7 @@ def test_theta_matches_its_statement():
     assert THETA_STATED in get_case("LEM-4.2").statement
     for p, r in ((5, 1), (7, 1), (11, 1), (5, 2)):
         for k in range(1, p ** r):
-            assert _theta_direct(p, r, k) == theta_stated(p, r, k), (p, r, k)
+            assert theta(p, r, k) == theta_stated(p, r, k), (p, r, k)
 
 
 def test_column_sums_match_direct_cells():
@@ -318,8 +322,9 @@ def test_column_sums_match_direct_cells():
 
 def lem21_terms(p, r, n):
     """The first n terms of LEM-2.1's _SUMS entry, one slice each."""
-    t0, step, lo, _, poly = _SUMS["LEM-2.1"](p, r)
-    return list(ratio_slices(t0, step, lo, range(n), poly))
+    desc, poly, lo, _ = _SUMS["LEM-2.1"](p, r)
+    seed, step = _derive("LEM-2.1", desc, poly, lo)
+    return list(ratio_slices(F(*seed), step, lo, range(n), poly))
 
 
 def test_shifted_series_matches_direct_cells():

@@ -1,6 +1,7 @@
 """The binary-split kernel (_Pass) behind every certificate sum in _SUMS,
-against sums known in closed form and against the WZ cells, and the exact
-division that ends each of its sums."""
+against sums known in closed form and against the WZ cells; the step each
+sum and each series spec derives from its description (_derive), against
+the ratio of its terms; and the exact division that ends each of its sums."""
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -8,8 +9,9 @@ from unittest import mock
 import pytest
 
 from supercong import congruences, harness, wz
-from supercong.congruences import (_SUMS, CheckParams, _over_power_of_two,
-                                   _Pass, series_sum_exact)
+from supercong.combinat import binomial_product
+from supercong.congruences import (_SUMS, SERIES, CheckParams, _derive, _over_power_of_two,
+                                   _poly, series_sum_exact)
 from supercong.exactnum import is_prime
 
 from helpers import ratio_slices
@@ -154,7 +156,7 @@ def test_stretch_that_raises_leaves_the_cached_pass_as_it_was(monkeypatch):
         assert not armed and first == (unit[0], "MemoryError: ")
         assert [outcome(res) for res in rest] == fresh[1:]
         assert [outcome(res) for res in harness._run_unit(unit, "both", False)] == fresh
-        run, want = congruences._sums("GUO64", 7, 2), _Pass(*_SUMS["GUO64"](7, 2))
+        run, want = congruences._sums("GUO64", 7, 2), congruences._sums.__wrapped__("GUO64", 7, 2)
         assert [run[i] for i in range(3)] == [want[i] for i in range(3)]
     finally:
         congruences._sums.cache_clear()
@@ -175,8 +177,8 @@ def test_certificate_slices_divide_exactly():
 
     with mock.patch.object(congruences, "_over_power_of_two", recorded):
         for p, r in grid:
-            for entry in _SUMS.values():
-                run = _Pass(*entry(p, r))
+            for name in _SUMS:
+                run = congruences._sums.__wrapped__(name, p, r)
                 for i in range(len(run.ends)):
                     run[i], run.prefix(run.ends[i])
     assert len(divided) == 2 * 390
@@ -194,3 +196,73 @@ def test_exact_division_examples():
     assert _over_power_of_two(10, 6) == Fraction(5, 3)
     assert _over_power_of_two(1, 3) == Fraction(1, 3)
     assert all(isinstance(_over_power_of_two(x, b), Fraction) for x, b in ((6, 3), (1, 3)))
+
+
+def assert_steps_are_term_ratios(name, desc, poly, lo, last, den=(1,)):
+    """The derived seed is t_lo / poly(lo), and step(k) for k = last - 1
+    down to lo is t_(k+1) / t_k over poly(k+1) / poly(k), t_k the binomial
+    product of desc(k) over den(k): in reverse order, so each step is read
+    with no step before it."""
+    seed, step = _derive(name, desc, poly, lo, den)
+    terms = [Fraction(*binomial_product(*desc(k))) / _poly(den, k) for k in range(lo, last + 1)]
+    assert Fraction(*seed) == terms[0] / _poly(poly, lo), name
+    for k in reversed(range(lo, last)):
+        a, b = step(k)
+        assert all(isinstance(x, int) for x in (a, b)), (name, k)
+        assert Fraction(a, b) == terms[k + 1 - lo] / terms[k - lo] \
+            * Fraction(_poly(poly, k), _poly(poly, k + 1)), (name, k)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_series_step_is_the_term_ratio(name):
+    spec = SERIES[name]
+    assert_steps_are_term_ratios(name, spec.desc, spec.poly, spec.start, 60, spec.den)
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (7, 2), (13, 2)])
+def test_certificate_step_is_the_cell_ratio(p, r):
+    for name, entry in _SUMS.items():
+        desc, poly, lo, ends = entry(p, r)
+        assert_steps_are_term_ratios(name, desc, poly, lo, ends[-1])
+
+
+def test_derive_refuses_a_description_it_cannot_step():
+    with pytest.raises(ValueError, match=r"^quadratic: e or a binomial argument .* "
+                                         r"not linear in k over k = 0 \.\. 2$"):
+        _derive("quadratic", lambda k: (1, 0, (k * k, k, 1)), (1,), 0)
+    # c = (k+1) (2k+1) with poly(k) = 2k+1: c / poly(k) = k+1 is not geometric
+    with pytest.raises(ValueError, match=r"^not-geometric: c / poly\(k\) .* not geometric"):
+        _derive("not-geometric", lambda k: ((k + 1) * (2 * k + 1), 0, (2 * k, k, 1)),
+                (1, 2), 0)
+    with pytest.raises(ValueError, match=r"^layout: the factor layout .* changes over k = 1"):
+        _derive("layout", lambda k: (1, 0, (2 * k, k, 1 if k < 2 else 2)), (1,), 1)
+    seed, step = _derive("fine", lambda k: ((-1) ** k * (4 * k + 1), -6 * k, (2 * k, k, 3)),
+                         (1, 4), 0)
+    assert seed == (1, 1) and step(0) == (-1, 8)
+
+
+def test_rows_are_read_from_the_cells(monkeypatch):
+    """The GUO64 row sums the G of wz.CELLS["GUO64"] as that table states
+    it: with one linear coefficient of G changed, the pair no longer
+    telescopes, and every slice of the row is the sum of the changed
+    cells."""
+    f, g = wz.CELLS["GUO64"]
+
+    def changed(n, k):
+        c, e, *factors = g(n, k)
+        assert factors[2] == (n + k - 1, 2 * k - 1, 1)
+        factors[2] = (n + 2 * k - 1, 2 * k - 1, 1)
+        return (c, e, *factors)
+
+    P = 49
+    cells = {k: Fraction(*binomial_product(*changed(P, k))) for k in range(1, P)}
+    assert cells[2] / cells[1] != wz.eval_G("GUO64", P, 2) / wz.eval_G("GUO64", P, 1)
+    monkeypatch.setitem(wz.CELLS, "GUO64", (f, changed))
+    assert not wz.check_telescoping("GUO64", 10, 10).passed
+    congruences._sums.cache_clear()
+    try:
+        run = congruences._sums("GUO64", 7, 2)
+        assert [run[i] for i in range(3)] == [
+            sum(cells[k] for k in range(1, 25)), cells[25], sum(cells[k] for k in range(26, P))]
+    finally:
+        congruences._sums.cache_clear()

@@ -11,7 +11,7 @@ from supercong.congruences import (_SUMS, SERIES, BackendDisagreement,
                                    BackendIneligible, CheckParams, _poly,
                                    _series_exact, _series_residue, evaluate_case,
                                    list_cases, series_sum_residue)
-from supercong.exactnum import residue, vp
+from supercong.exactnum import residue
 from supercong.harness import SweepConfig, run_sweep
 
 POWER_OF_TWO = sorted(name for name, spec in SERIES.items() if spec.den == (1,))
@@ -51,10 +51,7 @@ def test_exact_kernel_equals_sum_of_terms(name):
     # p^2 - 1 for p = 43, 47: the same sum over the terms' common denominator
     terms = list(spec.terms(47 ** 2 - 1))
     for upper in (43 ** 2 - 1, 47 ** 2 - 1):
-        den = 1
-        for k in range(spec.start, upper + 1):
-            den *= _poly(spec.den, k)
-        den <<= spec.rate * upper
+        den = lcm(*(t.denominator for t in terms[:upper + 1 - spec.start]))
         ref = Fraction(sum(t.numerator * (den // t.denominator)
                            for t in terms[:upper + 1 - spec.start]), den)
         assert exact(name, upper) == ref, upper
@@ -114,18 +111,20 @@ def test_residue_kernel_never_steps_the_exact_parts(monkeypatch):
 def test_a_pass_that_raises_is_dropped(monkeypatch):
     # a spec's step raises once, mid-pass: the half-stepped pass must not be
     # read again, for every spec, the start = 1 and odd-den ones among them
-    split, raised = congruences.SeriesSpec.split, []
+    fresh, raised = congruences._open, []
 
-    def flaky(spec):
-        t0, step, *rest = split(spec)
+    def flaky(name, *args):
+        run = fresh(name, *args)
+        step = run.step
 
         def flaky_step(k):
             if k == 15 and len(raised) < len(done):
                 raised.append(k)
                 raise MemoryError("mid-pass")
             return step(k)
-        return (t0, flaky_step, *rest)
-    monkeypatch.setattr(congruences.SeriesSpec, "split", flaky)
+        run.step = flaky_step
+        return run
+    monkeypatch.setattr(congruences, "_open", flaky)
     congruences._running.clear()
     done = []
     for name, spec in SERIES.items():
@@ -148,7 +147,7 @@ def test_pass_renormalises_after_each_read(name):
     stretch, and a pass read once divides its seed zero times."""
     spec = SERIES[name]
     terms = list(spec.terms(200))
-    run = congruences._Pass(*spec.split())
+    run = congruences._open(name, spec.desc, spec.poly, spec.start, spec.den)
     renormalise, done = run._renormalise, []
 
     def checked():
@@ -177,23 +176,30 @@ def test_power_of_two_reads_divide_exactly(name):
     # a power-of-two spec's prefix and seed have reduced denominators that
     # are powers of two, so every division of its reads takes the 2-adic
     # path: one per read, and one of the seed each time the pass steps on
+    spec = SERIES[name]
     with mock.patch.object(congruences, "_Lowest", wraps=congruences._Lowest) as lowest:
-        run = congruences._Pass(*SERIES[name].split())
+        run = congruences._open(name, spec.desc, spec.poly, spec.start, spec.den)
         for cap in (0, 5, 6, 100, 47 ** 2 - 1):
             run.prefix(cap)
     assert lowest.call_count == 5 + 4
 
 
 def _binomial_part_valuations(spec, p, upper):
-    """vp of x_k^a C(4k,2k)^b for k = start .. upper, by Legendre's formula."""
+    """vp of the binomials of the spec's description, prod C(n, m)^j, for
+    k = start .. upper, by Legendre's formula; an upper argument n < 0 is
+    first reflected, C(n, m) = (-1)^m C(m - n - 1, m)."""
     def fact(n):
         digits, q = 0, n
         while q:
             digits, q = digits + q % p, q // p
         return (n - digits) // (p - 1)
 
-    return [spec.a * (fact(2 * k) - 2 * fact(k) - vp(_poly(spec.divisor, k), p))
-            + spec.b * (fact(4 * k) - 2 * fact(2 * k))
+    def binom(n, m):
+        if n < 0:
+            n = m - n - 1
+        return fact(n) - fact(m) - fact(n - m)
+
+    return [sum(j * binom(n, m) for n, m, j in spec.desc(k)[2:])
             for k in range(spec.start, upper + 1)]
 
 

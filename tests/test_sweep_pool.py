@@ -225,20 +225,19 @@ def test_each_series_pass_starts_once_per_sweep(monkeypatch):
     # once and steps each term up to its longest cap once.  The theorem,
     # known and informational sweeps read all ten specs between them; the
     # known sweep's h1 unit holds H-HALF, WOLST-H1, BIN-3.5 and BIN-3.7
-    names, split = {id(spec): name for name, spec in SERIES.items()}, \
-        congruences.SeriesSpec.split
-    starts, steps = Counter(), Counter()
+    fresh, starts, steps = congruences._open, Counter(), Counter()
 
-    def counted(spec):
-        name = names[id(spec)]
+    def counted(name, *args):
         starts[name] += 1
-        t0, step, *rest = split(spec)
+        run = fresh(name, *args)
+        step = run.step
 
         def counted_step(k):
             steps[name] += 1
             return step(k)
-        return (t0, counted_step, *rest)
-    monkeypatch.setattr(congruences.SeriesSpec, "split", counted)
+        run.step = counted_step
+        return run
+    monkeypatch.setattr(congruences, "_open", counted)
     read = set()
     for config in (THEOREMS, dict(status="known", primes=(5, 7, 11)),
                    dict(status="informational", primes=(5, 7, 11), r_max=2)):
