@@ -6,8 +6,7 @@ from .exactnum import (INFINITE, PNotIntegral, Rational, Valuation, is_prime,
 from .combinat import (binomial, binomial_product, central_binomial,
                        euler_number, fermat_quotient, lucas_product)
 from .wz import (PAIRS, GridReport, WzPair, boundary_identity,
-                 check_summand, check_telescoping, eval_F, eval_G, get_pair,
-                 summand_sign)
+                 check_summand, check_telescoping, eval_F, eval_G, get_pair)
 from .congruences import (CATALOG, P_FLOOR, STATUSES, BackendDisagreement,
                           BackendIneligible, CheckParams, CheckResult,
                           CongruenceCase, PrimeBelowFloor, UnknownCase,
@@ -23,7 +22,7 @@ __all__ = [
     "binomial", "binomial_product", "central_binomial", "euler_number",
     "fermat_quotient", "lucas_product",
     "PAIRS", "GridReport", "WzPair", "boundary_identity", "check_summand",
-    "check_telescoping", "eval_F", "eval_G", "get_pair", "summand_sign",
+    "check_telescoping", "eval_F", "eval_G", "get_pair",
     "CATALOG", "P_FLOOR", "STATUSES", "BackendDisagreement",
     "BackendIneligible", "CheckParams", "CheckResult", "CongruenceCase",
     "PrimeBelowFloor", "UnknownCase",

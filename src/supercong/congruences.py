@@ -155,10 +155,10 @@ def _poly(coeffs: tuple[int, ...], k: int) -> int:
     return acc
 
 
-def _derive(name: str, desc: Callable[[int], tuple], poly: tuple[int, ...], lo: int,
-            den: tuple[int, ...] = (1,)) -> tuple[tuple[int, int], Callable]:
-    """(seed, step) of the sum of t_k = binomial_product(*desc(k)) / den(k),
-    k >= lo, as _Pass reads it, t_k = t0 poly(k) u_k: t0 = t_lo / poly(lo)
+def _derive(name: str, desc: Callable[[int], tuple], poly: tuple[int, ...], lo: int
+            ) -> tuple[tuple[int, int], Callable]:
+    """(seed, step) of the sum of t_k = binomial_product(*desc(k)), k >= lo,
+    as _Pass reads it, t_k = t0 poly(k) u_k: t0 = t_lo / poly(lo)
     as an unreduced integer pair, and a pure step(k) = u_(k+1) / u_k in
     integers.  desc is read at lo .. lo + 2 only, and ValueError names the
     sum unless there its factor layout holds, e and every binomial argument
@@ -166,7 +166,8 @@ def _derive(name: str, desc: Callable[[int], tuple], poly: tuple[int, ...], lo: 
     difference (A = B, ch. 7): an argument x moving by d gives the linear
     forms of Gamma(x + d + 1) / Gamma(x + 1), made primitive so that equal
     forms cancel, to the power j for the n of C(n, m)^j and -j for its m and
-    n - m; times the geometric ratio, 2^(e(k+1) - e(k)) and den(k) / den(k+1)."""
+    n - m; times the geometric ratio and 2^(e(k+1) - e(k)).  A linear factor
+    x below the line is C(x, 1)^-1, so it is one of those forms too."""
     rows = [desc(k) for k in (lo, lo + 1, lo + 2)]
     where = f"over k = {lo} .. {lo + 2}"
     if len({tuple(f[2] for f in row[2:]) for row in rows}) > 1:
@@ -195,7 +196,6 @@ def _derive(name: str, desc: Callable[[int], tuple], poly: tuple[int, ...], lo: 
     a, b = a // g, b // g
     up = [(u, w, j) for (u, w), j in forms.items() if j > 0]
     down = [(u, w, -j) for (u, w), j in forms.items() if j < 0]
-    odd = den != (1,)
 
     def step(k: int) -> tuple[int, int]:
         x, y = a, b
@@ -203,30 +203,28 @@ def _derive(name: str, desc: Callable[[int], tuple], poly: tuple[int, ...], lo: 
             x *= (u + w * k) ** j
         for u, w, j in down:
             y *= (u + w * k) ** j
-        return (x * _poly(den, k), y * _poly(den, k + 1)) if odd else (x, y)
+        return x, y
     num, dn = binomial_product(*rows[0])
-    return (num, dn * q0 * _poly(den, lo)), step
+    return (num, dn * q0), step
 
 
 # a plain class: the dataclass decorator would add about 1.7 ms on a 2-vCPU host
 # (2-3 % of the import that every CLI run pays), and NamedTuple about 0.2 ms
 class SeriesSpec:
-    """t_k = binomial_product(*desc(k)) / den(k) for k = start .. upper, where
-    desc(k) = (c, e, *factors) has e and every binomial argument linear in k
-    and c = poly(k) times (-1)^k or 1, and den(k) is the small odd
-    denominator factor; polynomials are coefficient tuples, constant term
-    first.  Both kernels step it by _derive's step."""
+    """t_k = binomial_product(*desc(k)) for k = start .. upper, where desc(k)
+    = (c, e, *factors) has e and every binomial argument linear in k and c =
+    poly(k) times (-1)^k or 1; a linear factor x below the line is the
+    factor (x, 1, -1), C(x, 1)^-1.  poly is a coefficient tuple, constant
+    term first.  Both kernels step it by _derive's step."""
 
-    def __init__(self, desc: Callable[[int], tuple], poly: tuple[int, ...],
-                 den: tuple[int, ...] = (1,), start: int = 0):
-        self.desc, self.poly, self.den, self.start = desc, poly, den, start
+    def __init__(self, desc: Callable[[int], tuple], poly: tuple[int, ...], start: int = 0):
+        self.desc, self.poly, self.start = desc, poly, start
 
     def terms(self, upper: int) -> Iterator[Rational]:
-        """The sum's terms one by one as Fractions, each its binomial product
-        over den(k): the reference the kernels are tested against."""
+        """The sum's terms one by one as Fractions: the reference the kernels
+        are tested against."""
         for k in range(self.start, upper + 1):
-            num, dn = binomial_product(*self.desc(k))
-            yield Fraction(num, dn * _poly(self.den, k))
+            yield Fraction(*binomial_product(*self.desc(k)))
 
 
 SERIES: dict[str, SeriesSpec] = {
@@ -250,11 +248,12 @@ SERIES: dict[str, SeriesSpec] = {
     "glr": SeriesSpec(lambda k: ((-1) ** k * (1 - 4 * k), -6 * k, (2 * k, k, 3),
                                  (2 * k - 1, 1, -3)), (1, -4)),
     # C(2n,n)^2 / ((n+1) 16^n)
-    "mao": SeriesSpec(lambda k: (1, -4 * k, (2 * k, k, 2)), (1,), den=(1, 1)),
+    "mao": SeriesSpec(lambda k: (1, -4 * k, (2 * k, k, 2), (k + 1, 1, -1)), (1,)),
     # C(2k,k) / ((2k+1) 4^k)
-    "suncat": SeriesSpec(lambda k: (1, -2 * k, (2 * k, k, 1)), (1,), den=(1, 2)),
-    "h1": SeriesSpec(lambda k: (1, 0), (1,), den=(0, 1), start=1),
-    "h2": SeriesSpec(lambda k: (1, 0), (1,), den=(0, 0, 1), start=1),
+    "suncat": SeriesSpec(lambda k: (1, -2 * k, (2 * k, k, 1), (2 * k + 1, 1, -1)), (1,)),
+    # 1/k and 1/k^2
+    "h1": SeriesSpec(lambda k: (1, 0, (k, 1, -1)), (1,), start=1),
+    "h2": SeriesSpec(lambda k: (1, 0, (k, 1, -2)), (1,), start=1),
 }
 
 
@@ -418,9 +417,9 @@ _running: dict[str, _Pass] = {}    # the running pass of each spec, by name
 
 
 def _open(name: str, desc: Callable[[int], tuple], poly: tuple[int, ...], lo: int,
-          den: tuple[int, ...] = (1,), ends: tuple[int, ...] = ()) -> _Pass:
+          ends: tuple[int, ...] = ()) -> _Pass:
     """A fresh pass over a description's terms, by its derived step."""
-    seed, step = _derive(name, desc, poly, lo, den)
+    seed, step = _derive(name, desc, poly, lo)
     return _Pass(Fraction(*seed), step, lo, ends, poly)
 
 
@@ -436,7 +435,7 @@ def _series_exact(name: str, upper: int) -> Rational:
     run = _running.pop(name, None)
     if run is None or run.k > upper + 1:
         spec = SERIES[name]
-        run = _open(name, spec.desc, spec.poly, spec.start, spec.den)
+        run = _open(name, spec.desc, spec.poly, spec.start)
     value = run.prefix(upper)
     _running[name] = run
     return value
@@ -451,14 +450,14 @@ def _series_residue(name: str, upper: int, p: int, m: int) -> int:
     denominators, each stripped of p into v.  The running sum is num / dd,
     inverted once at the end.
 
-    Precision: every catalog spec is p-integral, and t_k / poly(k) is its
-    integer binomial part times a sign and a power of two over den(k), so
-    v >= 0 while den(k) is a unit.  Carrying the units mod p^m is therefore
-    exact, and a term with v >= m is 0 mod p^m (v may fall back below m
-    later, so un and ud are still stepped).  Raises BackendIneligible at the
-    first term whose den(k) is divisible by p, whatever its v."""
+    Precision: while v >= 0, carrying the units mod p^m is exact, and a
+    term with v >= m is 0 mod p^m (v may fall back below m later, so un and
+    ud are still stepped).  Raises BackendIneligible at the first term with
+    v < 0, whose p in the denominator no unit carries: h1's at k = p and
+    suncat's at k = (p-1)/2.  mao's terms are integers over 16^k, and none
+    is refused."""
     spec = SERIES[name]
-    seed, step = _derive(name, spec.desc, spec.poly, spec.start, spec.den)
+    seed, step = _derive(name, spec.desc, spec.poly, spec.start)
     mod = p ** m
     powers = [p ** e for e in range(m)]
     v, un, ud, num, dd = 0, 1, 1, 0, 1
@@ -469,11 +468,9 @@ def _series_residue(name: str, upper: int, p: int, m: int) -> int:
         while down % p == 0:
             down, v = down // p, v - 1
         un, ud = un * up % mod, ud * down % mod
-        d = _poly(spec.den, k)
-        if d % p == 0:
+        if v < 0:
             raise BackendIneligible(
-                f"term k={k} of series {name} has odd denominator factor "
-                f"{d}, divisible by p = {p}")
+                f"term k={k} of series {name} has p = {p} in its denominator")
         if v < m:
             num = (num * ud + _poly(spec.poly, k) * powers[v] * un * dd) % mod
             dd = dd * ud % mod
@@ -552,11 +549,13 @@ def _add(case: CongruenceCase) -> None:
 
 
 def _series(id, status, statement, m, rhs, name, upper, *, uses_r=True,
-            uses_delta=False, p_integral=True, r_floor=1):
+            uses_delta=False, r_floor=1):
+    """A series case summing the terms of kernel name, a spec or a _SUMS
+    entry: the residue kernel reads a spec's description only."""
     _add(CongruenceCase(id=id, status=status, statement=statement, kind="series",
                         claimed_exponent=m, rhs=rhs, upper=upper, uses_r=uses_r,
-                        uses_delta=uses_delta, p_integral=p_integral, r_floor=r_floor,
-                        kernel=name))
+                        uses_delta=uses_delta, p_integral=name in SERIES,
+                        r_floor=r_floor, kernel=name))
 
 
 def _scalar(id, status, statement, m, lhs, rhs, *, uses_r=True, p_integral=False,
@@ -704,7 +703,7 @@ _series("LEM-2.1", "lemma",
         "F(n,k) = (10n^2+12nk+6n+4k^2+4k+1) (1/2)_n (1/2+k)_n^4/(1)_n^5 (-4)^n; "
         "delta in {1,2}",
         lambda p, r: 2 * r + 3, lambda p, r: Fraction(p ** (2 * r)),
-        "LEM-2.1", lambda p, r, d: (p ** r - 1) // d, uses_delta=True, p_integral=False)
+        "LEM-2.1", lambda p, r, d: (p ** r - 1) // d, uses_delta=True)
 
 # --- scalar closed forms ----------------------------------------------------
 
@@ -923,7 +922,8 @@ def _require_residue(case: CongruenceCase) -> None:
         raise BackendIneligible(f"{case.id} is an exact identity; residue "
                                 "reduction cannot certify equality")
     if not case.p_integral:
-        why = ("has p-power denominators" if case.kind in ("series", "family") else
+        why = ("has no residue kernel: its terms depend on (p, r)" if case.kind == "series"
+               else "has p-power denominators" if case.kind == "family" else
                "has no residue path: its residue would only be its exact value reduced")
         raise BackendIneligible(f"{case.id} {why}; use the exact backend")
 

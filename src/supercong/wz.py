@@ -7,9 +7,9 @@ over a rectangle yields the boundary identity
     sum_{n=0}^{N} F(n,0) = sum_{n=0}^{N} F(n,K)
                            + sum_{k=1}^{K} [G(N+1,k) - G(0,k)],
 
-and each pair's F(n,0) reproduces (up to a registered sign) the summand
-of one of the congruence-series cases in the catalog. All evaluation is
-exact; the grid checks tolerate zero violations.
+and each pair's F(n,0) is the summand of one of the congruence-series
+cases in the catalog. All evaluation is exact; the grid checks tolerate
+zero violations.
 
 Each pair's `definition` string is the paper's form of F and G, in
 Pochhammer symbols or binomials. `CELLS` holds the same terms as data: each
@@ -45,7 +45,6 @@ class WzPair:
     f: Cell
     g: Cell
     series: str         # catalog series (congruences.SERIES) whose terms F(n,0) gives
-    alternating: bool   # True when F(n,0) = (-1)^n * term(n)
     definition: str
 
 
@@ -103,27 +102,27 @@ CELLS: dict[str, tuple[Callable[[int, int], tuple], Callable[[int, int], tuple]]
 }
 
 
-def _pair(id: str, series: str, alternating: bool, definition: str) -> WzPair:
+def _pair(id: str, series: str, definition: str) -> WzPair:
     """The pair id with its f and g evaluating its CELLS descriptions at each call."""
     f, g = (lambda n, k, i=i: binomial_product(*CELLS[id][i](n, k)) for i in (0, 1))
-    return WzPair(id, f, g, series, alternating, definition)
+    return WzPair(id, f, g, series, definition)
 
 
 PAIRS: dict[str, WzPair] = {pair.id: pair for pair in (
-    _pair("GZ10N2", "gz10n2", False,
+    _pair("GZ10N2", "gz10n2",
           ("F(n,k) = (10n^2+12nk+6n+4k^2+4k+1) (1/2)_n (1/2+k)_n^4 / (1)_n^5 * (-1)^n 4^n ; "
            "G(n,k) = (n+2k-1) (1/2)_n (1/2+k)_(n-1)^4 / (1)_(n-1)^5 * (-1)^n 2^(2n+1) ; "
            "F(n,0) = (10n^2+6n+1) (-4)^n (1/2)_n^5 / (1)_n^5")),
-    _pair("GUO64", "guo64", False,
+    _pair("GUO64", "guo64",
           ("F(n,k) = (-1)^(n+k) (4n+1) 4^(k-3n) C(2n,n)^2 C(2n+2k,n+k) C(n+k,2k) / C(2k,k) ; "
            "G(n,k) = (-1)^(n+k) (2n-1)^2 C(2n-2,n-1)^2 4^(k-3(n-1))/2 C(2n-2+2k,n-1+k) "
            "C(n-1+k,2k)/(n-k) / C(2k,k), the singular factor taken in cancelled form "
            "prod_{j=1}^{2k-1}(n-k+j)/(2k)! ; F(n,0) = (4n+1) C(2n,n)^3 / (-64)^n")),
-    _pair("GL4K1", "glr", False,
+    _pair("GL4K1", "glr",
           ("F(n,k) = (-1)^(n+k) (4n-1) (-1/2)_n^2 (-1/2)_(n+k) / ((1)_n^2 (1)_(n-k) (-1/2)_k^2) ; "
            "G(n,k) = (-1)^(n+k) 2 (-1/2)_n^2 (-1/2)_(n+k-1) / ((1)_(n-1)^2 (1)_(n-k) (-1/2)_k^2), "
            "with 1/(1)_m = 0 for m < 0 ; F(n,0) = (-1)^n (4n-1) (-1/2)_n^3 / (1)_n^3")),
-    _pair("Z20N3", "z20n3-raw", True,
+    _pair("Z20N3", "z20n3-signed",
           ("F(n,k) = (-1)^(n+k) (20n-2k+3) 4^(k-5n) C(2n,n) C(4n+2k,2n+k) C(2n+k,2k) "
            "C(2n-k,n) / C(2k,k) ; "
            "G(n,k) = (-1)^(n+k) 4^(k-5n+4) n C(2n-1,n-1) C(4n-2+2k,2n-1+k) C(2n-1+k,2k) "
@@ -153,11 +152,6 @@ def eval_G(pair, n: int, k: int) -> Rational:
     if n < 0 or k < 1:
         raise ValueError(f"G needs n >= 0 and k >= 1, got ({n}, {k})")
     return Fraction(*get_pair(pair).g(n, k))
-
-
-def summand_sign(pair, n: int) -> int:
-    """Sign linking F(n,0) to the congruence-series summand at n."""
-    return -1 if (get_pair(pair).alternating and n % 2) else 1
 
 
 def _differ(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int],
@@ -196,8 +190,8 @@ def check_telescoping(pair, n_max: int, k_max: int) -> GridReport:
 
 
 def check_summand(pair, n_max: int) -> GridReport:
-    """Assert F(n,0) = summand_sign(n) * t_n for 0 <= n <= n_max, where t_n
-    is the n-th term of the pair's catalog series (SeriesSpec.terms)."""
+    """Assert F(n,0) = t_n for 0 <= n <= n_max, where t_n is the n-th term
+    of the pair's catalog series (SeriesSpec.terms)."""
     from .congruences import SERIES     # congruences imports this module
     pair = get_pair(pair)
     if n_max < 0:
@@ -205,10 +199,9 @@ def check_summand(pair, n_max: int) -> GridReport:
     report = GridReport(pair.id, n_max, 0)
     for n, term in enumerate(SERIES[pair.series].terms(n_max)):
         lhs = Fraction(*pair.f(n, 0))
-        rhs = summand_sign(pair, n) * term
         report.cells_checked += 1
-        if lhs != rhs:
-            report.violations.append((n, 0, lhs, rhs))
+        if lhs != term:
+            report.violations.append((n, 0, lhs, term))
     return report
 
 

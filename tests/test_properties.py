@@ -164,8 +164,8 @@ def test_ratio_sums_equal_termwise_sums(inputs):
 @example(name="gz10n2", caps=[60, 41, 40, 3, 0, 0])          # descending
 @example(name="h1", caps=[7, 0, 0, 1, 0, 9, 2])              # below start = 1
 @example(name="mao", caps=[5, 2, 9, 9, 1, 30, 0, 31])        # back and forth
-@example(name="h2", caps=[0, 1, 1, 2, 60, 59])                # start = 1, odd den
-@example(name="suncat", caps=[3, 4, 2, 40])                   # odd den
+@example(name="h2", caps=[0, 1, 1, 2, 60, 59])                # start = 1, k^2 below the line
+@example(name="suncat", caps=[3, 4, 2, 40])                   # 2k + 1 below the line
 def test_running_pass_equals_sum_of_terms(name, caps):
     # each read goes through the spec's running pass, not the lru_cache; a
     # cap behind the pass, and only such a cap, starts a fresh pass, which

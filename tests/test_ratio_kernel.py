@@ -198,13 +198,13 @@ def test_exact_division_examples():
     assert all(isinstance(_over_power_of_two(x, b), Fraction) for x, b in ((6, 3), (1, 3)))
 
 
-def assert_steps_are_term_ratios(name, desc, poly, lo, last, den=(1,)):
+def assert_steps_are_term_ratios(name, desc, poly, lo, last):
     """The derived seed is t_lo / poly(lo), and step(k) for k = last - 1
     down to lo is t_(k+1) / t_k over poly(k+1) / poly(k), t_k the binomial
-    product of desc(k) over den(k): in reverse order, so each step is read
-    with no step before it."""
-    seed, step = _derive(name, desc, poly, lo, den)
-    terms = [Fraction(*binomial_product(*desc(k))) / _poly(den, k) for k in range(lo, last + 1)]
+    product of desc(k): in reverse order, so each step is read with no step
+    before it."""
+    seed, step = _derive(name, desc, poly, lo)
+    terms = [Fraction(*binomial_product(*desc(k))) for k in range(lo, last + 1)]
     assert Fraction(*seed) == terms[0] / _poly(poly, lo), name
     for k in reversed(range(lo, last)):
         a, b = step(k)
@@ -216,7 +216,7 @@ def assert_steps_are_term_ratios(name, desc, poly, lo, last, den=(1,)):
 @pytest.mark.parametrize("name", sorted(SERIES))
 def test_series_step_is_the_term_ratio(name):
     spec = SERIES[name]
-    assert_steps_are_term_ratios(name, spec.desc, spec.poly, spec.start, 60, spec.den)
+    assert_steps_are_term_ratios(name, spec.desc, spec.poly, spec.start, 60)
 
 
 @pytest.mark.parametrize("p,r", [(5, 1), (7, 2), (13, 2)])

@@ -1,6 +1,6 @@
 """The two series kernels against the Fraction term view of the same spec."""
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from unittest import mock
 
 import pytest
@@ -11,10 +11,13 @@ from supercong.congruences import (_SUMS, SERIES, BackendDisagreement,
                                    BackendIneligible, CheckParams, _poly,
                                    _series_exact, _series_residue, evaluate_case,
                                    list_cases, series_sum_residue)
-from supercong.exactnum import residue
+from supercong.combinat import binomial_product
+from supercong.exactnum import residue, vp
 from supercong.harness import SweepConfig, run_sweep
 
-POWER_OF_TWO = sorted(name for name, spec in SERIES.items() if spec.den == (1,))
+# a spec whose reduced terms k <= 60 all have power-of-two denominators
+POWER_OF_TWO = sorted(name for name, spec in SERIES.items()
+                      if all(t.denominator & (t.denominator - 1) == 0 for t in spec.terms(60)))
 ODD_DENOMINATOR = sorted(set(SERIES) - set(POWER_OF_TWO))
 
 
@@ -29,15 +32,37 @@ def residue_kernel(name, upper, p, m):
 def test_specs_cover_the_catalog_series():
     assert sorted(SERIES) == ["glr", "guo64", "gz10n2", "h1", "h2", "mao",
                               "suncat", "z120n2", "z20n3-raw", "z20n3-signed"]
-    assert POWER_OF_TWO == ["glr", "guo64", "gz10n2", "z120n2", "z20n3-raw",
+    # mao's terms are Catalan numbers times C(2k,k) / 16^k
+    assert POWER_OF_TWO == ["glr", "guo64", "gz10n2", "mao", "z120n2", "z20n3-raw",
                             "z20n3-signed"]
     # LEM-2.1's terms depend on (p, r), so it has no spec: its kernel is a _SUMS entry
     names = {case.id: case.kernel for case in list_cases() if case.kind == "series"}
     assert names.pop("LEM-2.1") == "LEM-2.1" and "LEM-2.1" in _SUMS
     assert "LEM-2.1" not in SERIES
     assert set(names.values()) == set(SERIES)
-    with pytest.raises(BackendIneligible, match="LEM-2.1 has p-power denominators"):
+    with pytest.raises(BackendIneligible,
+                       match=r"LEM-2.1 has no residue kernel: its terms depend on \(p, r\)"):
         series_sum_residue("LEM-2.1", CheckParams(p=5, delta=1), 5)
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (5, 2), (7, 2)])
+def test_lem21_terms_are_p_integral(p, r):
+    # its residue refusal is for want of a spec, not for its denominators:
+    # every term of the column has vp = 2r or more (Legendre's formula)
+    desc, poly, lo, ends = _SUMS["LEM-2.1"](p, r)
+    vals = [vp(Fraction(*binomial_product(*desc(k))), p) for k in range(lo, ends[-1] + 1)]
+    assert min(vals) == 2 * r
+
+
+def test_rewritten_specs_equal_their_closed_forms():
+    # each linear factor below the line, (x, 1, -j), against the series as stated
+    closed = {"mao": lambda k: Fraction(comb(2 * k, k) ** 2, (k + 1) * 16 ** k),
+              "suncat": lambda k: Fraction(comb(2 * k, k), (2 * k + 1) * 4 ** k),
+              "h1": lambda k: Fraction(1, k),
+              "h2": lambda k: Fraction(1, k * k)}
+    for name, term in closed.items():
+        spec = SERIES[name]
+        assert list(spec.terms(60)) == [term(k) for k in range(spec.start, 61)], name
 
 
 @pytest.mark.parametrize("name", sorted(SERIES))
@@ -68,15 +93,36 @@ def test_residue_kernel_power_of_two_series(name):
 
 @pytest.mark.parametrize("name", ODD_DENOMINATOR)
 def test_residue_kernel_odd_denominator_series(name):
+    # the kernel refuses the first term with p in its denominator
     spec = SERIES[name]
     for p, m in ((5, 2), (7, 3), (13, 1)):
-        first_bad = next(k for k in range(spec.start, 5 * p)
-                         if _poly(spec.den, k) % p == 0)
+        first_bad = next(k for k, t in enumerate(spec.terms(5 * p), spec.start)
+                         if vp(t, p) < 0)
         for upper in range(first_bad):
             assert residue_kernel(name, upper, p, m) == \
                 residue(exact(name, upper), p, m), (p, m, upper)
         with pytest.raises(BackendIneligible, match=f"term k={first_bad} "):
             residue_kernel(name, first_bad, p, m)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_residue_kernel_sums_mao_past_p(p):
+    # a denominator k + 1 divisible by p cancels into C(2k,k)^2: mao's terms
+    # are p-integral at every k, so the kernel refuses none of them
+    for m in (1, 4):
+        for upper in range(3 * p * p + 1):
+            assert residue_kernel("mao", upper, p, m) == \
+                residue(exact("mao", upper), p, m), (m, upper)
+
+
+def test_mao_past_p_on_both(capsys):
+    # checked by the kernel, not refused: the truncated sum is no congruence
+    code = main(["verify", "--case", "MAO-I2", "--p", "5", "--upper", "10",
+                 "--backend", "both"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert captured.out.startswith("MAO-I2 p=5 r=1 backend=both:")
+    assert captured.out.rstrip().endswith("observed=0 claimed>=4 -> FAIL")
 
 
 def test_residue_kernel_builds_no_fraction(monkeypatch):
@@ -110,7 +156,7 @@ def test_residue_kernel_never_steps_the_exact_parts(monkeypatch):
 
 def test_a_pass_that_raises_is_dropped(monkeypatch):
     # a spec's step raises once, mid-pass: the half-stepped pass must not be
-    # read again, for every spec, the start = 1 and odd-den ones among them
+    # read again, for every spec, the start = 1 ones among them
     fresh, raised = congruences._open, []
 
     def flaky(name, *args):
@@ -147,7 +193,7 @@ def test_pass_renormalises_after_each_read(name):
     stretch, and a pass read once divides its seed zero times."""
     spec = SERIES[name]
     terms = list(spec.terms(200))
-    run = congruences._open(name, spec.desc, spec.poly, spec.start, spec.den)
+    run = congruences._open(name, spec.desc, spec.poly, spec.start)
     renormalise, done = run._renormalise, []
 
     def checked():
@@ -178,7 +224,7 @@ def test_power_of_two_reads_divide_exactly(name):
     # path: one per read, and one of the seed each time the pass steps on
     spec = SERIES[name]
     with mock.patch.object(congruences, "_Lowest", wraps=congruences._Lowest) as lowest:
-        run = congruences._open(name, spec.desc, spec.poly, spec.start, spec.den)
+        run = congruences._open(name, spec.desc, spec.poly, spec.start)
         for cap in (0, 5, 6, 100, 47 ** 2 - 1):
             run.prefix(cap)
     assert lowest.call_count == 5 + 4
@@ -201,6 +247,25 @@ def _binomial_part_valuations(spec, p, upper):
 
     return [sum(j * binom(n, m) for n, m, j in spec.desc(k)[2:])
             for k in range(spec.start, upper + 1)]
+
+
+def _first_refused(spec, p, upper):
+    """The first k <= upper whose term has vp < 0, or None: vp(c) plus the
+    Legendre valuation of its binomials (2^e is a unit at odd p).  The
+    Fraction terms at large k cost too much to build, so this reads the
+    description; test_term_valuations_by_legendre checks it against them."""
+    vals = _binomial_part_valuations(spec, p, upper)
+    return next((k for k, v in enumerate(vals, spec.start)
+                 if v + vp(spec.desc(k)[0], p) < 0), None)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_term_valuations_by_legendre(name):
+    spec = SERIES[name]
+    for p in (5, 7, 13):
+        vals = _binomial_part_valuations(spec, p, 60)
+        assert [v + vp(spec.desc(k)[0], p) for k, v in enumerate(vals, spec.start)] == \
+            [vp(t, p) for t in spec.terms(60)], p
 
 
 @pytest.mark.parametrize("name", POWER_OF_TWO)
@@ -234,9 +299,9 @@ def test_residue_kernel_matches_exact_sums_property():
     def check(p, m, data):
         upper = data.draw(st.integers(0, 3 * p * p), label="upper")
         for name, spec in SERIES.items():
-            bad = [k for k in range(spec.start, upper + 1) if _poly(spec.den, k) % p == 0]
-            if bad:
-                with pytest.raises(BackendIneligible, match=f"term k={bad[0]} "):
+            bad = _first_refused(spec, p, upper)
+            if bad is not None:
+                with pytest.raises(BackendIneligible, match=f"term k={bad} "):
                     residue_kernel(name, upper, p, m)
             else:
                 assert residue_kernel(name, upper, p, m) == \

@@ -7,8 +7,7 @@ import pytest
 from supercong import combinat, wz
 from supercong.combinat import binomial
 from supercong.wz import (PAIRS, boundary_identity, check_summand,
-                          check_telescoping, eval_F, eval_G, get_pair,
-                          summand_sign)
+                          check_telescoping, eval_F, eval_G, get_pair)
 from supercong.congruences import SERIES
 
 from helpers import pochhammer
@@ -305,13 +304,6 @@ def test_summand_column_linkage():
         assert check_summand(pid, 60).passed, pid
 
 
-def test_summand_sign():
-    for n in range(10):
-        assert summand_sign("Z20N3", n) == (-1) ** n
-        for pid in ("GZ10N2", "GUO64", "GL4K1"):
-            assert summand_sign(pid, n) == 1
-
-
 def test_series_terms_equal_boundary_column():
     # the congruence-catalog generators are the k = 0 column of each pair
     checks = [("gz10n2", "GZ10N2"), ("guo64", "GUO64"), ("glr", "GL4K1"),
@@ -320,10 +312,10 @@ def test_series_terms_equal_boundary_column():
         terms = list(SERIES[gen_name].terms(40))
         for n, t in enumerate(terms):
             assert t == eval_F(pid, n, 0), (gen_name, n)
-    # the unsigned variant differs from the column by the registered sign
+    # the unsigned variant differs from the column by (-1)^n
     raw = list(SERIES["z20n3-raw"].terms(40))
     for n, t in enumerate(raw):
-        assert t == summand_sign("Z20N3", n) * eval_F("Z20N3", n, 0), n
+        assert t == (-1) ** n * eval_F("Z20N3", n, 0), n
 
 
 def test_boundary_identity_full_window():
