@@ -115,7 +115,6 @@ class CongruenceCase:
     lucas: Optional[Callable[[int, int, Optional[int]], int]] = None  # lhs mod p, digitwise
     uses_r: bool = True
     uses_delta: bool = False
-    p_integral: bool = False                    # residue backend eligibility
     r_floor: int = 1
     # the cached kernel the case reads (a series spec, a _SUMS entry);
     # cases naming the same one share its work at a (p, r)
@@ -320,8 +319,9 @@ class _Pass:
     pair (a_k, b_k) = step(k), b_k != 0, called once per k in increasing
     order as the pass reaches it.  Every series spec and every certificate
     sum (_SUMS) is one, opened from its description (_open).  The pass only
-    moves forward; at k it holds the sum of the terms lo .. k-1 as x / d and
-    the seed t0 u_(k-1) (t0 at k = lo) as s / d.
+    moves forward; at k it holds the sum of the terms since its last end
+    (lo with no ends) as x / d and the seed t0 u_(k-1) (t0 at k = lo) as
+    s / d.
 
     Binary splitting (Haible and Papanikolaou, ANTS-III, 1998): a stretch
     of n terms is one (A, B, T) product tree (_split), whose sum is
@@ -331,22 +331,22 @@ class _Pass:
     A sum becomes a Fraction by _over_power_of_two, one exact division with
     no gcd when the odd part of its denominator divides its numerator.
 
-    A certificate sum declares ends e1 <= e2 <= ...; the pass stops at each
-    and holds there, unreduced, the range sum since the previous end (a
-    row's slice, pass[i]) and the prefix sum (a LEM-2.1 window), each made
-    a Fraction at its first read, so a point reading a row's tail pays for
-    one division.  At the last end, which nothing steps past, x and s are
-    dropped, not moved on.  Each stretch computes the pass's new state
-    before it assigns any of it, so a product that raises (a MemoryError
-    at a large p^r) leaves a cached pass as it was, for the next read."""
+    A pass with no ends is read by prefix, at ascending caps.  A certificate
+    row declares ends e1 <= e2 <= ... and is read by range: the pass stops
+    at each end and holds there, unreduced, the range since the previous
+    end (pass[i]), made a Fraction at its first read, so a point reading a
+    row's tail pays for one division; x stays 0.  At the last end, which
+    nothing steps past, s and the step are dropped, not moved on.  Each
+    stretch computes the pass's new state before it assigns any of it, so
+    a product that raises (a MemoryError at a large p^r) leaves a cached
+    pass as it was, for the next read."""
 
     def __init__(self, t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
                  ends: tuple[int, ...], poly: tuple[int, ...]):
-        self.args = t0, step, lo, ends, poly
         t0 = Fraction(t0)
         self.step, self.lo, self.ends, self.poly = step, lo, ends, poly
         self.k, self.x, self.s, self.d = lo, 0, t0.numerator, t0.denominator
-        self.held: list[list] = []      # [range, prefix] at each end reached
+        self.held: list = []            # the range at each end reached, (t, d) until read
         self.total: Optional[Fraction] = None   # the last prefix read, until renormalised
 
     def _renormalise(self) -> None:
@@ -372,40 +372,23 @@ class _Pass:
         a, b, t = _split(ratios, self.poly, k, k, end + 1)
         return end + 1, a, b, self.s * t
 
-    def _read(self, i: int, which: int) -> Rational:
-        """The range (which 0) or prefix (which 1) sum at ends[i], held as
-        (x, b, t, d) for (x b + t) / d until it is read."""
-        while len(self.held) <= i:
-            k, a, b, t = self._to(self.ends[len(self.held)])
-            d = self.d * b
-            entry = [(0, 1, t, d), (self.x, b, t, d)]
-            if len(self.held) + 1 == len(self.ends):
-                step = x = s = None
-            else:
-                step, x, s = self.step, self.x * b + t, self.s * a
-            self.k, self.x, self.s, self.d, self.step, self.held = \
-                k, x, s, d, step, [*self.held, entry]
-        held = self.held[i]
-        if isinstance(held[which], tuple):
-            x, b, t, d = held[which]
-            held[which] = _over_power_of_two(x * b + t, d)
-        return held[which]
-
     def __getitem__(self, i: int) -> Rational:
         """The sum of the terms e_(i-1)+1 .. e_i (lo .. e_1 for i = 0)."""
-        return self._read(i, 0)
+        while len(self.held) <= i:
+            k, a, b, t = self._to(self.ends[len(self.held)])
+            last = len(self.held) + 1 == len(self.ends)
+            step, s = (None, None) if last else (self.step, self.s * a)
+            d = self.d * b
+            self.k, self.s, self.d, self.step, self.held = k, s, d, step, [*self.held, (t, d)]
+        if isinstance(self.held[i], tuple):
+            self.held[i] = _over_power_of_two(*self.held[i])
+        return self.held[i]
 
     def prefix(self, upper: int) -> Rational:
-        """The sum of the terms lo .. upper, upper >= k - 1: the one held at
-        an end, the sum of a pass of its own at any other cap of a pass with
-        ends, and else one _over_power_of_two after stepping to upper.  The
-        pass renormalises (_renormalise) when it next steps on, so a pass
-        read once divides its seed zero times."""
-        if upper in self.ends:
-            return self._read(self.ends.index(upper), 1)
-        if self.ends:
-            t0, step, lo, _, poly = self.args
-            return _Pass(t0, step, lo, (), poly).prefix(upper)
+        """The sum of the terms lo .. upper, upper >= k - 1, of a pass with
+        no ends: one _over_power_of_two after stepping to upper.  The pass
+        renormalises (_renormalise) when it next steps on, so a pass read
+        once divides its seed zero times."""
         k, a, b, t = self._to(upper)
         x, d = self.x * b + t, self.d * b
         total = _over_power_of_two(x, d)
@@ -413,31 +396,38 @@ class _Pass:
         return total
 
 
-_running: dict[str, _Pass] = {}    # the running pass of each spec, by name
+_running: dict[tuple, _Pass] = {}    # the one running pass, by (kernel, at)
 
 
-def _open(name: str, desc: Callable[[int], tuple], poly: tuple[int, ...], lo: int,
-          ends: tuple[int, ...] = ()) -> _Pass:
-    """A fresh pass over a description's terms, by its derived step."""
+def _open(name: str, at: tuple = ()) -> _Pass:
+    """A fresh pass over the terms of kernel name, by its derived step: a
+    spec's, or with at = (p, r) a _SUMS entry's there, with its ends."""
+    if at:
+        desc, poly, lo, ends = _SUMS[name](*at)
+    else:
+        spec = SERIES[name]
+        desc, poly, lo, ends = spec.desc, spec.poly, spec.start, ()
     seed, step = _derive(name, desc, poly, lo)
     return _Pass(Fraction(*seed), step, lo, ends, poly)
 
 
 @lru_cache(maxsize=1)
-def _series_exact(name: str, upper: int) -> Rational:
-    """Exact kernel: the sum of a spec's terms up to upper, a prefix of its
-    running pass (_running).  The terms do not depend on p, so a shorter sum
-    is a prefix of a longer one: a cap at or beyond the pass's position
-    advances it, and a cap behind it starts a fresh pass.  The pass is out
-    of _running while it steps, so one that raises is dropped.  Only the
-    last sum is kept: a sweep unit reads one spec in ascending caps
-    (harness._units), so a repeated read is of the cap just before it."""
-    run = _running.pop(name, None)
+def _series_exact(name: str, upper: int, at: tuple) -> Rational:
+    """Exact kernel: the sum of the terms of kernel name up to upper, a
+    prefix of the running pass (_running), at = () for a spec and (p, r)
+    for a _SUMS entry with no ends (LEM-2.1's column).  A shorter sum is a
+    prefix of a longer one: a cap at or beyond the pass's position advances
+    it, and a cap behind it, or another kernel or (p, r), starts a fresh
+    pass.  _running holds one pass, the one in use, and holds none while it
+    steps, so one that raises is dropped.  Only the last sum is kept: a
+    sweep unit reads one kernel in ascending caps (harness._units), so a
+    repeated read is of the cap just before it."""
+    run = _running.pop((name, at), None)
+    _running.clear()
     if run is None or run.k > upper + 1:
-        spec = SERIES[name]
-        run = _open(name, spec.desc, spec.poly, spec.start)
+        run = _open(name, at)
     value = run.prefix(upper)
-    _running[name] = run
+    _running[name, at] = run
     return value
 
 
@@ -480,7 +470,9 @@ def _series_residue(name: str, upper: int, p: int, m: int) -> int:
 # --------------------------------------------------------------------------
 # certificate sums: stretches of one WZ pair's cells.  _SUMS maps a name to
 # (p, r) -> (desc, poly, lo, ends), its terms' description (wz.CELLS or
-# _theta), the polynomial factor of its c, its first index and its ends.
+# _theta), the polynomial factor of its c, its first index and the ends of
+# its slices, read by range from _sums; LEM-2.1's column has no ends and is
+# read by prefix, as a spec is (_series_exact).
 
 def _theta(P: int, k: int) -> tuple:
     """theta(k) of LEM-4.2 at P = p^r as a binomial product: the theta row's
@@ -510,17 +502,17 @@ _SUMS: dict[str, Callable[[int, int], tuple]] = {
     # LEM-2.1's column F(n, (P-1)/2), whose c is 10n^2+6Pn+P^2 times a sign;
     # its prefixes to (P-1)/2 (delta = 2) and P-1 are the two windows
     "LEM-2.1": lambda p, r: (partial(wz.CELLS["GZ10N2"][0], k=p ** r // 2),
-                             (p ** (2 * r), 6 * p ** r, 10), 0, (p ** r // 2, p ** r - 1)),
+                             (p ** (2 * r), 6 * p ** r, 10), 0, ()),
 }
 
 
 @lru_cache(maxsize=1)
 def _sums(name: str, p: int, r: int) -> _Pass:
-    """The pass over _SUMS[name] at (p, r), each of its sums computed at first
-    use.  Only the last is kept: a sweep runs every point reading one pass in
-    one unit (harness._units), so a pass is not read again after its unit."""
-    desc, poly, lo, ends = _SUMS[name](p, r)
-    return _open(name, desc, poly, lo, ends=ends)
+    """The pass over the row _SUMS[name] at (p, r), each of its slices
+    computed at first use.  Only the last is kept: a sweep runs every point
+    reading one pass in one unit (harness._units), so a pass is not read
+    again after its unit."""
+    return _open(name, (p, r))
 
 
 # --------------------------------------------------------------------------
@@ -554,16 +546,14 @@ def _series(id, status, statement, m, rhs, name, upper, *, uses_r=True,
     entry: the residue kernel reads a spec's description only."""
     _add(CongruenceCase(id=id, status=status, statement=statement, kind="series",
                         claimed_exponent=m, rhs=rhs, upper=upper, uses_r=uses_r,
-                        uses_delta=uses_delta, p_integral=name in SERIES,
-                        r_floor=r_floor, kernel=name))
+                        uses_delta=uses_delta, r_floor=r_floor, kernel=name))
 
 
-def _scalar(id, status, statement, m, lhs, rhs, *, uses_r=True, p_integral=False,
-            r_floor=1, kind="scalar", kernel=None, upper=None, lucas=None):
+def _scalar(id, status, statement, m, lhs, rhs, *, uses_r=True, r_floor=1, kind="scalar",
+            kernel=None, upper=None, lucas=None):
     _add(CongruenceCase(id=id, status=status, statement=statement, kind=kind,
                         claimed_exponent=m, rhs=rhs, lhs_scalar=lhs, upper=upper,
-                        uses_r=uses_r, p_integral=p_integral, r_floor=r_floor,
-                        kernel=kernel, lucas=lucas))
+                        uses_r=uses_r, r_floor=r_floor, kernel=kernel, lucas=lucas))
 
 
 def _binomial_scalar(id, statement, m, lhs, rhs, *, uses_r=True, kernel=None, upper=None):
@@ -572,7 +562,7 @@ def _binomial_scalar(id, statement, m, lhs, rhs, *, uses_r=True, kernel=None, up
     sum names the spec as kernel and its cap as upper(p, r, delta), so the
     sweep runs it in the spec's unit."""
     _scalar(id, "known", statement, m, lambda p, r: Fraction(*binomial_product(*lhs(p, r))),
-            rhs, uses_r=uses_r, p_integral=True, kernel=kernel, upper=upper,
+            rhs, uses_r=uses_r, kernel=kernel, upper=upper,
             lucas=lambda p, r, k: lucas_product(p, *lhs(p, r)))
 
 
@@ -590,12 +580,11 @@ def _cell_scalar(id, pair, series):
             lambda p, r: wz.eval_F(pair, p ** r - 1, p ** r - 1), _rhs_zero, r_floor=2)
 
 
-def _family(id, statement, m, members, lhs, rhs, *, p_integral=True):
-    lucas = (lambda p, r, k: lucas_product(p, *lhs(p, r, k))) if p_integral else None
+def _family(id, statement, m, members, lhs, rhs, *, has_lucas=True):
+    lucas = (lambda p, r, k: lucas_product(p, *lhs(p, r, k))) if has_lucas else None
     _add(CongruenceCase(id=id, status="fact-family", statement=statement,
                         kind="family", claimed_exponent=m, rhs=_rhs_zero,
-                        members=members, member_lhs=lhs, member_rhs=rhs,
-                        lucas=lucas, p_integral=p_integral))
+                        members=members, member_lhs=lhs, member_rhs=rhs, lucas=lucas))
 
 
 # --- truncated series -------------------------------------------------------
@@ -717,7 +706,7 @@ _scalar("MAO-I2-IDENT", "theorem",
         "sum_{n=0}^{(p-1)/2} C(2n,n)^2 / ((n+1) 16^n) = C(-3/2,(p-1)/2)^2 / ((p+1)/2)"
         "  (exact rational identity)",
         None,
-        lambda p, r: Fraction(_series_exact("mao", _mao_cap(p, r, 1))),
+        lambda p, r: Fraction(_series_exact("mao", _mao_cap(p, r, 1), ())),
         lambda p, r: Fraction(*binomial_product(
             1, 2 - 2 * p, (p, 1, 2), (p - 1, (p - 1) // 2, 2), ((p + 1) // 2, 1, -1))),
         uses_r=False, kind="identity", kernel="mao", upper=_mao_cap)
@@ -797,7 +786,7 @@ _binomial_scalar("BIN-3.4", "C(p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) 4^(p^r-1)  (
 
 _binomial_scalar("BIN-3.5", "C(3p^r-1,p^r) == 2 (1 - 3 p^r H_(p^r-1))  (mod p^2)",
                  lambda p, r: 2, lambda p, r: (1, 0, (3 * p ** r - 1, p ** r, 1)),
-                 lambda p, r: 2 * (1 - 3 * p ** r * _series_exact("h1", p ** r - 1)),
+                 lambda p, r: 2 * (1 - 3 * p ** r * _series_exact("h1", p ** r - 1, ())),
                  kernel="h1", upper=lambda p, r, d: p ** r - 1)
 
 _binomial_scalar("BIN-3.6", "C(2p^r-1,p^r-1) == 1  (mod p^2)",
@@ -807,7 +796,7 @@ _binomial_scalar("BIN-3.6", "C(2p^r-1,p^r-1) == 1  (mod p^2)",
 _binomial_scalar("BIN-3.7",
                  "C(2p^r-1,(p^r-1)/2) == (-1)^((p^r-1)/2) (1 - 2 p H_((p-1)/2))  (mod p^2)",
                  lambda p, r: 2, lambda p, r: (1, 0, (2 * p ** r - 1, (p ** r - 1) // 2, 1)),
-                 lambda p, r: _sign_pr(p, r) * (1 - 2 * p * _series_exact("h1", (p - 1) // 2)),
+                 lambda p, r: _sign_pr(p, r) * (1 - 2 * p * _series_exact("h1", (p - 1) // 2, ())),
                  kernel="h1", upper=lambda p, r, d: (p - 1) // 2)
 
 # --- k-indexed fact families: lhs and rhs are binomial products (see _family_items)
@@ -826,13 +815,13 @@ _family("FACT-INV",
         "-2 p^r / (l C(2l,l)) == C(2k,k)  (mod p^2) for k + l = p^r, 0 < l < p^r/2",
         lambda p, r: 2, _fact_range,      # l = C(l, 1)
         lambda p, r, k: (-2 * p ** r, 0, (p ** r - k, 1, -1), (2 * (p ** r - k), p ** r - k, -1)),
-        lambda p, r, k: (1, 0, (2 * k, k, 1)), p_integral=False)
+        lambda p, r, k: (1, 0, (2 * k, k, 1)), has_lucas=False)
 
 _family("DAO-HB",
         "-2 p^r / C(2k,k) == (p^r-k) C(2p^r-2k,p^r-k)  (mod p) for k + l = p^r, "
         "0 < l < p^r/2",
         lambda p, r: 1, _fact_range, lambda p, r, k: (-2 * p ** r, 0, (2 * k, k, -1)),
-        lambda p, r, k: (p ** r - k, 0, (2 * p ** r - 2 * k, p ** r - k, 1)), p_integral=False)
+        lambda p, r, k: (p ** r - k, 0, (2 * p ** r - 2 * k, p ** r - k, 1)), has_lucas=False)
 
 _family("BIN-3.9",
         "C(2p^r-1,k) == (-1)^k  (mod p) for 1 <= k <= (p^r-3)/2",
@@ -917,11 +906,13 @@ def _series_upper(case: CongruenceCase, params: CheckParams) -> int:
 
 
 def _require_residue(case: CongruenceCase) -> None:
-    """Refuse the residue backend for a case it does not take, saying why."""
+    """Refuse the residue backend for a case it does not take, saying why: a
+    series has a residue path when its kernel is a spec, any other case when
+    it has a Lucas reduction."""
     if case.kind == "identity":
         raise BackendIneligible(f"{case.id} is an exact identity; residue "
                                 "reduction cannot certify equality")
-    if not case.p_integral:
+    if (case.kernel not in SERIES) if case.kind == "series" else case.lucas is None:
         why = ("has no residue kernel: its terms depend on (p, r)" if case.kind == "series"
                else "has p-power denominators" if case.kind == "family" else
                "has no residue path: its residue would only be its exact value reduced")
@@ -929,16 +920,14 @@ def _require_residue(case: CongruenceCase) -> None:
 
 
 def series_sum_exact(case, params: CheckParams) -> Rational:
-    """Exact value of a series case's truncated sum, a prefix of one _Pass:
-    a SERIES spec's from the cached kernel, and LEM-2.1's (its kernel a
-    _SUMS entry) from _sums, whose pass per (p, r) holds both windows."""
+    """Exact value of a series case's truncated sum, a prefix of the running
+    pass (_series_exact) over its kernel: a SERIES spec, or LEM-2.1's _SUMS
+    entry at the point's (p, r)."""
     case = get_case(case)
     if case.kind != "series":
         raise ValueError(f"{case.id} is not a series case")
-    upper = _series_upper(case, params)
-    if case.kernel not in SERIES:
-        return _sums(case.kernel, params.p, params.r).prefix(upper)
-    return _series_exact(case.kernel, upper)
+    at = () if case.kernel in SERIES else (params.p, params.r)
+    return _series_exact(case.kernel, _series_upper(case, params), at)
 
 
 def series_sum_residue(case, params: CheckParams, m: int) -> int:
@@ -1130,7 +1119,7 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
 
     backend "both" runs the exact path and reports its values, checking
     each value that has an independent modular path where it is computed:
-    a p-integral series sum against the termwise residue kernel mod p^m,
+    a series sum over a spec against the termwise residue kernel mod p^m,
     and the left side of a binomial scalar, or of each member of a
     p-integral family, mod p against its Lucas product (_check_lucas).
     Every family point also checks its reported member against the table
@@ -1165,7 +1154,7 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
         lhs = (series_sum_exact(case, params) if case.kind == "series"
                else case.lhs_scalar(p, params.r))
         rhs = case.rhs(p, params.r)
-        if backend == "both" and case.kind == "series" and case.p_integral:
+        if backend == "both" and case.kind == "series" and case.kernel in SERIES:
             # the kernel runs first: it refuses a p in a denominator by name,
             # where reducing the exact sum would fail with PNotIntegral
             kernel = series_sum_residue(case, params, claimed)

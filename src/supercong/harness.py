@@ -232,18 +232,20 @@ def _units(config: SweepConfig) -> list[list[tuple[str, int, int, Optional[int]]
     """The planned tasks grouped into units, each run in one process, so that
     a cached sum is computed once.  A case's kernel is the cached sum it
     reads (a series spec, a certificate sum in _SUMS) or else its id.  Every
-    point reading one series spec is one unit for the whole sweep, in
-    ascending cap: the spec's terms do not depend on p, so its one running
-    exact pass steps each term once.  Every other point is in one unit per
-    (p, r, kernel).  Units are ordered by their largest p^r, largest first,
-    so the longest start first; ties keep the plan's order."""
+    point reading one series spec is one unit for the whole sweep, as its
+    terms do not depend on p; every other point is in one unit per (p, r,
+    kernel).  A unit whose points have a cap runs in ascending cap (LEM-2.1's
+    delta = 2 window first), so its one running exact pass steps each term
+    once.  Units are ordered by their largest p^r, largest first, so the
+    longest start first; ties keep the plan's order."""
     units: dict[tuple, list] = {}
     for task in _plan(config):
         case_id, p, r, _ = task
         kernel = get_case(case_id).kernel or case_id
         units.setdefault((kernel,) if kernel in SERIES else (p, r, kernel), []).append(task)
-    for name in SERIES:
-        units.get((name,), []).sort(key=lambda t: get_case(t[0]).upper(t[1], t[2], t[3] or 1))
+    for unit in units.values():
+        if get_case(unit[0][0]).upper is not None:
+            unit.sort(key=lambda t: get_case(t[0]).upper(t[1], t[2], t[3] or 1))
     return sorted(units.values(), key=lambda unit: -max(p ** r for _, p, r, _ in unit))
 
 

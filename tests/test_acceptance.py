@@ -18,7 +18,7 @@ from supercong.congruences import CheckParams, evaluate_case, get_case, list_cas
 from supercong.exactnum import INFINITE, residue, vp
 from supercong.harness import SweepConfig, run_sweep
 
-from helpers import binomial_rat
+from helpers import binomial_rat, has_residue_path
 
 BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"
 PRIMES_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -199,7 +199,7 @@ def test_c11_backend_cross_validation():
     error-free, and so must every eligible point at p <= 31 and r <= 2, with
     delta = 2 where a case takes one, evaluated on 'both' one by one."""
     for case in list_cases():
-        if not case.p_integral:
+        if not has_residue_path(case):
             continue
         for p in PRIMES_31:
             for r in (1, 2) if case.uses_r else (1,):

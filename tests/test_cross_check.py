@@ -13,6 +13,8 @@ from supercong.congruences import (BackendDisagreement, CheckParams,
                                    list_cases)
 from supercong.harness import SweepConfig, run_sweep
 
+from helpers import has_residue_path
+
 
 def _off_by_one_at(case_id, bad_k):
     """The case with its digitwise residue wrong at member bad_k only."""
@@ -48,9 +50,13 @@ def test_wrong_first_member_raises_disagreement():
 
 
 def test_p_integral_family_needs_lucas():
-    families = [c for c in list_cases() if c.kind == "family" and c.p_integral]
+    families = [c for c in list_cases() if c.kind == "family" and has_residue_path(c)]
     assert len(families) == 7
-    assert all(c.lucas is not None for c in families)
+    # a family has a Lucas reduction, and so a residue path, exactly when
+    # its left side divides by no binomial (FACT-INV and DAO-HB do)
+    for case in (c for c in list_cases() if c.kind == "family"):
+        divides = any(j < 0 for k in case.members(7, 2) for *_, j in case.member_lhs(7, 2, k)[2:])
+        assert has_residue_path(case) is not divides, case.id
     # lucas is derived from the lhs description; every family claims
     # at least mod p, so it reduces to each member's rhs mod p
     for case in families:
@@ -113,9 +119,9 @@ def test_each_kind_reaches_its_own_check(monkeypatch):
         evaluate_case(case, params, "both")
         reached[case.id] = (calls["residue"] - before["residue"],
                             calls["lucas"] - before["lucas"])
-        if case.kind == "series" and case.p_integral:
+        if case.kind == "series" and has_residue_path(case):
             expected[case.id] = (1, 0)
-        elif case.kind == "family" and case.p_integral:
+        elif case.kind == "family" and has_residue_path(case):
             expected[case.id] = (0, len(case.members(7, params.r)))
         else:
             expected[case.id] = (0, int(case.id in BINOMIAL_SCALARS))

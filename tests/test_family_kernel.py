@@ -18,7 +18,7 @@ from supercong.congruences import (BackendDisagreement, BackendIneligible,
 from supercong.exactnum import INFINITE, residue, vp
 from supercong.harness import SweepConfig, _ser_record, run_sweep
 
-from helpers import vp_unit
+from helpers import has_residue_path, vp_unit
 
 FAMILIES = list_cases(status="fact-family")
 # (7, 2) and (11, 2) step BIN-3.11 by q = p^(r-1) > 1 along n and m
@@ -147,8 +147,8 @@ STATEMENT_LHS = {
 
 
 def test_derived_lucas_matches_statement():
-    assert sorted(STATEMENT_LHS) == sorted(c.id for c in FAMILIES if c.p_integral)
-    assert all(c.lucas is None for c in FAMILIES if not c.p_integral)
+    assert sorted(STATEMENT_LHS) == sorted(c.id for c in FAMILIES if has_residue_path(c))
+    assert all(c.lucas is None for c in FAMILIES if not has_residue_path(c))
     for p, r in POINTS:
         for cid, lhs in STATEMENT_LHS.items():
             case = get_case(cid)
@@ -276,14 +276,14 @@ def test_integer_kernel_scores_like_fraction_reference(point, backend):
     """The table's (v, u) members, scored in small integers, give the
     results of Fraction members scored by vp.  "k" is the middle member of
     each family at (7, 2), selected as --k selects it."""
-    assert {c.id for c in FAMILIES if not c.p_integral} == {"FACT-INV", "DAO-HB"}
+    assert {c.id for c in FAMILIES if not has_residue_path(c)} == {"FACT-INV", "DAO-HB"}
     for case in FAMILIES:
         if point == "k":
             rng = case.members(7, 2)
             params = CheckParams(p=7, r=2, k=rng[len(rng) // 2])
         else:
             params = CheckParams(p=point[0], r=point[1])
-        if backend == "residue" and not case.p_integral:
+        if backend == "residue" and not has_residue_path(case):
             with pytest.raises(BackendIneligible):
                 evaluate_case(case, params, backend)
             continue
@@ -301,7 +301,7 @@ def test_every_family_at_r3_scores_like_fraction_reference(p):
     for case in FAMILIES:
         items = reference_items(case, params, comb)
         for backend in ("exact", "both", "residue"):
-            if backend == "residue" and not case.p_integral:
+            if backend == "residue" and not has_residue_path(case):
                 continue
             res = evaluate_case(case, params, backend)
             got = (res.lhs, res.rhs, res.observed_valuation, res.passed, res.note)
@@ -397,7 +397,7 @@ def test_integral_members_are_plain_ints():
                     continue
                 assert type(v) is int and type(u) is int and 0 < u < 11 ** M, (case.id, k)
                 assert u % 11, (case.id, k)
-                if case.p_integral:
+                if has_residue_path(case):
                     assert v >= 0, (case.id, k)
 
 
@@ -418,7 +418,7 @@ def test_one_fraction_per_reported_value(monkeypatch):
                         lambda *desc: products.append(desc) or product(*desc))
     for case in FAMILIES:
         for backend in ("exact", "both", "residue"):
-            if backend == "residue" and not case.p_integral:
+            if backend == "residue" and not has_residue_path(case):
                 continue
             built.clear(), products.clear()
             res = evaluate_case(case, CheckParams(p=11, r=2), backend)
@@ -436,7 +436,7 @@ def test_family_records_keep_their_value_strings(backend):
     """Exact values serialise as "num/den" and residues as ints; an int in
     place of a Fraction would change the report digest."""
     for case in FAMILIES:
-        if backend == "residue" and not case.p_integral:
+        if backend == "residue" and not has_residue_path(case):
             continue
         rec = _ser_record(evaluate_case(case, CheckParams(p=7, r=2), backend))
         for side in ("lhs", "rhs"):

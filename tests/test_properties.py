@@ -2,10 +2,11 @@
 is additive, residue is a ring homomorphism on p-integral rationals, a
 binomial with a negative upper index follows the reflection rule, the
 binary-split kernel's range and prefix sums equal termwise sums, the exact
-division that ends each sum equals Fraction's, the running exact series pass
-equals a termwise sum at any sequence of caps, the binomial-product evaluator
-and its Lucas reader agree with per-factor arithmetic, and the factorial
-table's (valuation, unit) pairs agree with math.comb and with the evaluator.
+division that ends each sum equals Fraction's, the running exact pass of a
+spec or of LEM-2.1's column equals a termwise sum at any sequence of caps
+and is the one pass held, the binomial-product evaluator and its Lucas
+reader agree with per-factor arithmetic, and the factorial table's
+(valuation, unit) pairs agree with math.comb and with the evaluator.
 Skipped when hypothesis is not installed."""
 import math
 from fractions import Fraction
@@ -13,7 +14,7 @@ from unittest import mock
 
 import pytest
 
-from supercong import congruences
+from supercong import congruences, wz
 from supercong.combinat import Factorials, binomial, binomial_product, lucas_product
 from supercong.congruences import (SERIES, CheckParams, _family_items, _over_power_of_two,
                                    _Pass, list_cases)
@@ -145,40 +146,73 @@ def test_ratio_sums_equal_termwise_sums(inputs):
     assert got == tuple(want)
     assert all(isinstance(s, Fraction) for s in got)
     assert calls == list(range(lo, lo + len(steps)))
-    # prefix reads: at the ends, in reverse, of a pass with ascending ends,
-    # and at ascending caps of a pass with none
+    # prefix reads at ascending caps of a pass with no ends
     def prefix(end):
         return sum((terms[k] for k in range(lo, end + 1)), Fraction(0))
-    ends = sorted(ends)
-    run = _Pass(t0, lambda k: steps[k - lo], lo, tuple(ends), poly)
-    assert [run.prefix(end) for end in reversed(ends)] == [prefix(e) for e in reversed(ends)]
+    caps = [end for end in sorted(ends) if end >= lo - 1]
     run = _Pass(t0, lambda k: steps[k - lo], lo, (), poly)
-    assert [run.prefix(end) for end in ends if end >= lo - 1] == \
-        [prefix(end) for end in ends if end >= lo - 1]
+    assert [run.prefix(end) for end in caps] == [prefix(end) for end in caps]
+
+
+# every spec, and LEM-2.1's column at three (p, r)
+KERNELS = [(name, ()) for name in sorted(SERIES)] + [("LEM-2.1", at)
+                                                     for at in ((5, 1), (7, 1), (5, 2))]
+
+
+def kernel_terms(name, at, upper):
+    """The terms of a kernel up to upper, from its first index: a spec's
+    Fractions, or LEM-2.1's cells F(n, (p^r-1)/2) of the five-factor pair."""
+    if not at:
+        return list(SERIES[name].terms(upper))
+    p, r = at
+    return [wz.eval_F("GZ10N2", n, (p ** r - 1) // 2) for n in range(upper + 1)]
+
+
+def first_index(name):
+    return SERIES[name].start if name in SERIES else 0
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(name=st.sampled_from(sorted(SERIES)),
-       caps=st.lists(st.integers(0, 60), max_size=12))
-@example(name="guo64", caps=[0, 3, 3, 40, 41, 60])           # ascending, repeated
-@example(name="gz10n2", caps=[60, 41, 40, 3, 0, 0])          # descending
-@example(name="h1", caps=[7, 0, 0, 1, 0, 9, 2])              # below start = 1
-@example(name="mao", caps=[5, 2, 9, 9, 1, 30, 0, 31])        # back and forth
-@example(name="h2", caps=[0, 1, 1, 2, 60, 59])                # start = 1, k^2 below the line
-@example(name="suncat", caps=[3, 4, 2, 40])                   # 2k + 1 below the line
-def test_running_pass_equals_sum_of_terms(name, caps):
-    # each read goes through the spec's running pass, not the lru_cache; a
+@given(kernel=st.sampled_from(KERNELS), caps=st.lists(st.integers(0, 60), max_size=12))
+@example(kernel=("guo64", ()), caps=[0, 3, 3, 40, 41, 60])          # ascending, repeated
+@example(kernel=("gz10n2", ()), caps=[60, 41, 40, 3, 0, 0])         # descending
+@example(kernel=("h1", ()), caps=[7, 0, 0, 1, 0, 9, 2])             # below start = 1
+@example(kernel=("mao", ()), caps=[5, 2, 9, 9, 1, 30, 0, 31])       # back and forth
+@example(kernel=("h2", ()), caps=[0, 1, 1, 2, 60, 59])              # start = 1, k^2 below
+@example(kernel=("suncat", ()), caps=[3, 4, 2, 40])                 # 2k + 1 below the line
+@example(kernel=("LEM-2.1", (5, 2)), caps=[12, 24, 24, 12, 7, 60])  # the windows, and off them
+@example(kernel=("LEM-2.1", (7, 1)), caps=[6, 3, 3, 5, 0])          # delta = 1 first
+def test_running_pass_equals_sum_of_terms(kernel, caps):
+    # each read goes through the kernel's running pass, not the lru_cache; a
     # cap behind the pass, and only such a cap, starts a fresh pass, which
     # stands after the read at the term past the cap
     congruences._running.clear()
-    terms = list(SERIES[name].terms(60))
+    name, at = kernel
+    terms = kernel_terms(name, at, 60)
     for cap in caps:
-        before = congruences._running.get(name)
-        want = sum(terms[:cap + 1 - SERIES[name].start], Fraction(0))
-        assert congruences._series_exact.__wrapped__(name, cap) == want, cap
-        run = congruences._running[name]
+        before = congruences._running.get(kernel)
+        want = sum(terms[:cap + 1 - first_index(name)], Fraction(0))
+        assert congruences._series_exact.__wrapped__(name, cap, at) == want, cap
+        run = congruences._running[kernel]
         assert isinstance(run, congruences._Pass) and run.k == cap + 1
         assert (run is before) == (before is not None and before.k <= cap + 1)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(reads=st.lists(st.tuples(st.sampled_from(KERNELS), st.integers(0, 30)), max_size=10))
+@example(reads=[(("h1", ()), 4), (("LEM-2.1", (5, 1)), 2), (("LEM-2.1", (7, 1)), 3),
+                (("LEM-2.1", (7, 1)), 6), (("h1", ()), 9)])
+def test_running_holds_the_one_pass_in_use(reads):
+    # after any read, of any kernel at any (p, r), the running pass of the
+    # kernel just read is the one pass held; a pass of another kernel or
+    # (p, r) is dropped, so reading it again starts a fresh pass
+    congruences._running.clear()
+    for (name, at), cap in reads:
+        got = congruences._series_exact.__wrapped__(name, cap, at)
+        terms = kernel_terms(name, at, cap)
+        assert got == sum(terms[:cap + 1 - first_index(name)], Fraction(0))
+        assert list(congruences._running) == [(name, at)]
+        assert congruences._running[name, at].k == cap + 1
 
 
 # a small pool of (n, m), so that a product often repeats one, with m > n and

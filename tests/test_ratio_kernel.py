@@ -75,12 +75,14 @@ def test_lem21_sum_matches_wz_cells(p, r):
     assert got == sum(cells[:cap + 1])
 
 
-@pytest.mark.parametrize("order", [(1, 2, 1, 2), (2, 1, 2, 1)],
-                         ids=["delta1-first", "delta2-first"])
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)], ids=["delta1-first", "delta2-first"])
 def test_lem21_window_is_one_prefix(monkeypatch, order):
-    """Each LEM-2.1 window is one prefix of the one pass at its (p, r): one
-    _over_power_of_two per window read, no Fraction addition, in either
-    order; a window read again divides nothing."""
+    """Each LEM-2.1 window is one prefix of the running pass at its (p, r),
+    with no Fraction addition.  In the sweep's order, delta = 2 then
+    delta = 1 (harness._units), one pass serves both: the first window is
+    one division, the second one more and one of the seed, as the pass
+    renormalises before it steps on.  Read delta = 1 first, the delta = 2
+    cap is behind the pass, so it starts a fresh pass."""
     points = ((5, 2), (7, 1), (11, 1))
     want = {(p, r, d): sum(wz.eval_F("GZ10N2", n, (p ** r - 1) // 2)
                            for n in range((p ** r - 1) // d + 1))
@@ -102,17 +104,20 @@ def test_lem21_window_is_one_prefix(monkeypatch, order):
     monkeypatch.setattr(congruences, "_Pass", counted_pass)
     monkeypatch.setattr(congruences, "_over_power_of_two", counted_division)
     monkeypatch.setattr(Fraction, "__add__", refuse)
-    congruences._sums.cache_clear()
+    congruences._series_exact.cache_clear()
+    congruences._running.clear()
+    in_order = order == (2, 1)
     try:
         for p, r in points:
             for i, delta in enumerate(order):
                 got = series_sum_exact("LEM-2.1", CheckParams(p=p, r=r, delta=delta))
                 assert got == want[p, r, delta] and type(got) is Fraction, (p, r, delta)
-                assert len(divisions) == min(i + 1, 2), (p, r, i)
-            assert len(passes) == 1, (p, r)
+                assert len(passes) == (1 if in_order else i + 1), (p, r, i)
+                assert len(divisions) == (2 * i + 1 if in_order else i + 1), (p, r, i)
             passes.clear(), divisions.clear()
     finally:
-        congruences._sums.cache_clear()
+        congruences._series_exact.cache_clear()
+        congruences._running.clear()
 
 
 class RaisingProduct:
@@ -163,10 +168,11 @@ def test_stretch_that_raises_leaves_the_cached_pass_as_it_was(monkeypatch):
 
 
 def test_certificate_slices_divide_exactly():
-    """Every range and prefix sum of every _SUMS entry, at primes 5-47 with
-    r <= 2 and at primes 5-13 with r = 3, has an X that the odd part of its
-    B divides, so _over_power_of_two never falls back to Fraction(X, B)
-    there."""
+    """Every slice of every certificate row, and LEM-2.1's two windows read
+    as the sweep reads them, at primes 5-47 with r <= 2 and at primes 5-13
+    with r = 3: each division, the seed's between the windows among them,
+    has an X that the odd part of its B divides, so _over_power_of_two
+    never falls back to Fraction(X, B) there."""
     grid = [(p, r) for p in range(5, 48) if is_prime(p) for r in (1, 2)]
     grid += [(p, 3) for p in (5, 7, 11, 13)]
     divided = []
@@ -178,10 +184,13 @@ def test_certificate_slices_divide_exactly():
     with mock.patch.object(congruences, "_over_power_of_two", recorded):
         for p, r in grid:
             for name in _SUMS:
-                run = congruences._sums.__wrapped__(name, p, r)
+                run = congruences._open(name, (p, r))
                 for i in range(len(run.ends)):
-                    run[i], run.prefix(run.ends[i])
-    assert len(divided) == 2 * 390
+                    run[i]
+            run = congruences._open("LEM-2.1", (p, r))
+            run.prefix(p ** r // 2), run.prefix(p ** r - 1)
+    # 30 points: 11 row slices and 2 windows each, and the seed between them
+    assert len(divided) == 30 * (11 + 2 + 1)
     assert all(x % (b >> (b & -b).bit_length() - 1) == 0 for x, b in divided)
 
 
@@ -223,7 +232,8 @@ def test_series_step_is_the_term_ratio(name):
 def test_certificate_step_is_the_cell_ratio(p, r):
     for name, entry in _SUMS.items():
         desc, poly, lo, ends = entry(p, r)
-        assert_steps_are_term_ratios(name, desc, poly, lo, ends[-1])
+        # LEM-2.1's column declares no ends: its longer window ends at p^r - 1
+        assert_steps_are_term_ratios(name, desc, poly, lo, ends[-1] if ends else p ** r - 1)
 
 
 def test_derive_refuses_a_description_it_cannot_step():

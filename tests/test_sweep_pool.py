@@ -128,12 +128,17 @@ def test_each_series_spec_is_one_unit_in_ascending_cap():
 @pytest.mark.parametrize("status", ["lemma", "fact-family"])
 def test_units_reading_no_series_spec_are_one_per_p_r_kernel(status):
     # the grouping of sweeps with no series spec: one unit per (p, r, kernel),
-    # largest p^r first, ties in the plan's order
+    # largest p^r first, ties in the plan's order; a unit whose points have
+    # a cap in ascending cap: LEM-2.1's delta = 2 window before delta = 1
     config = SweepConfig(status=status)
     units = {}
     for task in harness._plan(config):
         case_id, p, r, _ = task
         units.setdefault((p, r, get_case(case_id).kernel or case_id), []).append(task)
+    for (p, r, kernel), unit in units.items():
+        if kernel == "LEM-2.1":
+            assert unit == [("LEM-2.1", p, r, 1), ("LEM-2.1", p, r, 2)]
+            unit.reverse()
     assert harness._units(config) == \
         sorted(units.values(), key=lambda unit: -unit[0][1] ** unit[0][2])
 
@@ -201,23 +206,46 @@ def counting(monkeypatch, name):
 
 
 def test_each_kernel_is_computed_once_per_sweep(monkeypatch):
+    # the five row passes through _sums; LEM-2.1's column, the sixth _SUMS
+    # entry, is read by prefix, as a spec is (test_lem21_pass_opens_once_per_p_r)
     sums = counting(monkeypatch, "_sums")
     sweep(monkeypatch, 2, jobs=2, **LEMMAS)
     assert set(congruences._SUMS) == {"GUO64", "theta", "Z20N3", "GZ10N2",
                                       "GZ10N2-half", "LEM-2.1"}
-    assert set(sums) == {(name, p, r) for name in congruences._SUMS
+    assert set(sums) == {(name, p, r) for name in congruences._SUMS if name != "LEM-2.1"
                          for p in (5, 7) for r in (1, 2)}
     assert set(sums.values()) == {1}
 
 
 def test_only_the_certificate_pass_in_use_is_kept():
     # every point reading one (name, p, r) runs in one unit, so keeping the
-    # last pass alone builds none twice: 24 passes built, 28 reads of a kept
-    # one, and one pass alive when the sweep ends
+    # last pass alone builds none twice: 20 row passes built, 24 reads of a
+    # kept one, and one pass alive when the sweep ends
     congruences._sums.cache_clear()
     run_sweep(SweepConfig(**LEMMAS))
     info = congruences._sums.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (28, 24, 1)
+    assert (info.hits, info.misses, info.currsize) == (24, 20, 1)
+
+
+def test_lem21_pass_opens_once_per_p_r(monkeypatch):
+    # a lemma sweep reads LEM-2.1's delta = 2 window, then delta = 1 from the
+    # same running pass: one pass per (p, r), pooled or serial, and after the
+    # serial sweep one pass held
+    fresh, opened = congruences._open, Counter()
+
+    def counted(name, at=()):
+        opened[name, at] += 1
+        return fresh(name, at)
+    monkeypatch.setattr(congruences, "_open", counted)
+    for jobs in (2, 1):
+        opened.clear()
+        congruences._series_exact.cache_clear()
+        congruences._running.clear()
+        report = sweep(monkeypatch, 2, jobs=jobs, **LEMMAS)
+        assert report.errors == []
+        assert {key: n for key, n in opened.items() if key[0] == "LEM-2.1"} == \
+            {("LEM-2.1", (p, r)): 1 for p in (5, 7) for r in (1, 2)}, jobs
+    assert len(congruences._running) == 1
 
 
 def test_each_series_pass_starts_once_per_sweep(monkeypatch):

@@ -31,3 +31,18 @@ def test_tracer_wraps_and_restores_every_layer(capsys):
     finally:
         t.restore()
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_tracer_counts_the_terms_of_lem21():
+    # LEM-2.1's column is summed by the same cached kernel as a spec, so the
+    # benchmark's exact-summation layer counts its terms on the lemma sweep
+    tracer = load_tracer()
+    congruences._series_exact.cache_clear()
+    t = tracer.trace_supercong()
+    try:
+        assert cli.main(["verify", "--case", "LEM-2.1", "--p", "5", "--delta", "1"]) == 0
+        metrics = tracer.layer_metrics(t)
+        assert metrics["congruences.series_sum_exact.calls"] == 1
+        assert metrics["congruences.series_sum_exact.terms"] == 5
+    finally:
+        t.restore()
