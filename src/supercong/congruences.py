@@ -19,8 +19,8 @@ built exact.
 
 Backend "both" checks each value where it is computed: a series sum against
 the termwise residue kernel mod p^m, and the left side of a binomial scalar
-or of every member of a p-integral family mod p against its Lucas product
-(_check_lucas).
+or of every member of a family that divides by no binomial mod p against
+its Lucas product (_check_lucas).
 
 Statuses: theorem / known / lemma / fact-family / conjecture / informational.
 Conjecture and informational cases report honestly but are flagged so sweep
@@ -104,8 +104,8 @@ class CongruenceCase:
     kind: str                                   # series | scalar | family | identity
     claimed_exponent: Optional[Callable[[int, int], int]]
     rhs: Callable[[int, int], Rational]
-    # series, and any case that reads a series spec's sum
-    upper: Optional[Callable[[int, int, int], int]] = None  # (p, r, delta) -> cap
+    # (p, r, delta) -> the last index the case reads of its kernel (a cap)
+    upper: Optional[Callable[[int, int, int], int]] = None
     # scalar / identity
     lhs_scalar: Optional[Callable[[int, int], Rational]] = None
     # family
@@ -319,9 +319,9 @@ class _Pass:
     pair (a_k, b_k) = step(k), b_k != 0, called once per k in increasing
     order as the pass reaches it.  Every series spec and every certificate
     sum (_SUMS) is one, opened from its description (_open).  The pass only
-    moves forward; at k it holds the sum of the terms since its last end
-    (lo with no ends) as x / d and the seed t0 u_(k-1) (t0 at k = lo) as
-    s / d.
+    moves forward; at k it holds the sum of the terms since its last read's
+    first (lo until then) as x / d and the seed t0 u_(k-1) (t0 at k = lo)
+    as s / d.
 
     Binary splitting (Haible and Papanikolaou, ANTS-III, 1998): a stretch
     of n terms is one (A, B, T) product tree (_split), whose sum is
@@ -331,28 +331,23 @@ class _Pass:
     A sum becomes a Fraction by _over_power_of_two, one exact division with
     no gcd when the odd part of its denominator divides its numerator.
 
-    A pass with no ends is read by prefix, at ascending caps.  A certificate
-    row declares ends e1 <= e2 <= ... and is read by range: the pass stops
-    at each end and holds there, unreduced, the range since the previous
-    end (pass[i]), made a Fraction at its first read, so a point reading a
-    row's tail pays for one division; x stays 0.  At the last end, which
-    nothing steps past, s and the step are dropped, not moved on.  Each
-    stretch computes the pass's new state before it assigns any of it, so
-    a product that raises (a MemoryError at a large p^r) leaves a cached
-    pass as it was, for the next read."""
+    Every sum is one read (read): a prefix, at ascending caps, or a range
+    that starts at or after the pass's position, as a certificate row's
+    slices are read.  Each stretch computes the pass's new state before it
+    assigns any of it, so a product that raises (a MemoryError at a large
+    p^r) leaves the pass as it was."""
 
     def __init__(self, t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
-                 ends: tuple[int, ...], poly: tuple[int, ...]):
+                 poly: tuple[int, ...]):
         t0 = Fraction(t0)
-        self.step, self.lo, self.ends, self.poly = step, lo, ends, poly
+        self.step, self.lo, self.poly = step, lo, poly
         self.k, self.x, self.s, self.d = lo, 0, t0.numerator, t0.denominator
-        self.held: list = []            # the range at each end reached, (t, d) until read
-        self.total: Optional[Fraction] = None   # the last prefix read, until renormalised
+        self.total: Optional[Fraction] = None   # the last sum read, until renormalised
 
     def _renormalise(self) -> None:
-        """Hold the prefix read last and the seed in lowest terms over the
-        lcm of their denominators, so that a pass read at many caps carries
-        no factor that cancels into its next stretch: one division of the
+        """Hold the sum read last and the seed in lowest terms over the lcm
+        of their denominators, so that a pass read many times carries no
+        factor that cancels into its next stretch: one division of the
         seed, paid only by a pass that steps on after a read."""
         if self.total is not None:
             total, seed = self.total, _over_power_of_two(self.s, self.d)
@@ -372,23 +367,16 @@ class _Pass:
         a, b, t = _split(ratios, self.poly, k, k, end + 1)
         return end + 1, a, b, self.s * t
 
-    def __getitem__(self, i: int) -> Rational:
-        """The sum of the terms e_(i-1)+1 .. e_i (lo .. e_1 for i = 0)."""
-        while len(self.held) <= i:
-            k, a, b, t = self._to(self.ends[len(self.held)])
-            last = len(self.held) + 1 == len(self.ends)
-            step, s = (None, None) if last else (self.step, self.s * a)
-            d = self.d * b
-            self.k, self.s, self.d, self.step, self.held = k, s, d, step, [*self.held, (t, d)]
-        if isinstance(self.held[i], tuple):
-            self.held[i] = _over_power_of_two(*self.held[i])
-        return self.held[i]
-
-    def prefix(self, upper: int) -> Rational:
-        """The sum of the terms lo .. upper, upper >= k - 1, of a pass with
-        no ends: one _over_power_of_two after stepping to upper.  The pass
-        renormalises (_renormalise) when it next steps on, so a pass read
-        once divides its seed zero times."""
+    def read(self, first: int, upper: int) -> Rational:
+        """The sum of the terms first .. upper: a prefix, first = lo and
+        upper >= k - 1, or a range, first >= k, for which the pass steps
+        over the terms k .. first - 1 and sums from 0, as if it had read
+        0 there.  One _over_power_of_two after stepping to upper; the pass
+        renormalises (_renormalise) when it next steps on, so a prefix read
+        once divides its seed zero times, and a range once, where it starts."""
+        if first > self.lo:
+            k, a, b, _ = self._to(first - 1)
+            self.k, self.x, self.s, self.d, self.total = k, 0, self.s * a, self.d * b, Fraction(0)
         k, a, b, t = self._to(upper)
         x, d = self.x * b + t, self.d * b
         total = _over_power_of_two(x, d)
@@ -401,32 +389,31 @@ _running: dict[tuple, _Pass] = {}    # the one running pass, by (kernel, at)
 
 def _open(name: str, at: tuple = ()) -> _Pass:
     """A fresh pass over the terms of kernel name, by its derived step: a
-    spec's, or with at = (p, r) a _SUMS entry's there, with its ends."""
+    spec's, or with at = (p, r) a _SUMS entry's there."""
     if at:
-        desc, poly, lo, ends = _SUMS[name](*at)
+        desc, poly, lo = _SUMS[name](*at)
     else:
         spec = SERIES[name]
-        desc, poly, lo, ends = spec.desc, spec.poly, spec.start, ()
+        desc, poly, lo = spec.desc, spec.poly, spec.start
     seed, step = _derive(name, desc, poly, lo)
-    return _Pass(Fraction(*seed), step, lo, ends, poly)
+    return _Pass(Fraction(*seed), step, lo, poly)
 
 
 @lru_cache(maxsize=1)
-def _series_exact(name: str, upper: int, at: tuple) -> Rational:
-    """Exact kernel: the sum of the terms of kernel name up to upper, a
-    prefix of the running pass (_running), at = () for a spec and (p, r)
-    for a _SUMS entry with no ends (LEM-2.1's column).  A shorter sum is a
-    prefix of a longer one: a cap at or beyond the pass's position advances
-    it, and a cap behind it, or another kernel or (p, r), starts a fresh
-    pass.  _running holds one pass, the one in use, and holds none while it
-    steps, so one that raises is dropped.  Only the last sum is kept: a
-    sweep unit reads one kernel in ascending caps (harness._units), so a
-    repeated read is of the cap just before it."""
+def _series_exact(name: str, upper: int, at: tuple, first: Optional[int] = None) -> Rational:
+    """Exact kernel: the sum of the terms of kernel name from first (its
+    first index for None) to upper, a read of the running pass (_running),
+    at = () for a spec and (p, r) for a _SUMS entry.  A read at or beyond
+    the pass's position advances it, and one behind it, or of another
+    kernel or (p, r), starts a fresh pass.  _running holds one pass, the
+    one in use, and holds none while it steps, so one that raises is
+    dropped.  Only the last sum is kept: a sweep unit reads one kernel in
+    ascending upper (harness._units), so a repeated read is the last one."""
     run = _running.pop((name, at), None)
     _running.clear()
-    if run is None or run.k > upper + 1:
+    if run is None or run.k > (upper + 1 if first is None else first):
         run = _open(name, at)
-    value = run.prefix(upper)
+    value = run.read(run.lo if first is None else first, upper)
     _running[name, at] = run
     return value
 
@@ -469,10 +456,10 @@ def _series_residue(name: str, upper: int, p: int, m: int) -> int:
 
 # --------------------------------------------------------------------------
 # certificate sums: stretches of one WZ pair's cells.  _SUMS maps a name to
-# (p, r) -> (desc, poly, lo, ends), its terms' description (wz.CELLS or
-# _theta), the polynomial factor of its c, its first index and the ends of
-# its slices, read by range from _sums; LEM-2.1's column has no ends and is
-# read by prefix, as a spec is (_series_exact).
+# (p, r) -> (desc, poly, lo), its terms' description (wz.CELLS or _theta),
+# the polynomial factor of its c and its first index.  Each is read from
+# the running pass (_series_exact): a row by the ranges of its slices
+# (_row_scalar), LEM-2.1's column by prefix, as a spec is.
 
 def _theta(P: int, k: int) -> tuple:
     """theta(k) of LEM-4.2 at P = p^r as a binomial product: the theta row's
@@ -482,37 +469,21 @@ def _theta(P: int, k: int) -> tuple:
             (k, 1, -1), (2 * k - 1, 1, -1), (2 * k, k, -1))
 
 
-def _thirds(P: int) -> tuple[int, int, int]:
-    """The ends of a row k = 1 .. P-1, P = p^r odd: prefix (k <= (P-1)/2),
-    middle (k = (P+1)/2) and tail."""
-    return P // 2, P // 2 + 1, P - 1
-
-
 _SUMS: dict[str, Callable[[int, int], tuple]] = {
-    # the rows G(P, k) and theta(k): c is a constant times a sign
-    "GUO64": lambda p, r: (partial(wz.CELLS["GUO64"][1], p ** r), (1,), 1, _thirds(p ** r)),
-    "Z20N3": lambda p, r: (partial(wz.CELLS["Z20N3"][1], p ** r), (1,), 1, _thirds(p ** r)),
-    "theta": lambda p, r: (partial(_theta, p ** r), (1,), 1, _thirds(p ** r)),
+    # the rows G(P, k) and theta(k), k = 1 .. P-1: c is a constant times a sign
+    "GUO64": lambda p, r: (partial(wz.CELLS["GUO64"][1], p ** r), (1,), 1),
+    "Z20N3": lambda p, r: (partial(wz.CELLS["Z20N3"][1], p ** r), (1,), 1),
+    "theta": lambda p, r: (partial(_theta, p ** r), (1,), 1),
     # the five-factor G(n0, k), k = 1 .. (P-1)/2, n0 = (P+1)/2 and P: c is
     # (n0+2k-1) times a sign
     "GZ10N2-half": lambda p, r: (partial(wz.CELLS["GZ10N2"][1], p ** r // 2 + 1),
-                                 (p ** r // 2, 2), 1, (p ** r // 2,)),
-    "GZ10N2": lambda p, r: (partial(wz.CELLS["GZ10N2"][1], p ** r), (p ** r - 1, 2), 1,
-                            (p ** r // 2,)),
+                                 (p ** r // 2, 2), 1),
+    "GZ10N2": lambda p, r: (partial(wz.CELLS["GZ10N2"][1], p ** r), (p ** r - 1, 2), 1),
     # LEM-2.1's column F(n, (P-1)/2), whose c is 10n^2+6Pn+P^2 times a sign;
     # its prefixes to (P-1)/2 (delta = 2) and P-1 are the two windows
     "LEM-2.1": lambda p, r: (partial(wz.CELLS["GZ10N2"][0], k=p ** r // 2),
-                             (p ** (2 * r), 6 * p ** r, 10), 0, ()),
+                             (p ** (2 * r), 6 * p ** r, 10), 0),
 }
-
-
-@lru_cache(maxsize=1)
-def _sums(name: str, p: int, r: int) -> _Pass:
-    """The pass over the row _SUMS[name] at (p, r), each of its slices
-    computed at first use.  Only the last is kept: a sweep runs every point
-    reading one pass in one unit (harness._units), so a pass is not read
-    again after its unit."""
-    return _open(name, (p, r))
 
 
 # --------------------------------------------------------------------------
@@ -567,9 +538,18 @@ def _binomial_scalar(id, statement, m, lhs, rhs, *, uses_r=True, kernel=None, up
 
 
 def _row_scalar(id, statement, m, name, part, rhs, *, r_floor=1):
-    """A lemma claiming p^m(p, r) for slice number part of _SUMS[name]."""
-    _scalar(id, "lemma", statement, m, lambda p, r: _sums(name, p, r)[part], rhs,
-            r_floor=r_floor, kernel=name)
+    """A lemma claiming p^m(p, r) for slice number part of _SUMS[name] at
+    P = p^r: k = 1 .. (P-1)/2, the middle term k = (P+1)/2 or the tail;
+    its upper is the slice's last index, so a unit reads them in order."""
+    def bounds(p, r):
+        h = p ** r // 2
+        return ((1, h), (h + 1, h + 1), (h + 2, 2 * h))[part]
+
+    def lhs(p, r):
+        first, last = bounds(p, r)
+        return _series_exact(name, last, (p, r), first)
+    _scalar(id, "lemma", statement, m, lhs, rhs, r_floor=r_floor, kernel=name,
+            upper=lambda p, r, d: bounds(p, r)[1])
 
 
 def _cell_scalar(id, pair, series):
@@ -907,15 +887,16 @@ def _series_upper(case: CongruenceCase, params: CheckParams) -> int:
 
 def _require_residue(case: CongruenceCase) -> None:
     """Refuse the residue backend for a case it does not take, saying why: a
-    series has a residue path when its kernel is a spec, any other case when
-    it has a Lucas reduction."""
+    series has a residue path when its kernel is a spec, a scalar when it
+    has a Lucas reduction, and a family always (_family_point refuses a
+    point at a member with p in a denominator, as a series kernel does)."""
     if case.kind == "identity":
         raise BackendIneligible(f"{case.id} is an exact identity; residue "
                                 "reduction cannot certify equality")
-    if (case.kernel not in SERIES) if case.kind == "series" else case.lucas is None:
+    if case.kind == "series" and case.kernel not in SERIES or \
+            case.kind == "scalar" and case.lucas is None:
         why = ("has no residue kernel: its terms depend on (p, r)" if case.kind == "series"
-               else "has p-power denominators" if case.kind == "family" else
-               "has no residue path: its residue would only be its exact value reduced")
+               else "has no residue path: its residue would only be its exact value reduced")
         raise BackendIneligible(f"{case.id} {why}; use the exact backend")
 
 
@@ -1025,7 +1006,8 @@ def _score(items: list, p: int, M: int,
     that difference is not 0 mod p^M.  When it is, the member is
     undetermined: its valuation is only known to be at least v + M.
 
-    Without exact (backend "residue", M = claimed, every v >= 0) valuations
+    Without exact (backend "residue", M = claimed, every v >= 0, as
+    _family_point checks) valuations
     are read in Z/p^M: one of M or more, and an undetermined member, read
     as M, which is min(vp((L - R) mod p^M), M) for the residues L, R of the
     two sides.  With exact, an undetermined member is resolved in integers
@@ -1078,13 +1060,21 @@ def _family_point(case: CongruenceCase, params: CheckParams, backend: str,
     otherwise, is first checked against its Lucas product (_check_lucas):
     Legendre's tables against base-p digits.  On "residue" the members
     are scored at M = claimed, the reported member's sides are written
-    p^v u mod p^claimed, and no member is built exact.  Otherwise they are
+    p^v u mod p^claimed, and no member is built exact; BackendIneligible
+    names the first member with a side of v < 0, p in its denominator,
+    which no residue carries.  Otherwise they are
     scored at the table's own M, claimed + 2 or finer; only the reported
     member, and any undetermined one that _score resolves, is built exact,
     by binomial_product, and on "both" its valuation must equal the table's."""
     p, r = params.p, params.r
     on_residue = backend == "residue"
     items, M = _family_items(case, params, claimed if on_residue else claimed + 2)
+    if on_residue:
+        for k, lhs, rhs in items:
+            for side, (v, _) in (("left", lhs), ("right", rhs)):
+                if v < 0:
+                    raise BackendIneligible(f"{case.id}: the {side} side of member k={k} has "
+                                            f"p = {p} in its denominator; use the exact backend")
     if backend == "both" and case.lucas is not None:
         for k, (v, u), _ in items:
             _check_lucas(case, params, k, 0 if v > 0 else u % p, "factorial table")
@@ -1120,8 +1110,9 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
     backend "both" runs the exact path and reports its values, checking
     each value that has an independent modular path where it is computed:
     a series sum over a spec against the termwise residue kernel mod p^m,
-    and the left side of a binomial scalar, or of each member of a
-    p-integral family, mod p against its Lucas product (_check_lucas).
+    and the left side of a binomial scalar, or of each member of a family
+    that divides by no binomial, mod p against its Lucas product
+    (_check_lucas).
     Every family point also checks its reported member against the table
     (see _family_point).  The row and cell lemmas, the identity and LEM-2.1
     have no second path and run no check.

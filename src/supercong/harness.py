@@ -234,10 +234,11 @@ def _units(config: SweepConfig) -> list[list[tuple[str, int, int, Optional[int]]
     reads (a series spec, a certificate sum in _SUMS) or else its id.  Every
     point reading one series spec is one unit for the whole sweep, as its
     terms do not depend on p; every other point is in one unit per (p, r,
-    kernel).  A unit whose points have a cap runs in ascending cap (LEM-2.1's
-    delta = 2 window first), so its one running exact pass steps each term
-    once.  Units are ordered by their largest p^r, largest first, so the
-    longest start first; ties keep the plan's order."""
+    kernel).  A unit whose points have an upper runs in ascending upper
+    (LEM-2.1's delta = 2 window first, a row's slices left to right), so
+    its one running exact pass steps each term once.  Units are ordered by
+    their largest p^r, largest first, so the longest start first; ties keep
+    the plan's order."""
     units: dict[tuple, list] = {}
     for task in _plan(config):
         case_id, p, r, _ = task

@@ -1,6 +1,25 @@
-"""Shared pytest hooks: print one PASS/FAIL line per acceptance criterion."""
+"""Shared pytest hooks: print one PASS/FAIL line per acceptance criterion;
+and fresh_kernels, which empties the exact and residue kernels' caches and
+the running pass before and after a test."""
+import pytest
+
+from supercong import congruences
 
 _acceptance: list[tuple[str, str]] = []
+
+
+@pytest.fixture
+def fresh_kernels():
+    """Empty _series_exact's and _series_residue's caches and _running, and
+    again after the test; the test may call the fixture's value to empty
+    them in between, as before a second run of the same points."""
+    def clear():
+        congruences._series_exact.cache_clear()
+        congruences._series_residue.cache_clear()
+        congruences._running.clear()
+    clear()
+    yield clear
+    clear()
 
 
 def pytest_runtest_logreport(report):

@@ -1,12 +1,12 @@
 """Helpers shared by the tests: the textbook references they compare
 against, the Pochhammer symbol (rising factorial), the binomial C(a, k) for
 rational a and the harmonic number H_n^(order), each written as its plain
-sum or product; a rational's p-adic valuation and unit; the range sums of
-one kernel pass read as Fractions; and whether a case has a residue path."""
+sum or product; a rational's p-adic valuation and unit; and whether a case
+has a residue path."""
 from fractions import Fraction
 from math import factorial, prod
 
-from supercong.congruences import SERIES, _Pass
+from supercong.congruences import SERIES
 from supercong.exactnum import INFINITE, vp
 
 
@@ -25,17 +25,12 @@ def harmonic(n, order=1):
     return sum((Fraction(1, k ** order) for k in range(1, n + 1)), Fraction(0))
 
 
-def ratio_slices(t0, step, lo, ends, poly):
-    """The range sums of one _Pass over the given ends, each divided out as
-    the verifier divides it."""
-    run = _Pass(t0, step, lo, ends, poly)
-    return tuple(run[i] for i in range(len(ends)))
-
-
 def has_residue_path(case):
     """Whether the residue backend takes the case: a series when its kernel
-    is a spec, any other case when it has a Lucas reduction."""
-    return case.kernel in SERIES if case.kind == "series" else case.lucas is not None
+    is a spec, a scalar when it has a Lucas reduction, and every family."""
+    if case.kind == "series":
+        return case.kernel in SERIES
+    return case.kind == "family" or case.lucas is not None
 
 
 def vp_unit(x, p, M):

@@ -105,7 +105,7 @@ def test_usage_errors_exit_two(capsys):
                  ["verify", "--case", "GUO-64", "--p", "3"],
                  ["verify", "--case", "GUO-64", "--p", "4"],
                  ["verify", "--case", "VH-4K1", "--p", "5", "--r", "2"],
-                 ["verify", "--case", "FACT-INV", "--p", "5",
+                 ["verify", "--case", "LEM-2.1", "--p", "5",
                   "--backend", "residue"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -118,8 +118,8 @@ def test_usage_errors_exit_two(capsys):
      "use the exact backend"),
     (["MAO-I2-IDENT"],
      "MAO-I2-IDENT is an exact identity; residue reduction cannot certify equality"),
-    (["FACT-INV", "--r", "2"],
-     "FACT-INV has p-power denominators; use the exact backend"),
+    (["WOLST-H1", "--upper", "7"],
+     "WOLST-H1: term k=7 of series h1 has p = 7 in its denominator; use the exact backend"),
 ])
 def test_residue_refusal_names_its_reason(capsys, argv, reason):
     code, out, err = run_cli(capsys, "verify", "--case", *argv, "--p", "7",
@@ -321,23 +321,20 @@ def test_grid_flag_replaces_the_files_grid(monkeypatch, capsys, tmp_path):
             sweep_config(monkeypatch, capsys, "--glob", "VH-*", *flag)
 
 
-def test_row_prefix_point_builds_one_slice(capsys, monkeypatch):
+def test_row_prefix_point_builds_one_slice(capsys, monkeypatch, fresh_kernels):
     # LEM-3.2 reads the GUO64 row's prefix k = 1 .. (P-1)/2 = 24 at P = 49:
-    # one slice is built, and step(k) is called for k < 24 only
+    # the running pass stops after it, and step(k) is called for k < 24 only
     calls, derive = [], congruences._derive
 
     def counted(name, *args):
         seed, step = derive(name, *args)
         return seed, lambda k: calls.append(k) or step(k)
     monkeypatch.setattr(congruences, "_derive", counted)
-    congruences._sums.cache_clear()
-    try:
-        code, out, _ = run_cli(capsys, "verify", "--case", "LEM-3.2", "--p", "7", "--r", "2")
-        assert code == 0 and out.rstrip().endswith("-> PASS")
-        assert len(congruences._sums("GUO64", 7, 2).held) == 1
-        assert calls == list(range(1, 24))
-    finally:
-        congruences._sums.cache_clear()
+    code, out, _ = run_cli(capsys, "verify", "--case", "LEM-3.2", "--p", "7", "--r", "2")
+    assert code == 0 and out.rstrip().endswith("-> PASS")
+    assert [(key, run.k) for key, run in congruences._running.items()] == \
+        [(("GUO64", (7, 2)), 25)]
+    assert calls == list(range(1, 24))
 
 
 def test_sweep_grid_flags_conflict(capsys):

@@ -1,15 +1,16 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
-from supercong import wz
+from supercong import congruences, wz
 from supercong.combinat import binomial, binomial_product
 from supercong.congruences import (_SUMS, BackendIneligible, CheckParams,
-                                   PrimeBelowFloor, UnknownCase, _derive, _sums,
+                                   PrimeBelowFloor, UnknownCase, _derive, _open, _Pass,
                                    _theta, evaluate_case, get_case, list_cases)
 from supercong.exactnum import INFINITE, residue, vp
 
-from helpers import binomial_rat, has_residue_path, ratio_slices
+from helpers import binomial_rat, has_residue_path
 
 PRIMES_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -265,24 +266,25 @@ def test_row_slices_match_direct_cells():
             prefix = sum(cell(k) for k in range(1, half + 1))
             mid = cell(half + 1)
             tail = sum(cell(k) for k in range(half + 2, P))
-            slices = _sums(name, p, r)
-            assert (slices[0], slices[1], slices[2]) == (prefix, mid, tail), (p, r)
-            assert slices.s is None     # the running products are dropped after the tail
+            run = _open(name, (p, r))
+            slices = run.read(1, half), run.read(half + 1, half + 1), run.read(half + 2, P - 1)
+            assert slices == (prefix, mid, tail), (p, r)
 
 
-def test_tail_point_divides_one_slice():
-    # reading a row's tail steps the slices to its left but leaves them
-    # unreduced, and each becomes a Fraction only when it is read
-    _sums.cache_clear()
-    try:
-        slices = _sums("GUO64", 7, 2)
-        tail = slices[2]
-        assert [type(s) for s in slices.held] == [tuple, tuple, F]
-        assert slices[0] + slices[1] + tail == sum(
-            wz.eval_G("GUO64", 49, k) for k in range(1, 49))
-        assert [type(s) for s in slices.held] == [F, F, F]
-    finally:
-        _sums.cache_clear()
+def test_tail_point_divides_one_slice(monkeypatch):
+    # reading a row's tail alone steps over the terms to its left and sums
+    # none of them: one division of the tail, one of the seed where the
+    # tail starts, and no Fraction addition
+    want = sum(wz.eval_G("GUO64", 49, k) for k in range(26, 49))
+    divisions, division = [], congruences._over_power_of_two
+
+    def refuse(*args):
+        raise AssertionError("Fraction addition in a row read")
+    monkeypatch.setattr(congruences, "_over_power_of_two",
+                        lambda x, b: divisions.append(b) or division(x, b))
+    monkeypatch.setattr(F, "__add__", refuse)
+    assert _open("GUO64", (7, 2)).read(26, 48) == want
+    assert len(divisions) == 2
 
 
 # theta(k) of LEM-4.2 as its statement writes it
@@ -317,14 +319,15 @@ def test_column_sums_match_direct_cells():
         for name, n0 in (("GZ10N2", P), ("GZ10N2-half", (P + 1) // 2)):
             direct = sum(wz.eval_G("GZ10N2", n0, k)
                          for k in range(1, (P - 1) // 2 + 1))
-            assert _sums(name, p, r)[0] == direct, (p, r, name)
+            assert _open(name, (p, r)).read(1, (P - 1) // 2) == direct, (p, r, name)
 
 
 def lem21_terms(p, r, n):
-    """The first n terms of LEM-2.1's _SUMS entry, one slice each."""
-    desc, poly, lo, _ = _SUMS["LEM-2.1"](p, r)
+    """The first n terms of LEM-2.1's _SUMS entry, read one range each."""
+    desc, poly, lo = _SUMS["LEM-2.1"](p, r)
     seed, step = _derive("LEM-2.1", desc, poly, lo)
-    return list(ratio_slices(F(*seed), step, lo, range(n), poly))
+    run = _Pass(F(*seed), step, lo, poly)
+    return [run.read(k, k) for k in range(lo, lo + n)]
 
 
 def test_shifted_series_matches_direct_cells():
@@ -358,8 +361,14 @@ def test_point_guards():
 
 
 def test_backend_guards():
-    with pytest.raises(BackendIneligible):
-        run("FACT-INV", p=5, backend="residue")
+    # a family is refused at the first member side with p in its denominator,
+    # as a series is at its first such term; FACT-INV's sides have none
+    assert run("FACT-INV", p=5, backend="residue").passed
+    over_k = dataclasses.replace(get_case("FACT-INV"),
+                                 member_lhs=lambda p, r, k: (1, 0, (k, 1, -1)))
+    with pytest.raises(BackendIneligible, match=r"^FACT-INV: the left side of member k=28 "
+                       r"has p = 7 in its denominator; use the exact backend$"):
+        evaluate_case(over_k, CheckParams(p=7, r=2), "residue")
     with pytest.raises(BackendIneligible):
         run("MAO-I2-IDENT", p=5, backend="residue")
 

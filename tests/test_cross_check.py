@@ -50,13 +50,13 @@ def test_wrong_first_member_raises_disagreement():
 
 
 def test_p_integral_family_needs_lucas():
-    families = [c for c in list_cases() if c.kind == "family" and has_residue_path(c)]
+    families = [c for c in list_cases() if c.kind == "family" and c.lucas is not None]
     assert len(families) == 7
-    # a family has a Lucas reduction, and so a residue path, exactly when
-    # its left side divides by no binomial (FACT-INV and DAO-HB do)
+    # a family has a Lucas reduction exactly when its left side divides by
+    # no binomial (FACT-INV and DAO-HB do); every family has a residue path
     for case in (c for c in list_cases() if c.kind == "family"):
         divides = any(j < 0 for k in case.members(7, 2) for *_, j in case.member_lhs(7, 2, k)[2:])
-        assert has_residue_path(case) is not divides, case.id
+        assert (case.lucas is not None) is not divides and has_residue_path(case), case.id
     # lucas is derived from the lhs description; every family claims
     # at least mod p, so it reduces to each member's rhs mod p
     for case in families:
@@ -121,7 +121,7 @@ def test_each_kind_reaches_its_own_check(monkeypatch):
                             calls["lucas"] - before["lucas"])
         if case.kind == "series" and has_residue_path(case):
             expected[case.id] = (1, 0)
-        elif case.kind == "family" and has_residue_path(case):
+        elif case.kind == "family" and case.lucas is not None:
             expected[case.id] = (0, len(case.members(7, params.r)))
         else:
             expected[case.id] = (0, int(case.id in BINOMIAL_SCALARS))

@@ -12,13 +12,12 @@ import pytest
 
 from supercong import congruences
 from supercong.combinat import Factorials, binomial
-from supercong.congruences import (BackendDisagreement, BackendIneligible,
-                                   CheckParams, _family_items, _score,
+from supercong.congruences import (BackendDisagreement, CheckParams, _family_items, _score,
                                    evaluate_case, get_case, list_cases)
 from supercong.exactnum import INFINITE, residue, vp
 from supercong.harness import SweepConfig, _ser_record, run_sweep
 
-from helpers import has_residue_path, vp_unit
+from helpers import vp_unit
 
 FAMILIES = list_cases(status="fact-family")
 # (7, 2) and (11, 2) step BIN-3.11 by q = p^(r-1) > 1 along n and m
@@ -133,7 +132,7 @@ def test_out_of_range_binomial_is_refused():
         evaluate_case(bad, CheckParams(p=11), "exact")
 
 
-# each p-integral family's lhs with the arguments its statement writes
+# each lhs with a Lucas reduction, with the arguments its statement writes
 STATEMENT_LHS = {
     "FACT-2LL": lambda p, P, k: (P - k) * binomial(2 * (P - k), P - k) * binomial(2 * k, k),
     "FACT-2KK": lambda p, P, k: binomial(2 * k, k),
@@ -147,8 +146,7 @@ STATEMENT_LHS = {
 
 
 def test_derived_lucas_matches_statement():
-    assert sorted(STATEMENT_LHS) == sorted(c.id for c in FAMILIES if has_residue_path(c))
-    assert all(c.lucas is None for c in FAMILIES if not has_residue_path(c))
+    assert sorted(STATEMENT_LHS) == sorted(c.id for c in FAMILIES if c.lucas is not None)
     for p, r in POINTS:
         for cid, lhs in STATEMENT_LHS.items():
             case = get_case(cid)
@@ -276,20 +274,28 @@ def test_integer_kernel_scores_like_fraction_reference(point, backend):
     """The table's (v, u) members, scored in small integers, give the
     results of Fraction members scored by vp.  "k" is the middle member of
     each family at (7, 2), selected as --k selects it."""
-    assert {c.id for c in FAMILIES if not has_residue_path(c)} == {"FACT-INV", "DAO-HB"}
     for case in FAMILIES:
         if point == "k":
             rng = case.members(7, 2)
             params = CheckParams(p=7, r=2, k=rng[len(rng) // 2])
         else:
             params = CheckParams(p=point[0], r=point[1])
-        if backend == "residue" and not has_residue_path(case):
-            with pytest.raises(BackendIneligible):
-                evaluate_case(case, params, backend)
-            continue
         res = evaluate_case(case, params, backend)
         got = (res.lhs, res.rhs, res.observed_valuation, res.passed, res.note)
         assert got == reference_score(case, params, backend), (case.id, params, backend)
+
+
+@pytest.mark.parametrize("cid", ["FACT-INV", "DAO-HB"])
+def test_families_dividing_by_binomials_run_on_residue(cid):
+    """FACT-INV and DAO-HB divide by binomials, yet no member side has p in
+    its denominator, so the residue backend takes them: on the default grid
+    (primes 5-47, r <= 2) each residue record passes as the exact one does,
+    with the valuation min(exact, claimed)."""
+    exact, res = (run_sweep(SweepConfig(glob=cid, backend=b)) for b in ("exact", "residue"))
+    assert exact.errors == res.errors == [] and len(res.results) == 26
+    for want, got in zip(exact.results, res.results):
+        assert (got.params, got.passed) == (want.params, want.passed)
+        assert got.observed_valuation == min(want.observed_valuation, want.claimed_exponent)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -301,8 +307,6 @@ def test_every_family_at_r3_scores_like_fraction_reference(p):
     for case in FAMILIES:
         items = reference_items(case, params, comb)
         for backend in ("exact", "both", "residue"):
-            if backend == "residue" and not has_residue_path(case):
-                continue
             res = evaluate_case(case, params, backend)
             got = (res.lhs, res.rhs, res.observed_valuation, res.passed, res.note)
             assert got == reference_score(case, params, backend, items), (case.id, p, backend)
@@ -385,8 +389,9 @@ def test_residue_scoring_reads_valuations_in_z_mod_p_to_the_m(monkeypatch):
 
 
 def test_integral_members_are_plain_ints():
-    """Every member is a pair of plain ints (v, u), u a unit below p^M; the
-    p-integral families have v >= 0 on both sides, and a side of 0 reads
+    """Every member is a pair of plain ints (v, u), u a unit below p^M, with
+    v >= 0 on both sides: FACT-INV and DAO-HB divide by binomials, but by
+    Kummer vp(l C(2l,l)) <= r - 1 and vp(C(2k,k)) <= r.  A side of 0 reads
     (INFINITE, 0)."""
     for case in FAMILIES:
         items, M = members(case, 11, 2)
@@ -396,9 +401,7 @@ def test_integral_members_are_plain_ints():
                     assert u == 0 and case.id == "FACT-2KK", (case.id, k)
                     continue
                 assert type(v) is int and type(u) is int and 0 < u < 11 ** M, (case.id, k)
-                assert u % 11, (case.id, k)
-                if has_residue_path(case):
-                    assert v >= 0, (case.id, k)
+                assert u % 11 and v >= 0, (case.id, k)
 
 
 def test_one_fraction_per_reported_value(monkeypatch):
@@ -418,8 +421,6 @@ def test_one_fraction_per_reported_value(monkeypatch):
                         lambda *desc: products.append(desc) or product(*desc))
     for case in FAMILIES:
         for backend in ("exact", "both", "residue"):
-            if backend == "residue" and not has_residue_path(case):
-                continue
             built.clear(), products.clear()
             res = evaluate_case(case, CheckParams(p=11, r=2), backend)
             if backend == "residue":
@@ -436,8 +437,6 @@ def test_family_records_keep_their_value_strings(backend):
     """Exact values serialise as "num/den" and residues as ints; an int in
     place of a Fraction would change the report digest."""
     for case in FAMILIES:
-        if backend == "residue" and not has_residue_path(case):
-            continue
         rec = _ser_record(evaluate_case(case, CheckParams(p=7, r=2), backend))
         for side in ("lhs", "rhs"):
             if backend == "residue":

@@ -4,7 +4,8 @@ binomial with a negative upper index follows the reflection rule, the
 binary-split kernel's range and prefix sums equal termwise sums, the exact
 division that ends each sum equals Fraction's, the running exact pass of a
 spec or of LEM-2.1's column equals a termwise sum at any sequence of caps
-and is the one pass held, the binomial-product evaluator and its Lucas
+and is the one pass held, a certificate row read by ranges in any order
+equals its terms' sums, the binomial-product evaluator and its Lucas
 reader agree with per-factor arithmetic, and the factorial table's
 (valuation, unit) pairs agree with math.comb and with the evaluator.
 Skipped when hypothesis is not installed."""
@@ -16,14 +17,15 @@ import pytest
 
 from supercong import congruences, wz
 from supercong.combinat import Factorials, binomial, binomial_product, lucas_product
-from supercong.congruences import (SERIES, CheckParams, _family_items, _over_power_of_two,
-                                   _Pass, list_cases)
+from supercong.congruences import (_SUMS, CATALOG, SERIES, CheckParams, _family_items,
+                                   _over_power_of_two, _Pass, list_cases)
 from supercong.exactnum import INFINITE, residue, vp
 
-from helpers import binomial_rat, ratio_slices, vp_unit
+from helpers import binomial_rat, vp_unit
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
+from hypothesis import (HealthCheck, assume, example, given, settings,  # noqa: E402
+                        strategies as st)
 
 # derandomized, with few examples: the three laws add well under 1 s
 small = settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -132,26 +134,27 @@ def test_ratio_sums_equal_termwise_sums(inputs):
         calls.append(k)
         return steps[k - lo]
 
-    got = ratio_slices(t0, step, lo, ends, poly)
     # t_k = t0 poly(k) u_k, u_lo = 1, u_(k+1) = u_k a_k / b_k, one Fraction a term
     terms, u = {}, Fraction(1)
     for k in range(lo, lo + len(steps) + 1):
         terms[k] = t0 * sum(c * k ** i for i, c in enumerate(poly)) * u
         if k - lo < len(steps):
             u = u * steps[k - lo][0] / steps[k - lo][1]
-    want, start = [], lo
+    # the ranges between consecutive ends, each read where the last stopped
+    run, got, want, start = _Pass(t0, step, lo, poly), [], [], lo
     for end in ends:
+        got.append(run.read(start, end))
         want.append(sum((terms[k] for k in range(start, end + 1)), Fraction(0)))
         start = max(start, end + 1)
-    assert got == tuple(want)
+    assert got == want
     assert all(isinstance(s, Fraction) for s in got)
     assert calls == list(range(lo, lo + len(steps)))
-    # prefix reads at ascending caps of a pass with no ends
+    # prefix reads at ascending caps
     def prefix(end):
         return sum((terms[k] for k in range(lo, end + 1)), Fraction(0))
     caps = [end for end in sorted(ends) if end >= lo - 1]
-    run = _Pass(t0, lambda k: steps[k - lo], lo, (), poly)
-    assert [run.prefix(end) for end in caps] == [prefix(end) for end in caps]
+    run = _Pass(t0, lambda k: steps[k - lo], lo, poly)
+    assert [run.read(lo, end) for end in caps] == [prefix(end) for end in caps]
 
 
 # every spec, and LEM-2.1's column at three (p, r)
@@ -172,7 +175,13 @@ def first_index(name):
     return SERIES[name].start if name in SERIES else 0
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+# the running pass is emptied once per test (fresh_kernels): each example
+# holds whatever pass the one before it left
+running = dict(deadline=None, database=None, derandomize=True,
+               suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(max_examples=60, **running)
 @given(kernel=st.sampled_from(KERNELS), caps=st.lists(st.integers(0, 60), max_size=12))
 @example(kernel=("guo64", ()), caps=[0, 3, 3, 40, 41, 60])          # ascending, repeated
 @example(kernel=("gz10n2", ()), caps=[60, 41, 40, 3, 0, 0])         # descending
@@ -182,11 +191,10 @@ def first_index(name):
 @example(kernel=("suncat", ()), caps=[3, 4, 2, 40])                 # 2k + 1 below the line
 @example(kernel=("LEM-2.1", (5, 2)), caps=[12, 24, 24, 12, 7, 60])  # the windows, and off them
 @example(kernel=("LEM-2.1", (7, 1)), caps=[6, 3, 3, 5, 0])          # delta = 1 first
-def test_running_pass_equals_sum_of_terms(kernel, caps):
+def test_running_pass_equals_sum_of_terms(fresh_kernels, kernel, caps):
     # each read goes through the kernel's running pass, not the lru_cache; a
     # cap behind the pass, and only such a cap, starts a fresh pass, which
     # stands after the read at the term past the cap
-    congruences._running.clear()
     name, at = kernel
     terms = kernel_terms(name, at, 60)
     for cap in caps:
@@ -198,21 +206,58 @@ def test_running_pass_equals_sum_of_terms(kernel, caps):
         assert (run is before) == (before is not None and before.k <= cap + 1)
 
 
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@settings(max_examples=30, **running)
 @given(reads=st.lists(st.tuples(st.sampled_from(KERNELS), st.integers(0, 30)), max_size=10))
 @example(reads=[(("h1", ()), 4), (("LEM-2.1", (5, 1)), 2), (("LEM-2.1", (7, 1)), 3),
                 (("LEM-2.1", (7, 1)), 6), (("h1", ()), 9)])
-def test_running_holds_the_one_pass_in_use(reads):
+def test_running_holds_the_one_pass_in_use(fresh_kernels, reads):
     # after any read, of any kernel at any (p, r), the running pass of the
     # kernel just read is the one pass held; a pass of another kernel or
     # (p, r) is dropped, so reading it again starts a fresh pass
-    congruences._running.clear()
     for (name, at), cap in reads:
         got = congruences._series_exact.__wrapped__(name, cap, at)
         terms = kernel_terms(name, at, cap)
         assert got == sum(terms[:cap + 1 - first_index(name)], Fraction(0))
         assert list(congruences._running) == [(name, at)]
         assert congruences._running[name, at].k == cap + 1
+
+
+# the five certificate rows at three (p, r), each with the last index the
+# catalog reads of it: k = 1 .. p^r - 1, or 1 .. (p^r - 1) / 2 for GZ10N2's
+ROWS = [(name, at, max(c.upper(*at, 1) for c in CATALOG.values() if c.kernel == name))
+        for name in sorted(set(_SUMS) - {"LEM-2.1"}) for at in ((5, 1), (7, 1), (5, 2))]
+
+
+@st.composite
+def row_reads(draw):
+    """A row and ranges (first, upper) of it in any order: first from 1 to
+    the last index + 1, upper from first - 1 (empty) to the last index."""
+    name, at, last = draw(st.sampled_from(ROWS))
+    ranges = st.integers(1, last + 1).flatmap(
+        lambda first: st.tuples(st.just(first), st.integers(first - 1, last)))
+    return name, at, draw(st.lists(ranges, max_size=8))
+
+
+@settings(max_examples=60, **running)
+@given(row_reads())
+@example(("GUO64", (5, 2), [(1, 12), (13, 13), (14, 24)]))       # the three slices
+@example(("theta", (7, 1), [(4, 4), (4, 4), (5, 6), (1, 3)]))    # repeated, then behind
+@example(("Z20N3", (5, 2), [(1, 12), (5, 20), (21, 20), (2, 2)]))  # behind, reaching past
+@example(("GZ10N2", (7, 1), [(1, 0), (3, 2), (2, 2), (3, 3)]))   # empty and one-term
+def test_row_ranges_equal_sums_of_terms(fresh_kernels, reads):
+    # each range goes through the running pass (_series_exact): it reads on
+    # when its first is at or past the pass, else starts a fresh pass, which
+    # stands after the read at the term past the range (at first, if empty)
+    name, at, ranges = reads
+    desc = _SUMS[name](*at)[0]
+    for first, upper in ranges:
+        before = congruences._running.get((name, at))
+        reads_on = before is not None and before.k <= first
+        want = sum((Fraction(*binomial_product(*desc(k))) for k in range(first, upper + 1)),
+                   Fraction(0))
+        assert congruences._series_exact.__wrapped__(name, upper, at, first) == want
+        run = congruences._running[name, at]
+        assert run.k == max(upper + 1, first) and (run is before) == reads_on, (first, upper)
 
 
 # a small pool of (n, m), so that a product often repeats one, with m > n and

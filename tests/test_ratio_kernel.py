@@ -1,7 +1,8 @@
-"""The binary-split kernel (_Pass) behind every certificate sum in _SUMS,
-against sums known in closed form and against the WZ cells; the step each
-sum and each series spec derives from its description (_derive), against
-the ratio of its terms; and the exact division that ends each of its sums."""
+"""The binary-split kernel (_Pass) behind every sum, a series spec's or a
+certificate sum's in _SUMS, against sums known in closed form and against
+the WZ cells; the step each sum and each series spec derives from its
+description (_derive), against the ratio of its terms; and the exact
+division that ends each of its reads."""
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -10,11 +11,10 @@ import pytest
 
 from supercong import congruences, harness, wz
 from supercong.combinat import binomial_product
-from supercong.congruences import (_SUMS, SERIES, CheckParams, _derive, _over_power_of_two,
-                                   _poly, series_sum_exact)
+from supercong.congruences import (_SUMS, CATALOG, SERIES, CheckParams, _derive,
+                                   _over_power_of_two, _Pass, _poly, get_case, list_cases,
+                                   series_sum_exact)
 from supercong.exactnum import is_prime
-
-from helpers import ratio_slices
 
 
 def binomial_step(n):
@@ -24,41 +24,25 @@ def binomial_step(n):
 
 def test_binomial_row_sums_to_power_of_two():
     for n in (0, 1, 7, 40):
-        assert ratio_slices(1, binomial_step(n), 0, (n,), (1,)) == (2 ** n,)
-    # sum k C(n,k) = n 2^(n-1), and t0 scales every slice
-    assert ratio_slices(Fraction(1, 3), binomial_step(12), 0, (12,), (0, 1)) \
-        == (Fraction(12 * 2 ** 11, 3),)
-
-
-def test_slices_partition_the_range():
-    n = 30
-    got = ratio_slices(1, binomial_step(n), 0, (9, 10, n), (1,))
-    assert got == (sum(comb(n, k) for k in range(10)), comb(n, 10),
-                   sum(comb(n, k) for k in range(11, n + 1)))
+        assert _Pass(1, binomial_step(n), 0, (1,)).read(0, n) == 2 ** n
+    # sum k C(n,k) = n 2^(n-1), and t0 scales every read
+    assert _Pass(Fraction(1, 3), binomial_step(12), 0, (0, 1)).read(0, 12) \
+        == Fraction(12 * 2 ** 11, 3)
     # a nonzero start: the sequence starts at lo with u_lo = 1
-    assert ratio_slices(comb(n, 5), binomial_step(n), 5, (8,), (1,)) \
-        == (sum(comb(n, k) for k in range(5, 9)),)
-
-
-def test_empty_and_single_term_slices():
-    step = binomial_step(10)
-    assert ratio_slices(1, step, 3, (2,), (1,)) == (0,)
-    assert ratio_slices(1, step, 0, (4, 4, 6), (1,)) \
-        == (sum(comb(10, k) for k in range(5)), 0, comb(10, 5) + comb(10, 6))
-    assert ratio_slices(1, step, 0, range(11), (1,)) \
-        == tuple(comb(10, k) for k in range(11))
-    assert ratio_slices(7, step, 0, (0,), (1,)) == (7,)
-    assert all(isinstance(s, Fraction) for s in ratio_slices(1, step, 0, (0, 2), (1,)))
+    assert _Pass(comb(30, 5), binomial_step(30), 5, (1,)).read(5, 8) \
+        == sum(comb(30, k) for k in range(5, 9))
 
 
 def test_step_is_called_below_the_last_end_only():
+    # the pass steps to the last term it reads, upper, and no further
     calls = []
 
     def step(k):
         calls.append(k)
         return (1, 0) if k == 5 else (2, 1)     # a zero b_k past the range
 
-    assert ratio_slices(1, step, 0, (2, 5), (1,)) == (7, 56)
+    run = _Pass(1, step, 0, (1,))
+    assert (run.read(0, 2), run.read(3, 5)) == (7, 56)
     assert calls == [0, 1, 2, 3, 4]
 
 
@@ -76,7 +60,7 @@ def test_lem21_sum_matches_wz_cells(p, r):
 
 
 @pytest.mark.parametrize("order", [(1, 2), (2, 1)], ids=["delta1-first", "delta2-first"])
-def test_lem21_window_is_one_prefix(monkeypatch, order):
+def test_lem21_window_is_one_prefix(monkeypatch, fresh_kernels, order):
     """Each LEM-2.1 window is one prefix of the running pass at its (p, r),
     with no Fraction addition.  In the sweep's order, delta = 2 then
     delta = 1 (harness._units), one pass serves both: the first window is
@@ -104,20 +88,14 @@ def test_lem21_window_is_one_prefix(monkeypatch, order):
     monkeypatch.setattr(congruences, "_Pass", counted_pass)
     monkeypatch.setattr(congruences, "_over_power_of_two", counted_division)
     monkeypatch.setattr(Fraction, "__add__", refuse)
-    congruences._series_exact.cache_clear()
-    congruences._running.clear()
     in_order = order == (2, 1)
-    try:
-        for p, r in points:
-            for i, delta in enumerate(order):
-                got = series_sum_exact("LEM-2.1", CheckParams(p=p, r=r, delta=delta))
-                assert got == want[p, r, delta] and type(got) is Fraction, (p, r, delta)
-                assert len(passes) == (1 if in_order else i + 1), (p, r, i)
-                assert len(divisions) == (2 * i + 1 if in_order else i + 1), (p, r, i)
-            passes.clear(), divisions.clear()
-    finally:
-        congruences._series_exact.cache_clear()
-        congruences._running.clear()
+    for p, r in points:
+        for i, delta in enumerate(order):
+            got = series_sum_exact("LEM-2.1", CheckParams(p=p, r=r, delta=delta))
+            assert got == want[p, r, delta] and type(got) is Fraction, (p, r, delta)
+            assert len(passes) == (1 if in_order else i + 1), (p, r, i)
+            assert len(divisions) == (2 * i + 1 if in_order else i + 1), (p, r, i)
+        passes.clear(), divisions.clear()
 
 
 class RaisingProduct:
@@ -129,13 +107,14 @@ class RaisingProduct:
     __rmul__ = __mul__
 
 
-def test_stretch_that_raises_leaves_the_cached_pass_as_it_was(monkeypatch):
-    """The outermost tree of the first stretch of _sums("GUO64", 7, 2)
-    returns a T whose product raises: the unit's point that read it is an
-    error, and every slice and every point of the unit, read from the same
-    cached pass, equals a fresh pass's."""
+def test_stretch_that_raises_leaves_the_cached_pass_as_it_was(monkeypatch, fresh_kernels):
+    """The outermost tree of the first stretch of the GUO64 row at (7, 2)
+    returns a T whose product raises.  A pass read directly is left as it
+    was, and reads on as a fresh pass does.  In a sweep unit the point that
+    read it is an error; the running pass is dropped (_series_exact), and
+    every later point of the unit equals a fresh run's."""
     unit = next(u for u in harness._units(harness.SweepConfig(primes=(7,), glob="LEM-3.*"))
-                if u[0][1:3] == (7, 2) and congruences.get_case(u[0][0]).kernel == "GUO64")
+                if u[0][1:3] == (7, 2) and get_case(u[0][0]).kernel == "GUO64")
     real_split, depth, armed = congruences._split, [0], [True]
 
     def split(*args):
@@ -152,29 +131,36 @@ def test_stretch_that_raises_leaves_the_cached_pass_as_it_was(monkeypatch):
     def outcome(res):
         return (res.case_id, res.params, res.lhs, res.rhs, res.observed_valuation, res.passed)
 
-    congruences._sums.cache_clear()
-    try:
-        fresh = [outcome(res) for res in harness._run_unit(unit, "both", False)]
-        congruences._sums.cache_clear()
-        monkeypatch.setattr(congruences, "_split", split)
-        first, *rest = harness._run_unit(unit, "both", False)
-        assert not armed and first == (unit[0], "MemoryError: ")
-        assert [outcome(res) for res in rest] == fresh[1:]
-        assert [outcome(res) for res in harness._run_unit(unit, "both", False)] == fresh
-        run, want = congruences._sums("GUO64", 7, 2), congruences._sums.__wrapped__("GUO64", 7, 2)
-        assert [run[i] for i in range(3)] == [want[i] for i in range(3)]
-    finally:
-        congruences._sums.cache_clear()
+    slices = ((1, 24), (25, 25), (26, 48))
+    fresh = [outcome(res) for res in harness._run_unit(unit, "both", False)]
+    fresh_kernels()
+    monkeypatch.setattr(congruences, "_split", split)
+    run = congruences._open("GUO64", (7, 2))
+    held = dict(vars(run))
+    with pytest.raises(MemoryError):
+        run.read(*slices[0])
+    assert not armed and vars(run) == held
+    want = [congruences._open("GUO64", (7, 2)).read(*s) for s in slices]
+    assert [run.read(*s) for s in slices] == want
+    armed.append(True)
+    first, *rest = harness._run_unit(unit, "both", False)
+    assert not armed and first == (unit[0], "MemoryError: ")
+    assert [outcome(res) for res in rest] == fresh[1:]
+    assert [outcome(res) for res in harness._run_unit(unit, "both", False)] == fresh
 
 
-def test_certificate_slices_divide_exactly():
-    """Every slice of every certificate row, and LEM-2.1's two windows read
-    as the sweep reads them, at primes 5-47 with r <= 2 and at primes 5-13
-    with r = 3: each division, the seed's between the windows among them,
-    has an X that the odd part of its B divides, so _over_power_of_two
-    never falls back to Fraction(X, B) there."""
+def test_certificate_slices_divide_exactly(fresh_kernels):
+    """Every slice of every certificate row, and LEM-2.1's two windows, read
+    as the sweep reads them (in ascending upper, harness._units), at primes
+    5-47 with r <= 2 and at primes 5-13 with r = 3: each division, the
+    seed's when a pass steps on after a read among them, has an X that the
+    odd part of its B divides, so _over_power_of_two never falls back to
+    Fraction(X, B) there."""
     grid = [(p, r) for p in range(5, 48) if is_prime(p) for r in (1, 2)]
     grid += [(p, 3) for p in (5, 7, 11, 13)]
+    rows = sorted((c for c in list_cases(status="lemma") if c.kind == "scalar" and c.upper),
+                  key=lambda c: (c.kernel, c.upper(7, 2, 1)))
+    assert len(rows) == 11 and {c.kernel for c in rows} == set(_SUMS) - {"LEM-2.1"}
     divided = []
 
     def recorded(x, b):
@@ -183,14 +169,13 @@ def test_certificate_slices_divide_exactly():
 
     with mock.patch.object(congruences, "_over_power_of_two", recorded):
         for p, r in grid:
-            for name in _SUMS:
-                run = congruences._open(name, (p, r))
-                for i in range(len(run.ends)):
-                    run[i]
-            run = congruences._open("LEM-2.1", (p, r))
-            run.prefix(p ** r // 2), run.prefix(p ** r - 1)
-    # 30 points: 11 row slices and 2 windows each, and the seed between them
-    assert len(divided) == 30 * (11 + 2 + 1)
+            for case in rows:
+                case.lhs_scalar(p, r)
+            for delta in (2, 1):
+                series_sum_exact("LEM-2.1", CheckParams(p=p, r=r, delta=delta))
+    # 30 points: 11 row slices, 2 seeds on each three-slice row (3 of them),
+    # and 2 windows with the seed between them
+    assert len(divided) == 30 * (11 + 3 * 2 + 2 + 1)
     assert all(x % (b >> (b & -b).bit_length() - 1) == 0 for x, b in divided)
 
 
@@ -231,9 +216,9 @@ def test_series_step_is_the_term_ratio(name):
 @pytest.mark.parametrize("p,r", [(5, 1), (7, 2), (13, 2)])
 def test_certificate_step_is_the_cell_ratio(p, r):
     for name, entry in _SUMS.items():
-        desc, poly, lo, ends = entry(p, r)
-        # LEM-2.1's column declares no ends: its longer window ends at p^r - 1
-        assert_steps_are_term_ratios(name, desc, poly, lo, ends[-1] if ends else p ** r - 1)
+        # to the last index the catalog reads of the sum
+        last = max(c.upper(p, r, 1) for c in CATALOG.values() if c.kernel == name)
+        assert_steps_are_term_ratios(name, *entry(p, r), last)
 
 
 def test_derive_refuses_a_description_it_cannot_step():
@@ -251,7 +236,7 @@ def test_derive_refuses_a_description_it_cannot_step():
     assert seed == (1, 1) and step(0) == (-1, 8)
 
 
-def test_rows_are_read_from_the_cells(monkeypatch):
+def test_rows_are_read_from_the_cells(monkeypatch, fresh_kernels):
     """The GUO64 row sums the G of wz.CELLS["GUO64"] as that table states
     it: with one linear coefficient of G changed, the pair no longer
     telescopes, and every slice of the row is the sum of the changed
@@ -269,10 +254,5 @@ def test_rows_are_read_from_the_cells(monkeypatch):
     assert cells[2] / cells[1] != wz.eval_G("GUO64", P, 2) / wz.eval_G("GUO64", P, 1)
     monkeypatch.setitem(wz.CELLS, "GUO64", (f, changed))
     assert not wz.check_telescoping("GUO64", 10, 10).passed
-    congruences._sums.cache_clear()
-    try:
-        run = congruences._sums("GUO64", 7, 2)
-        assert [run[i] for i in range(3)] == [
-            sum(cells[k] for k in range(1, 25)), cells[25], sum(cells[k] for k in range(26, P))]
-    finally:
-        congruences._sums.cache_clear()
+    assert [get_case(c).lhs_scalar(7, 2) for c in ("LEM-3.2", "LEM-3.3", "LEM-3.5")] == [
+        sum(cells[k] for k in range(1, 25)), cells[25], sum(cells[k] for k in range(26, P))]

@@ -49,7 +49,7 @@ def test_specs_cover_the_catalog_series():
 def test_lem21_terms_are_p_integral(p, r):
     # its residue refusal is for want of a spec, not for its denominators:
     # every term of the column has vp = 2r or more (Legendre's formula)
-    desc, poly, lo, _ = _SUMS["LEM-2.1"](p, r)
+    desc, poly, lo = _SUMS["LEM-2.1"](p, r)
     vals = [vp(Fraction(*binomial_product(*desc(k))), p) for k in range(lo, p ** r)]
     assert min(vals) == 2 * r
 
@@ -136,7 +136,7 @@ def test_residue_kernel_builds_no_fraction(monkeypatch):
         residue_kernel(name, 20, 43, 3)
 
 
-def test_residue_kernel_never_steps_the_exact_parts(monkeypatch):
+def test_residue_kernel_never_steps_the_exact_parts(monkeypatch, fresh_kernels):
     # with the Fraction test above: the two sides of `both` share no Fraction
     # code and no big-integer stepping
     expected = {name: residue(exact(name, 20), 43, 3) for name in SERIES}
@@ -147,14 +147,14 @@ def test_residue_kernel_never_steps_the_exact_parts(monkeypatch):
     monkeypatch.setattr(congruences, "_Pass", refuse)
     monkeypatch.setattr(congruences, "_split", refuse)
     # the running passes above already stand at 20; a fresh one is a _Pass
-    congruences._running.clear()
+    fresh_kernels()
     for name in SERIES:
         with pytest.raises(AssertionError):
             exact(name, 20)
         assert residue_kernel(name, 20, 43, 3) == expected[name], name
 
 
-def test_a_pass_that_raises_is_dropped(monkeypatch):
+def test_a_pass_that_raises_is_dropped(monkeypatch, fresh_kernels):
     # a spec's step raises once, mid-pass: the half-stepped pass must not be
     # read again, for every spec, the start = 1 ones among them
     fresh, raised = congruences._open, []
@@ -171,7 +171,6 @@ def test_a_pass_that_raises_is_dropped(monkeypatch):
         run.step = flaky_step
         return run
     monkeypatch.setattr(congruences, "_open", flaky)
-    congruences._running.clear()
     done = []
     for name, spec in SERIES.items():
         done.append(name)
@@ -207,7 +206,7 @@ def test_pass_renormalises_after_each_read(name):
     run._renormalise = checked
     caps = (0, 1, 2, 3, 7, 8, 40, 41, 41, 120, 200)
     for cap in caps:
-        got = run.prefix(cap)
+        got = run.read(spec.start, cap)
         assert got == sum(terms[:cap + 1 - spec.start], Fraction(0)), cap
         assert run.k == cap + 1
         assert Fraction(run.x, run.d) == got == run.total
@@ -226,7 +225,7 @@ def test_power_of_two_reads_divide_exactly(name):
     with mock.patch.object(congruences, "_Lowest", wraps=congruences._Lowest) as lowest:
         run = congruences._open(name)
         for cap in (0, 5, 6, 100, 47 ** 2 - 1):
-            run.prefix(cap)
+            run.read(spec.start, cap)
     assert lowest.call_count == 5 + 4
 
 

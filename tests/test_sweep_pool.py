@@ -1,7 +1,6 @@
 """Sizing and scheduling of the sweep's worker pool.  A fake executor stands
 in for the process pool (harness._pool), so these tests start no process."""
 from collections import Counter
-from functools import lru_cache
 
 import pytest
 
@@ -12,11 +11,12 @@ from supercong.harness import SweepConfig, _ser_record, run_sweep
 
 class FakePool:
     """Runs the mapped calls in this process, chunk by chunk, and empties the
-    certificate-sum cache, the series-sum cache and the running passes before
-    each chunk, as if every chunk went to a fresh worker.  Records the worker
-    count asked for and the units handed over."""
+    kernels' caches and the running pass before each chunk (fresh_kernels),
+    as if every chunk went to a fresh worker.  Records the worker count asked
+    for and the units handed over."""
     created = []
     units = []
+    fresh = None
 
     def __init__(self, max_workers):
         FakePool.created.append(max_workers)
@@ -32,11 +32,14 @@ class FakePool:
         FakePool.units = [call[0] for call in calls]
         out = []
         for i in range(0, len(calls), chunksize):
-            congruences._sums.cache_clear()
-            congruences._series_exact.cache_clear()
-            congruences._running.clear()
+            FakePool.fresh()
             out.extend(fn(*call) for call in calls[i:i + chunksize])
         return out
+
+
+@pytest.fixture(autouse=True)
+def fresh_workers(fresh_kernels):
+    FakePool.fresh = fresh_kernels
 
 
 def sweep(monkeypatch, cpus, **config):
@@ -193,62 +196,30 @@ def test_pooled_theorem_records_equal_serial_records(monkeypatch):
     assert pooled.errors == serial.errors == []
 
 
-def counting(monkeypatch, name):
-    """Replace congruences.<name> by a fresh cache over a counting copy of
-    the kernel; returns the count of computations per argument tuple."""
-    kernel, counts = getattr(congruences, name).__wrapped__, {}
-
-    def counted(*args):
-        counts[args] = counts.get(args, 0) + 1
-        return kernel(*args)
-    monkeypatch.setattr(congruences, name, lru_cache(maxsize=None)(counted))
-    return counts
-
-
-def test_each_kernel_is_computed_once_per_sweep(monkeypatch):
-    # the five row passes through _sums; LEM-2.1's column, the sixth _SUMS
-    # entry, is read by prefix, as a spec is (test_lem21_pass_opens_once_per_p_r)
-    sums = counting(monkeypatch, "_sums")
-    sweep(monkeypatch, 2, jobs=2, **LEMMAS)
-    assert set(congruences._SUMS) == {"GUO64", "theta", "Z20N3", "GZ10N2",
-                                      "GZ10N2-half", "LEM-2.1"}
-    assert set(sums) == {(name, p, r) for name in congruences._SUMS if name != "LEM-2.1"
-                         for p in (5, 7) for r in (1, 2)}
-    assert set(sums.values()) == {1}
-
-
-def test_only_the_certificate_pass_in_use_is_kept():
-    # every point reading one (name, p, r) runs in one unit, so keeping the
-    # last pass alone builds none twice: 20 row passes built, 24 reads of a
-    # kept one, and one pass alive when the sweep ends
-    congruences._sums.cache_clear()
-    run_sweep(SweepConfig(**LEMMAS))
-    info = congruences._sums.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (24, 20, 1)
-
-
-def test_lem21_pass_opens_once_per_p_r(monkeypatch):
-    # a lemma sweep reads LEM-2.1's delta = 2 window, then delta = 1 from the
-    # same running pass: one pass per (p, r), pooled or serial, and after the
-    # serial sweep one pass held
+def test_each_kernel_is_computed_once_per_sweep(monkeypatch, fresh_kernels):
+    # the points reading one certificate sum at a (p, r), a row's slices or
+    # LEM-2.1's windows, run in one unit in ascending upper (harness._units),
+    # so each (kernel, (p, r)) opens one pass, pooled or serial; after the
+    # serial sweep one pass is held
     fresh, opened = congruences._open, Counter()
 
     def counted(name, at=()):
         opened[name, at] += 1
         return fresh(name, at)
     monkeypatch.setattr(congruences, "_open", counted)
+    assert set(congruences._SUMS) == {"GUO64", "theta", "Z20N3", "GZ10N2",
+                                      "GZ10N2-half", "LEM-2.1"}
     for jobs in (2, 1):
         opened.clear()
-        congruences._series_exact.cache_clear()
-        congruences._running.clear()
+        fresh_kernels()
         report = sweep(monkeypatch, 2, jobs=jobs, **LEMMAS)
         assert report.errors == []
-        assert {key: n for key, n in opened.items() if key[0] == "LEM-2.1"} == \
-            {("LEM-2.1", (p, r)): 1 for p in (5, 7) for r in (1, 2)}, jobs
+        assert opened == {(name, (p, r)): 1 for name in congruences._SUMS
+                          for p in (5, 7) for r in (1, 2)}, jobs
     assert len(congruences._running) == 1
 
 
-def test_each_series_pass_starts_once_per_sweep(monkeypatch):
+def test_each_series_pass_starts_once_per_sweep(monkeypatch, fresh_kernels):
     # a sweep reads each spec at many caps; each spec's running pass starts
     # once and steps each term up to its longest cap once.  The theorem,
     # known and informational sweeps read all ten specs between them; the
@@ -270,8 +241,7 @@ def test_each_series_pass_starts_once_per_sweep(monkeypatch):
     for config in (THEOREMS, dict(status="known", primes=(5, 7, 11)),
                    dict(status="informational", primes=(5, 7, 11), r_max=2)):
         starts.clear(), steps.clear()
-        congruences._series_exact.cache_clear()
-        congruences._running.clear()
+        fresh_kernels()
         report = sweep(monkeypatch, 2, jobs=2, **config)
         assert report.errors == []
         longest = {}

@@ -15,11 +15,11 @@ def load_tracer():
     return module
 
 
-def test_tracer_wraps_and_restores_every_layer(capsys):
+def test_tracer_wraps_and_restores_every_layer(capsys, fresh_kernels):
+    # fresh_kernels: terms count only cache misses
     modules = (cli, congruences, harness, wz)
     before = [dict(vars(m)) for m in modules]
     tracer = load_tracer()
-    congruences._series_exact.cache_clear()    # terms count only cache misses
     t = tracer.trace_supercong()
     try:
         wrapped = {(module.__name__, attr) for module, attr, _ in t._patched}
@@ -33,11 +33,10 @@ def test_tracer_wraps_and_restores_every_layer(capsys):
     assert [dict(vars(m)) for m in modules] == before
 
 
-def test_tracer_counts_the_terms_of_lem21():
+def test_tracer_counts_the_terms_of_lem21(fresh_kernels):
     # LEM-2.1's column is summed by the same cached kernel as a spec, so the
     # benchmark's exact-summation layer counts its terms on the lemma sweep
     tracer = load_tracer()
-    congruences._series_exact.cache_clear()
     t = tracer.trace_supercong()
     try:
         assert cli.main(["verify", "--case", "LEM-2.1", "--p", "5", "--delta", "1"]) == 0
