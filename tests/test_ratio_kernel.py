@@ -33,6 +33,31 @@ def test_binomial_row_sums_to_power_of_two():
         == sum(comb(30, k) for k in range(5, 9))
 
 
+def test_slices_partition_the_range():
+    # consecutive ranges read from one pass sum the terms they cover, each once
+    n = 30
+    run = _Pass(1, binomial_step(n), 0, (1,))
+    assert (run.read(0, 9), run.read(10, 10), run.read(11, n)) == (
+        sum(comb(n, k) for k in range(10)), comb(n, 10),
+        sum(comb(n, k) for k in range(11, n + 1)))
+    # a range past the pass's position steps over the terms before it
+    assert _Pass(1, binomial_step(n), 0, (1,)).read(5, 8) \
+        == sum(comb(n, k) for k in range(5, 9))
+
+
+def test_empty_and_single_term_slices():
+    step = binomial_step(10)
+    assert _Pass(1, step, 3, (1,)).read(3, 2) == 0
+    run = _Pass(1, step, 0, (1,))
+    assert (run.read(0, 4), run.read(5, 4), run.read(5, 6)) \
+        == (sum(comb(10, k) for k in range(5)), 0, comb(10, 5) + comb(10, 6))
+    run = _Pass(1, step, 0, (1,))
+    assert [run.read(k, k) for k in range(11)] == [comb(10, k) for k in range(11)]
+    assert _Pass(7, step, 0, (1,)).read(0, 0) == 7
+    run = _Pass(1, step, 0, (1,))
+    assert all(isinstance(s, Fraction) for s in (run.read(0, 0), run.read(1, 2), run.read(3, 2)))
+
+
 def test_step_is_called_below_the_last_end_only():
     # the pass steps to the last term it reads, upper, and no further
     calls = []

@@ -196,26 +196,60 @@ def test_pooled_theorem_records_equal_serial_records(monkeypatch):
     assert pooled.errors == serial.errors == []
 
 
-def test_each_kernel_is_computed_once_per_sweep(monkeypatch, fresh_kernels):
-    # the points reading one certificate sum at a (p, r), a row's slices or
-    # LEM-2.1's windows, run in one unit in ascending upper (harness._units),
-    # so each (kernel, (p, r)) opens one pass, pooled or serial; after the
-    # serial sweep one pass is held
-    fresh, opened = congruences._open, Counter()
+ROWS = {"GUO64", "theta", "Z20N3", "GZ10N2", "GZ10N2-half"}   # the _SUMS rows
+
+
+def opened_per_jobs(monkeypatch, fresh_kernels):
+    """The passes each (kernel, (p, r)) opens (_open) in a lemma sweep,
+    pooled (jobs = 2) and then serial (jobs = 1), by jobs."""
+    fresh, opened = congruences._open, {}
 
     def counted(name, at=()):
-        opened[name, at] += 1
+        opened[jobs][name, at] += 1
         return fresh(name, at)
     monkeypatch.setattr(congruences, "_open", counted)
-    assert set(congruences._SUMS) == {"GUO64", "theta", "Z20N3", "GZ10N2",
-                                      "GZ10N2-half", "LEM-2.1"}
     for jobs in (2, 1):
-        opened.clear()
+        opened[jobs] = Counter()
         fresh_kernels()
-        report = sweep(monkeypatch, 2, jobs=jobs, **LEMMAS)
-        assert report.errors == []
-        assert opened == {(name, (p, r)): 1 for name in congruences._SUMS
-                          for p in (5, 7) for r in (1, 2)}, jobs
+        assert sweep(monkeypatch, 2, jobs=jobs, **LEMMAS).errors == []
+    return opened
+
+
+def test_each_kernel_is_computed_once_per_sweep(monkeypatch, fresh_kernels):
+    # the points reading one row at a (p, r), its slices, run in one unit in
+    # ascending upper (harness._units), so each row (kernel, (p, r)) opens
+    # one pass, pooled or serial; LEM-2.1, the sixth _SUMS entry, is read by
+    # its windows (test_lem21_pass_opens_once_per_p_r)
+    assert set(congruences._SUMS) == ROWS | {"LEM-2.1"}
+    for jobs, opened in opened_per_jobs(monkeypatch, fresh_kernels).items():
+        assert {key: n for key, n in opened.items() if key[0] in ROWS} == \
+            {(name, (p, r)): 1 for name in ROWS for p in (5, 7) for r in (1, 2)}, jobs
+
+
+def test_lem21_pass_opens_once_per_p_r(monkeypatch, fresh_kernels):
+    # a lemma sweep reads LEM-2.1's delta = 2 window, then delta = 1 from the
+    # same running pass: one pass per (p, r), pooled or serial, and after the
+    # serial sweep one pass held
+    for jobs, opened in opened_per_jobs(monkeypatch, fresh_kernels).items():
+        assert {key: n for key, n in opened.items() if key[0] == "LEM-2.1"} == \
+            {("LEM-2.1", (p, r)): 1 for p in (5, 7) for r in (1, 2)}, jobs
+    assert len(congruences._running) == 1
+
+
+def test_only_the_certificate_pass_in_use_is_kept(monkeypatch, fresh_kernels):
+    # every point reading one row (kernel, (p, r)) runs in one unit, so
+    # keeping the running pass alone builds none twice: of the 44 reads of a
+    # row in a serial sweep, 20 open a pass and 24 read on a kept one, and
+    # one pass is alive when the sweep ends
+    cached, reads = congruences._series_exact, Counter()
+
+    def counted(name, upper, at, first=None):
+        if name in ROWS:
+            reads[(name, at) in congruences._running] += 1
+        return cached(name, upper, at, first)
+    monkeypatch.setattr(congruences, "_series_exact", counted)
+    assert run_sweep(SweepConfig(**LEMMAS)).errors == []
+    assert (reads[True], reads[False]) == (24, 20)
     assert len(congruences._running) == 1
 
 
