@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from fnmatch import fnmatch
 from functools import lru_cache, partial
-from itertools import chain, count
+from itertools import chain, count, islice
 from math import gcd, lcm
 from typing import Callable, Iterator, Optional, Union
 
@@ -144,7 +144,8 @@ class CheckResult:
 # term descriptions: every sum, a series spec or a certificate sum, adds the
 # binomial products (c, e, *factors) of a description k -> desc(k) whose c is
 # a declared polynomial poly(k) times a geometric factor.  _derive turns one
-# into the seed and step of its _Pass, which the residue kernel steps too.
+# into the seed and step of its _Pass, whose step pairs the residue kernel
+# reads or, with no pass that reaches its cap, steps itself.
 
 
 def _poly(coeffs: tuple[int, ...], k: int) -> int:
@@ -205,6 +206,14 @@ def _derive(name: str, desc: Callable[[int], tuple], poly: tuple[int, ...], lo: 
         return x, y
     num, dn = binomial_product(*rows[0])
     return (num, dn * q0), step
+
+
+@lru_cache(maxsize=None)
+def _spec_step(name: str) -> tuple[tuple[int, int], Callable]:
+    """A spec's (seed, step) (_derive), which depend on neither p nor the
+    cap: one derivation per spec and process, for both kernels."""
+    spec = SERIES[name]
+    return _derive(name, spec.desc, spec.poly, spec.start)
 
 
 # a plain class: the dataclass decorator would add about 1.7 ms on a 2-vCPU host
@@ -335,14 +344,20 @@ class _Pass:
     that starts at or after the pass's position, as a certificate row's
     slices are read.  Each stretch computes the pass's new state before it
     assigns any of it, so a product that raises (a MemoryError at a large
-    p^r) leaves the pass as it was."""
+    p^r) leaves the pass as it was.
+
+    A pass opened with keep (a spec's, _open) also keeps the ratio of every
+    term it has stepped, ratios[k - lo] for term k and (1, 1) for lo, so
+    that the residue kernel (_series_residue) reads them instead of calling
+    the step again; a certificate sum's pass keeps none."""
 
     def __init__(self, t0: Rational, step: Callable[[int], tuple[int, int]], lo: int,
-                 poly: tuple[int, ...]):
+                 poly: tuple[int, ...], keep: bool = False):
         t0 = Fraction(t0)
         self.step, self.lo, self.poly = step, lo, poly
         self.k, self.x, self.s, self.d = lo, 0, t0.numerator, t0.denominator
         self.total: Optional[Fraction] = None   # the last sum read, until renormalised
+        self.ratios: Optional[list[tuple[int, int]]] = [] if keep else None
 
     def _renormalise(self) -> None:
         """Hold the sum read last and the seed in lowest terms over the lcm
@@ -355,32 +370,42 @@ class _Pass:
             x, s = (v.numerator * (d // v.denominator) for v in (total, seed))
             self.x, self.s, self.d, self.total = x, s, d, None
 
-    def _to(self, end: int) -> tuple[int, int, int, int]:
-        """Step the terms k .. end: the position after them and (A, B, s T)
-        of their tree, (k, 1, 1, 0) when end < k.  It moves nothing on: the
-        caller commits the new k, x, s and d = d B in one assignment."""
+    def _to(self, end: int, poly: Optional[tuple[int, ...]] = None
+            ) -> tuple[int, int, int, int, list]:
+        """Step the terms k .. end: the position after them, (A, B, s T) of
+        their tree and their ratios, (k, 1, 1, 0, []) when end < k.  poly
+        is the pass's unless given: () makes every T 0, for terms whose sum
+        is not read.  It moves nothing on: the caller commits the new k, x,
+        s and d = d B in one assignment, and then extends ratios (_keep)."""
         k = self.k
         if end < k:
-            return k, 1, 1, 0
+            return k, 1, 1, 0, []
         self._renormalise()
         ratios = [self.step(j - 1) if j > self.lo else (1, 1) for j in range(k, end + 1)]
-        a, b, t = _split(ratios, self.poly, k, k, end + 1)
-        return end + 1, a, b, self.s * t
+        a, b, t = _split(ratios, self.poly if poly is None else poly, k, k, end + 1)
+        return end + 1, a, b, self.s * t, ratios
+
+    def _keep(self, ratios: list[tuple[int, int]]) -> None:
+        if self.ratios is not None:
+            self.ratios += ratios
 
     def read(self, first: int, upper: int) -> Rational:
         """The sum of the terms first .. upper: a prefix, first = lo and
         upper >= k - 1, or a range, first >= k, for which the pass steps
-        over the terms k .. first - 1 and sums from 0, as if it had read
-        0 there.  One _over_power_of_two after stepping to upper; the pass
-        renormalises (_renormalise) when it next steps on, so a prefix read
-        once divides its seed zero times, and a range once, where it starts."""
+        over the terms k .. first - 1, with no T, and sums from 0, as if it
+        had read 0 there.  One _over_power_of_two after stepping to upper;
+        the pass renormalises (_renormalise) when it next steps on, so a
+        prefix read once divides its seed zero times, and a range once,
+        where it starts."""
         if first > self.lo:
-            k, a, b, _ = self._to(first - 1)
+            k, a, b, _, ratios = self._to(first - 1, ())
             self.k, self.x, self.s, self.d, self.total = k, 0, self.s * a, self.d * b, Fraction(0)
-        k, a, b, t = self._to(upper)
+            self._keep(ratios)
+        k, a, b, t, ratios = self._to(upper)
         x, d = self.x * b + t, self.d * b
         total = _over_power_of_two(x, d)
         self.k, self.x, self.s, self.d, self.total = k, x, self.s * a, d, total
+        self._keep(ratios)
         return total
 
 
@@ -389,14 +414,14 @@ _running: dict[tuple, _Pass] = {}    # the one running pass, by (kernel, at)
 
 def _open(name: str, at: tuple = ()) -> _Pass:
     """A fresh pass over the terms of kernel name, by its derived step: a
-    spec's, or with at = (p, r) a _SUMS entry's there."""
+    spec's (_spec_step), keeping its ratios for the residue kernel, or with
+    at = (p, r) a _SUMS entry's there, keeping none."""
     if at:
         desc, poly, lo = _SUMS[name](*at)
-    else:
-        spec = SERIES[name]
-        desc, poly, lo = spec.desc, spec.poly, spec.start
-    seed, step = _derive(name, desc, poly, lo)
-    return _Pass(Fraction(*seed), step, lo, poly)
+        seed, step = _derive(name, desc, poly, lo)
+        return _Pass(Fraction(*seed), step, lo, poly)
+    spec, (seed, step) = SERIES[name], _spec_step(name)
+    return _Pass(Fraction(*seed), step, spec.start, spec.poly, keep=True)
 
 
 @lru_cache(maxsize=1)
@@ -420,8 +445,12 @@ def _series_exact(name: str, upper: int, at: tuple, first: Optional[int] = None)
 
 @lru_cache(maxsize=256)
 def _series_residue(name: str, upper: int, p: int, m: int) -> int:
-    """Residue kernel: the sum mod p^m from the spec's seed and steps
-    (_derive) alone, with no Fraction and no big integer.  t_k / poly(k) is
+    """Residue kernel: the sum mod p^m from the spec's seed and step pairs
+    (_spec_step) alone, with no Fraction and no big integer.  The pairs are
+    the running pass's (_Pass.ratios) when it has stepped to upper, as on
+    backend both, where the exact sum is read first; otherwise the kernel
+    calls the step itself and keeps nothing, so its memory does not grow
+    with the term count.  t_k / poly(k) is
     carried as p^v un / ud: v is its p-adic valuation, and un and ud are the
     units mod p^m of the products of the seed's and steps' numerators and
     denominators, each stripped of p into v.  The running sum is num / dd,
@@ -433,12 +462,16 @@ def _series_residue(name: str, upper: int, p: int, m: int) -> int:
     v < 0, whose p in the denominator no unit carries: h1's at k = p and
     suncat's at k = (p-1)/2.  mao's terms are integers over 16^k, and none
     is refused."""
-    spec = SERIES[name]
-    seed, step = _derive(name, spec.desc, spec.poly, spec.start)
+    spec, (seed, step) = SERIES[name], _spec_step(name)
+    run = _running.get((name, ()))
+    if run is not None and len(run.ratios) > upper - spec.start:
+        steps: Iterator = islice(run.ratios, 1, None)
+    else:
+        steps = map(step, count(spec.start))
     mod = p ** m
     powers = [p ** e for e in range(m)]
     v, un, ud, num, dd = 0, 1, 1, 0, 1
-    pairs = chain((seed,), map(step, count(spec.start)))
+    pairs = chain((seed,), steps)
     for k, (up, down) in zip(range(spec.start, upper + 1), pairs):
         while up % p == 0:
             up, v = up // p, v + 1

@@ -287,6 +287,27 @@ def test_tail_point_divides_one_slice(monkeypatch):
     assert len(divisions) == 2
 
 
+def test_tail_step_over_builds_no_sum(monkeypatch):
+    # the terms before a tail read alone are stepped over with an empty
+    # polynomial, so every T of their tree is 0; the tail, and the seed the
+    # pass holds after it, equal a pass's that read every slice before it
+    nodes, split = [], congruences._split
+
+    def recorded(ratios, poly, first, i, j):
+        a, b, t = split(ratios, poly, first, i, j)
+        nodes.append((first, poly, t))
+        return a, b, t
+    monkeypatch.setattr(congruences, "_split", recorded)
+    run = _open("GUO64", (7, 2))
+    tail = run.read(26, 48)
+    assert tail == sum(wz.eval_G("GUO64", 49, k) for k in range(26, 49))
+    over = [(poly, t) for first, poly, t in nodes if first == run.lo]
+    assert len(over) == 2 * (26 - run.lo) - 1 and set(over) == {((), 0)}
+    whole = _open("GUO64", (7, 2))
+    assert [whole.read(*s) for s in ((1, 24), (25, 25), (26, 48))][-1] == tail
+    assert (whole.k, F(whole.s, whole.d)) == (run.k, F(run.s, run.d))
+
+
 # theta(k) of LEM-4.2 as its statement writes it
 THETA_STATED = ("theta(k) = -p^(3r) C(2p^r-1,p^r-1)^2 / ((2p^r-1) 4^(3p^r-3)) * "
                 "(-4)^k/C(2k,k) * C(-2p^r-1,2k-2)/(k(2k-1)) * C(2p^r-2,p^r-k-1)")

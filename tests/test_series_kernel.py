@@ -1,4 +1,5 @@
 """The two series kernels against the Fraction term view of the same spec."""
+from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
 from unittest import mock
@@ -10,7 +11,8 @@ from supercong.cli import main
 from supercong.congruences import (_SUMS, SERIES, BackendDisagreement,
                                    BackendIneligible, CheckParams, _poly,
                                    _series_exact, _series_residue, evaluate_case,
-                                   list_cases, series_sum_residue)
+                                   get_case, list_cases, series_sum_exact,
+                                   series_sum_residue)
 from supercong.combinat import binomial_product
 from supercong.exactnum import residue, vp
 from supercong.harness import SweepConfig, run_sweep
@@ -141,7 +143,7 @@ def test_residue_kernel_never_steps_the_exact_parts(monkeypatch, fresh_kernels):
     # code and no big-integer stepping
     expected = {name: residue(exact(name, 20), 43, 3) for name in SERIES}
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("exact kernel run by the residue kernel")
 
     monkeypatch.setattr(congruences, "_Pass", refuse)
@@ -180,7 +182,55 @@ def test_a_pass_that_raises_is_dropped(monkeypatch, fresh_kernels):
         assert not congruences._running
         for cap in (20, 30):
             assert exact(name, cap) == sum(spec.terms(cap)), (name, cap)
+            # read from the pass at cap 20, stepped by the kernel past it
+            for upper in (20, 30):
+                assert residue_kernel(name, upper, 67, 2) == \
+                    residue(sum(spec.terms(upper)), 67, 2), (name, cap, upper)
     assert raised == [15] * len(SERIES)
+
+
+def test_residue_kernel_reads_only_a_pass_that_reaches_its_cap(monkeypatch, fresh_kernels):
+    """Public reads of two specs, interleaved, and one range read of a
+    spec's pass.  Every value equals the sum of SeriesSpec.terms or its
+    residue.  The residue kernel reads the running pass's step pairs when
+    that pass is its spec's and has stepped to its cap, and calls no step
+    then; otherwise it calls the step once per term after the first and
+    stores nothing, so the pass holds one ratio per term it has stepped."""
+    derive, steps = congruences._derive, Counter()
+
+    def counted_derive(name, *args):
+        seed, step = derive(name, *args)
+
+        def counted_step(k):
+            steps[name] += 1
+            return step(k)
+        return seed, counted_step
+    monkeypatch.setattr(congruences, "_derive", counted_derive)
+    p, m = 7, 3
+    reads = [("exact", "GUO-64", 30, 30),       # a fresh pass: step(0) .. step(29)
+             ("residue", "Z-20N3", 40, 40),     # another spec's pass is running
+             ("exact", "GUO-64", 50, 20),       # on past the pass: step(30) .. step(49)
+             ("residue", "GUO-64", 45, 0),      # read from the pass
+             ("residue", "GUO-64", 50, 0),
+             ("residue", "GUO-64", 60, 60),     # beyond the pass's reach
+             ("exact", "GUO-64", 20, 20),       # a cap behind the pass: a fresh one
+             ("residue", "GUO-64", 35, 35),     # within the dropped pass's reach only
+             ("residue", "GUO-64", 20, 0),
+             ("range", "GUO-64", 40, 20),       # steps over 21 .. 29, then sums 30 .. 40
+             ("residue", "GUO-64", 40, 0)]
+    for kind, case_id, cap, stepped in reads:
+        spec, before = SERIES[get_case(case_id).kernel], sum(steps.values())
+        want = sum(spec.terms(cap))
+        params = CheckParams(p, upper_override=cap)
+        if kind == "exact":
+            assert series_sum_exact(case_id, params) == want, cap
+        elif kind == "range":
+            assert _series_exact("guo64", cap, (), 30) == want - sum(spec.terms(29))
+        else:
+            assert series_sum_residue(case_id, params, m) == residue(want, p, m), cap
+        assert sum(steps.values()) - before == stepped, (kind, case_id, cap)
+        (run,) = congruences._running.values()
+        assert len(run.ratios) == run.k - run.lo
 
 
 @pytest.mark.parametrize("name", sorted(SERIES))

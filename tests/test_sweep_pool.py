@@ -6,6 +6,7 @@ import pytest
 
 from supercong import congruences, harness
 from supercong.congruences import SERIES, get_case
+from supercong.exactnum import residue
 from supercong.harness import SweepConfig, _ser_record, run_sweep
 
 
@@ -254,27 +255,34 @@ def test_only_the_certificate_pass_in_use_is_kept(monkeypatch, fresh_kernels):
 
 
 def test_each_series_pass_starts_once_per_sweep(monkeypatch, fresh_kernels):
-    # a sweep reads each spec at many caps; each spec's running pass starts
-    # once and steps each term up to its longest cap once.  The theorem,
-    # known and informational sweeps read all ten specs between them; the
-    # known sweep's h1 unit holds H-HALF, WOLST-H1, BIN-3.5 and BIN-3.7
-    fresh, starts, steps = congruences._open, Counter(), Counter()
+    # a sweep reads each spec at many caps; each spec is derived once, its
+    # running pass starts once and steps each term up to its longest cap
+    # once, and the residue kernel reads the pass's step pairs, so on both
+    # no step is evaluated twice.  The theorem, known and informational
+    # sweeps read all ten specs between them; the known sweep's h1 unit
+    # holds H-HALF, WOLST-H1, BIN-3.5 and BIN-3.7.  On residue the same
+    # sweeps give the exact sums' residues, and no series point opens a pass
+    fresh, derive = congruences._open, congruences._derive
+    starts, derived, steps = Counter(), Counter(), Counter()
 
     def counted(name, *args):
         starts[name] += 1
-        run = fresh(name, *args)
-        step = run.step
+        return fresh(name, *args)
+
+    def counted_derive(name, *args):
+        derived[name] += 1
+        seed, step = derive(name, *args)
 
         def counted_step(k):
             steps[name] += 1
             return step(k)
-        run.step = counted_step
-        return run
+        return seed, counted_step
     monkeypatch.setattr(congruences, "_open", counted)
+    monkeypatch.setattr(congruences, "_derive", counted_derive)
     read = set()
     for config in (THEOREMS, dict(status="known", primes=(5, 7, 11)),
                    dict(status="informational", primes=(5, 7, 11), r_max=2)):
-        starts.clear(), steps.clear()
+        starts.clear(), derived.clear(), steps.clear()
         fresh_kernels()
         report = sweep(monkeypatch, 2, jobs=2, **config)
         assert report.errors == []
@@ -289,8 +297,21 @@ def test_each_series_pass_starts_once_per_sweep(monkeypatch, fresh_kernels):
                                "z20n3-signed": 120, "mao": 5}
         if config.get("status") == "known":        # BIN-3.5's H_(11^2 - 1)
             assert longest["h1"] == 120
-        assert starts == {name: 1 for name in longest}, config
+        assert starts == derived == {name: 1 for name in longest}, config
         # step(k) is the ratio of term k + 1 to term k: one per term after the first
         assert steps == {name: n - SERIES[name].start for name, n in longest.items()}
         read |= set(longest)
+
+        starts.clear()
+        fresh_kernels()
+        residues = sweep(monkeypatch, 2, jobs=2, backend="residue", **config)
+        # BIN-3.5 and BIN-3.7 reduce H_(p^r - 1) and H_((p - 1)/2), read exactly
+        assert starts == ({"h1": 1} if config.get("status") == "known" else {}), config
+        exact = {(res.case_id, res.params): res for res in report.results}
+        for res in residues.results:
+            ref = exact.pop((res.case_id, res.params))
+            p, m = res.params.p, res.claimed_exponent
+            assert (res.lhs, res.passed) == (residue(ref.lhs, p, m), ref.passed), res
+        assert [get_case(res.case_id).kind for res in exact.values()] == \
+            ["identity"] * len(residues.errors)
     assert read == set(SERIES)
