@@ -13,14 +13,14 @@ Case kinds:
 Family members, binomial scalars, WZ cells and the terms of every sum are
 binomial products, read by combinat.binomial_product and, digitwise for
 backend "both", lucas_product; each sum's step is derived from them (_derive).
-Family members are scored from their (valuation, unit) pairs, read from one
-combinat.Factorials table (_factorials); only the member a record reports is
-built exact.
+Family members, and binomial scalars on backend "residue", are read as
+(valuation, unit) pairs from one combinat.Factorials table (_factorials);
+only the member a record reports is built exact.
 
 Backend "both" checks each value where it is computed: a series sum against
 the termwise residue kernel mod p^m, and the left side of a binomial scalar
-or of every member of a family that divides by no binomial mod p against
-its Lucas product (_check_lucas).
+or of every member of a family, when it divides by no binomial, mod p
+against the Lucas product of its description (_check_lucas).
 
 Statuses: theorem / known / lemma / fact-family / conjecture / informational.
 Conjecture and informational cases report honestly but are flagged so sweep
@@ -37,7 +37,7 @@ from fnmatch import fnmatch
 from functools import lru_cache, partial
 from itertools import chain, count, islice
 from math import gcd, lcm
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .combinat import (Factorials, binomial_product, euler_number, fermat_quotient,
                        lucas_product)
@@ -108,11 +108,10 @@ class CongruenceCase:
     upper: Optional[Callable[[int, int, int], int]] = None
     # scalar / identity
     lhs_scalar: Optional[Callable[[int, int], Rational]] = None
-    # family
+    # family, binomial products; a binomial scalar's left side is member_lhs at k = None
     members: Optional[Callable[[int, int], range]] = None
-    member_lhs: Optional[Callable[[int, int, int], tuple]] = None  # binomial products,
-    member_rhs: Optional[Callable[[int, int, int], tuple]] = None  # see _family_items
-    lucas: Optional[Callable[[int, int, Optional[int]], int]] = None  # lhs mod p, digitwise
+    member_lhs: Optional[Callable[[int, int, Optional[int]], tuple]] = None
+    member_rhs: Optional[Callable[[int, int, int], tuple]] = None
     uses_r: bool = True
     uses_delta: bool = False
     r_floor: int = 1
@@ -342,9 +341,10 @@ class _Pass:
 
     Every sum is one read (read): a prefix, at ascending caps, or a range
     that starts at or after the pass's position, as a certificate row's
-    slices are read.  Each stretch computes the pass's new state before it
-    assigns any of it, so a product that raises (a MemoryError at a large
-    p^r) leaves the pass as it was.
+    slices are read.  Each stretch (_step) forms the pass's new state before
+    it assigns any of it, so a product that raises (a MemoryError at a large
+    p^r) leaves the pass as it was.  A read whose division raises has
+    already stepped; _series_exact drops such a pass.
 
     A pass opened with keep (a spec's, _open) also keeps the ratio of every
     term it has stepped, ratios[k - lo] for term k and (1, 1) for lo, so
@@ -370,43 +370,34 @@ class _Pass:
             x, s = (v.numerator * (d // v.denominator) for v in (total, seed))
             self.x, self.s, self.d, self.total = x, s, d, None
 
-    def _to(self, end: int, poly: Optional[tuple[int, ...]] = None
-            ) -> tuple[int, int, int, int, list]:
-        """Step the terms k .. end: the position after them, (A, B, s T) of
-        their tree and their ratios, (k, 1, 1, 0, []) when end < k.  poly
-        is the pass's unless given: () makes every T 0, for terms whose sum
-        is not read.  It moves nothing on: the caller commits the new k, x,
-        s and d = d B in one assignment, and then extends ratios (_keep)."""
+    def _step(self, end: int, poly: Optional[tuple[int, ...]] = None) -> None:
+        """Step the terms k .. end, if any, by one (A, B, T) tree: form x B +
+        s T, s A and d B, then assign them and extend ratios if kept.  poly
+        is the pass's unless given: () makes every T 0, for an unread sum."""
         k = self.k
         if end < k:
-            return k, 1, 1, 0, []
+            return
         self._renormalise()
         ratios = [self.step(j - 1) if j > self.lo else (1, 1) for j in range(k, end + 1)]
         a, b, t = _split(ratios, self.poly if poly is None else poly, k, k, end + 1)
-        return end + 1, a, b, self.s * t, ratios
-
-    def _keep(self, ratios: list[tuple[int, int]]) -> None:
+        self.k, self.x, self.s, self.d = end + 1, self.x * b + self.s * t, self.s * a, self.d * b
         if self.ratios is not None:
             self.ratios += ratios
 
     def read(self, first: int, upper: int) -> Rational:
         """The sum of the terms first .. upper: a prefix, first = lo and
         upper >= k - 1, or a range, first >= k, for which the pass steps
-        over the terms k .. first - 1, with no T, and sums from 0, as if it
-        had read 0 there.  One _over_power_of_two after stepping to upper;
-        the pass renormalises (_renormalise) when it next steps on, so a
-        prefix read once divides its seed zero times, and a range once,
-        where it starts."""
+        (_step) over the terms k .. first - 1, with no T, and sums from 0,
+        as if it had read 0 there.  One _over_power_of_two after stepping
+        to upper; the pass renormalises (_renormalise) when it next steps
+        on, so a prefix read once divides its seed zero times, and a range
+        once, where it starts."""
         if first > self.lo:
-            k, a, b, _, ratios = self._to(first - 1, ())
-            self.k, self.x, self.s, self.d, self.total = k, 0, self.s * a, self.d * b, Fraction(0)
-            self._keep(ratios)
-        k, a, b, t, ratios = self._to(upper)
-        x, d = self.x * b + t, self.d * b
-        total = _over_power_of_two(x, d)
-        self.k, self.x, self.s, self.d, self.total = k, x, self.s * a, d, total
-        self._keep(ratios)
-        return total
+            self._step(first - 1, ())
+            self.x, self.total = 0, Fraction(0)
+        self._step(upper)
+        self.total = _over_power_of_two(self.x, self.d)
+        return self.total
 
 
 _running: dict[tuple, _Pass] = {}    # the one running pass, by (kernel, at)
@@ -554,20 +545,20 @@ def _series(id, status, statement, m, rhs, name, upper, *, uses_r=True,
 
 
 def _scalar(id, status, statement, m, lhs, rhs, *, uses_r=True, r_floor=1, kind="scalar",
-            kernel=None, upper=None, lucas=None):
+            kernel=None, upper=None, member_lhs=None):
     _add(CongruenceCase(id=id, status=status, statement=statement, kind=kind,
-                        claimed_exponent=m, rhs=rhs, lhs_scalar=lhs, upper=upper,
-                        uses_r=uses_r, r_floor=r_floor, kernel=kernel, lucas=lucas))
+                        claimed_exponent=m, rhs=rhs, lhs_scalar=lhs, upper=upper, uses_r=uses_r,
+                        r_floor=r_floor, kernel=kernel, member_lhs=member_lhs))
 
 
 def _binomial_scalar(id, statement, m, lhs, rhs, *, uses_r=True, kernel=None, upper=None):
     """A known fact claiming p^m(p, r) for the binomial product lhs(p, r),
-    which `both` checks digitwise.  A right side that reads a series spec's
+    its member_lhs at k = None.  A right side that reads a series spec's
     sum names the spec as kernel and its cap as upper(p, r, delta), so the
-    sweep runs it in the spec's unit."""
+    sweep runs it in the spec's unit, and `residue` reduces that exact sum."""
     _scalar(id, "known", statement, m, lambda p, r: Fraction(*binomial_product(*lhs(p, r))),
             rhs, uses_r=uses_r, kernel=kernel, upper=upper,
-            lucas=lambda p, r, k: lucas_product(p, *lhs(p, r)))
+            member_lhs=lambda p, r, k: lhs(p, r))
 
 
 def _row_scalar(id, statement, m, name, part, rhs, *, r_floor=1):
@@ -593,11 +584,10 @@ def _cell_scalar(id, pair, series):
             lambda p, r: wz.eval_F(pair, p ** r - 1, p ** r - 1), _rhs_zero, r_floor=2)
 
 
-def _family(id, statement, m, members, lhs, rhs, *, has_lucas=True):
-    lucas = (lambda p, r, k: lucas_product(p, *lhs(p, r, k))) if has_lucas else None
+def _family(id, statement, m, members, lhs, rhs):
     _add(CongruenceCase(id=id, status="fact-family", statement=statement,
                         kind="family", claimed_exponent=m, rhs=_rhs_zero,
-                        members=members, member_lhs=lhs, member_rhs=rhs, lucas=lucas))
+                        members=members, member_lhs=lhs, member_rhs=rhs))
 
 
 # --- truncated series -------------------------------------------------------
@@ -828,13 +818,13 @@ _family("FACT-INV",
         "-2 p^r / (l C(2l,l)) == C(2k,k)  (mod p^2) for k + l = p^r, 0 < l < p^r/2",
         lambda p, r: 2, _fact_range,      # l = C(l, 1)
         lambda p, r, k: (-2 * p ** r, 0, (p ** r - k, 1, -1), (2 * (p ** r - k), p ** r - k, -1)),
-        lambda p, r, k: (1, 0, (2 * k, k, 1)), has_lucas=False)
+        lambda p, r, k: (1, 0, (2 * k, k, 1)))
 
 _family("DAO-HB",
         "-2 p^r / C(2k,k) == (p^r-k) C(2p^r-2k,p^r-k)  (mod p) for k + l = p^r, "
         "0 < l < p^r/2",
         lambda p, r: 1, _fact_range, lambda p, r, k: (-2 * p ** r, 0, (2 * k, k, -1)),
-        lambda p, r, k: (p ** r - k, 0, (2 * p ** r - 2 * k, p ** r - k, 1)), has_lucas=False)
+        lambda p, r, k: (p ** r - k, 0, (2 * p ** r - 2 * k, p ** r - k, 1)))
 
 _family("BIN-3.9",
         "C(2p^r-1,k) == (-1)^k  (mod p) for 1 <= k <= (p^r-3)/2",
@@ -920,14 +910,13 @@ def _series_upper(case: CongruenceCase, params: CheckParams) -> int:
 
 def _require_residue(case: CongruenceCase) -> None:
     """Refuse the residue backend for a case it does not take, saying why: a
-    series has a residue path when its kernel is a spec, a scalar when it
-    has a Lucas reduction, and a family always (_family_point refuses a
-    point at a member with p in a denominator, as a series kernel does)."""
+    series has a residue path when its kernel is a spec, a scalar when its
+    left side is a binomial product (member_lhs), and a family always."""
     if case.kind == "identity":
         raise BackendIneligible(f"{case.id} is an exact identity; residue "
                                 "reduction cannot certify equality")
     if case.kind == "series" and case.kernel not in SERIES or \
-            case.kind == "scalar" and case.lucas is None:
+            case.kind == "scalar" and case.member_lhs is None:
         why = ("has no residue kernel: its terms depend on (p, r)" if case.kind == "series"
                else "has no residue path: its residue would only be its exact value reduced")
         raise BackendIneligible(f"{case.id} {why}; use the exact backend")
@@ -978,32 +967,32 @@ def _factorials(p: int, M: int, n: int) -> Factorials:
 
 
 def _family_items(case: CongruenceCase, params: CheckParams, M: int
-                  ) -> tuple[list[tuple[int, tuple, tuple]], int]:
-    """(k, lhs, rhs) per member, all of them or the one --k selects, each
-    side the (v, u) pair of its binomial product (c, e, *factors) read from
-    one factorial table with units mod p^M or finer (Factorials.pair), with
-    the table's M; (no items, M) for an empty range.  Every binomial argument
-    of a description is linear in k, so the first and last members bound
-    the table's reach and show that 0 <= m <= n holds at every member."""
+                  ) -> tuple[list[tuple], int]:
+    """(k, lhs, rhs) per member, all of them or the one --k selects, or
+    (None, lhs, lhs) for a binomial scalar's one description: each side's
+    (v, u) pair from one factorial table with units mod p^M or finer
+    (Factorials.pair), and its M.  Binomial arguments are linear in k, so
+    the first and last members bound its reach and show 0 <= m <= n."""
     p, r = params.p, params.r
-    rng = case.members(p, r)
-    if params.k is not None and params.k not in rng:
-        raise ValueError(
-            f"{case.id}: member index {params.k} outside admissible range "
-            f"[{rng.start}, {rng.stop - 1}] at p={p}, r={r}")
-    keys = list(rng) if params.k is None else [params.k]
-    if not keys:
-        return [], M
+    keys, descs = [None], (case.member_lhs,)
+    if case.kind == "family":
+        rng, descs = case.members(p, r), (case.member_lhs, case.member_rhs)
+        if params.k is not None and params.k not in rng:
+            raise ValueError(
+                f"{case.id}: member index {params.k} outside admissible range "
+                f"[{rng.start}, {rng.stop - 1}] at p={p}, r={r}")
+        keys = list(rng) if params.k is None else [params.k]
     reach = 0
-    for k in (keys[0], keys[-1]):
-        for desc in (case.member_lhs, case.member_rhs):
+    for k in keys[:1] + keys[-1:]:
+        for desc in descs:
             for n, m, _ in desc(p, r, k)[2:]:
                 if not 0 <= m <= n:
-                    raise ValueError(f"{case.id}: member k={k} at p={p}, r={r} has a "
+                    where = "its left side" if k is None else f"member k={k}"
+                    raise ValueError(f"{case.id}: {where} at p={p}, r={r} has a "
                                      f"binomial C({n}, {m}) outside 0 <= m <= n")
                 reach = max(reach, n)
     table = _factorials(p, M, reach)
-    pair, lhs, rhs = table.pair, case.member_lhs, case.member_rhs
+    pair, lhs, rhs = table.pair, descs[0], descs[-1]
     return [(k, pair(*lhs(p, r, k)), pair(*rhs(p, r, k))) for k in keys], table.M
 
 
@@ -1070,19 +1059,25 @@ def _score(items: list, p: int, M: int,
     return worst
 
 
-def _check_lucas(case: CongruenceCase, params: CheckParams, k: Optional[int],
-                 exact: int, source: str) -> None:
+def _check_lucas(case: CongruenceCase, params: CheckParams, found: Iterable,
+                 source: str) -> None:
     """Raise BackendDisagreement, naming the case, point and member, unless
-    exact, a left side mod p read from source, equals case.lucas(p, r, k),
-    the same binomial product reduced by its base-p digits: two independent
-    arithmetic paths.  k is the family member, None for a binomial scalar."""
-    lucas = case.lucas(params.p, params.r, k)
-    if exact != lucas:
-        member = "" if k is None else f", member k={k}"
-        raise BackendDisagreement(
-            f"{case.id}: exact and digitwise values disagree at {params}"
-            f"{member}: lhs reduces to {exact} mod {params.p} on the "
-            f"{source}, {lucas} by Lucas' theorem")
+    each (k, exact) of found, a left side mod p read from source, equals
+    lucas_product of its description member_lhs(p, r, k), k None for a
+    binomial scalar: two independent arithmetic paths.  A point whose first
+    description divides by a binomial (FACT-INV, DAO-HB) is not checked."""
+    p, r, lhs = params.p, params.r, case.member_lhs
+    for i, (k, exact) in enumerate(found):
+        desc = lhs(p, r, k)
+        if not i and any(j < 0 for *_, j in desc[2:]):
+            return
+        lucas = lucas_product(p, *desc)
+        if exact != lucas:
+            member = "" if k is None else f", member k={k}"
+            raise BackendDisagreement(
+                f"{case.id}: exact and digitwise values disagree at {params}"
+                f"{member}: lhs reduces to {exact} mod {params.p} on the "
+                f"{source}, {lucas} by Lucas' theorem")
 
 
 def _family_point(case: CongruenceCase, params: CheckParams, backend: str,
@@ -1090,15 +1085,15 @@ def _family_point(case: CongruenceCase, params: CheckParams, backend: str,
     """(lhs, rhs, valuation, note) of a family point: its members' (v, u)
     pairs from the factorial table (_family_items), scored by _score.  On
     "both" each member's left side, 0 mod p when v > 0 and u mod p
-    otherwise, is first checked against its Lucas product (_check_lucas):
-    Legendre's tables against base-p digits.  On "residue" the members
-    are scored at M = claimed, the reported member's sides are written
-    p^v u mod p^claimed, and no member is built exact; BackendIneligible
-    names the first member with a side of v < 0, p in its denominator,
-    which no residue carries.  Otherwise they are
-    scored at the table's own M, claimed + 2 or finer; only the reported
-    member, and any undetermined one that _score resolves, is built exact,
-    by binomial_product, and on "both" its valuation must equal the table's."""
+    otherwise, is first checked against its Lucas product unless the first
+    divides by a binomial (_check_lucas): Legendre's tables against base-p
+    digits.  On "residue" the members are scored at M = claimed, the
+    reported member's sides are written p^v u mod p^claimed, and no member
+    is built exact; BackendIneligible names the first member with a side
+    of v < 0, p in its denominator, which no residue carries.  Otherwise
+    they are scored at the table's own M, claimed + 2 or finer; only the
+    reported member, and any undetermined one that _score resolves, is
+    built exact by binomial_product, and on "both" must match the table's."""
     p, r = params.p, params.r
     on_residue = backend == "residue"
     items, M = _family_items(case, params, claimed if on_residue else claimed + 2)
@@ -1108,9 +1103,9 @@ def _family_point(case: CongruenceCase, params: CheckParams, backend: str,
                 if v < 0:
                     raise BackendIneligible(f"{case.id}: the {side} side of member k={k} has "
                                             f"p = {p} in its denominator; use the exact backend")
-    if backend == "both" and case.lucas is not None:
-        for k, (v, u), _ in items:
-            _check_lucas(case, params, k, 0 if v > 0 else u % p, "factorial table")
+    if backend == "both":
+        _check_lucas(case, params, ((k, 0 if v > 0 else u % p) for k, (v, u), _ in items),
+                     "factorial table")
 
     def exact(k):
         return (*binomial_product(*case.member_lhs(p, r, k)),
@@ -1143,12 +1138,13 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
     backend "both" runs the exact path and reports its values, checking
     each value that has an independent modular path where it is computed:
     a series sum over a spec against the termwise residue kernel mod p^m,
-    and the left side of a binomial scalar, or of each member of a family
-    that divides by no binomial, mod p against its Lucas product
+    and the left side of a binomial scalar, or of each member of a family,
+    when it divides by no binomial, mod p against its Lucas product
     (_check_lucas).
     Every family point also checks its reported member against the table
     (see _family_point).  The row and cell lemmas, the identity and LEM-2.1
-    have no second path and run no check.
+    have no second path and run no check.  backend "residue" reads a
+    binomial scalar's left side from the factorial table (_family_items).
     """
     case = get_case(case)
     if backend not in BACKENDS:
@@ -1170,8 +1166,11 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
         lhs, rhs, observed, member_note = _family_point(case, params, backend, claimed)
         note = f"{member_note}; {note}" if note else member_note
     elif backend == "residue":
-        lhs = (series_sum_residue(case, params, claimed) if case.kind == "series"
-               else residue(case.lhs_scalar(p, params.r), p, claimed))
+        if case.kind == "series":
+            lhs = series_sum_residue(case, params, claimed)
+        else:
+            [(_, (v, u), _)], _ = _family_items(case, params, claimed)
+            lhs = 0 if v >= claimed else residue(u * Fraction(p) ** v, p, claimed)
         rhs = residue(case.rhs(p, params.r), p, claimed)
         observed = min(_vp_int((lhs - rhs) % p ** claimed, p), claimed)
     else:
@@ -1188,8 +1187,8 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
                     f"{case.id}: exact and residue backends disagree at {params} "
                     f"mod {p}^{claimed}: the sum reduces to {exact} on the exact "
                     f"backend, {kernel} on the termwise residue kernel")
-        elif backend == "both" and case.lucas is not None:
-            _check_lucas(case, params, None, lhs % p, "exact backend")
+        elif backend == "both" and case.member_lhs is not None:
+            _check_lucas(case, params, [(None, lhs % p)], "exact backend")
         observed = _exact_valuation(*lhs.as_integer_ratio(), *rhs.as_integer_ratio(), p)
 
     elapsed = (time.perf_counter() - t0) * 1000.0

@@ -1,6 +1,7 @@
 """Shared pytest hooks: print one PASS/FAIL line per acceptance criterion;
 and fresh_kernels, which empties the exact and residue kernels' caches, the
-specs' derived steps and the running pass before and after a test."""
+specs' derived steps, the running pass and the kept factorial table before
+and after a test."""
 import pytest
 
 from supercong import congruences
@@ -11,14 +12,16 @@ _acceptance: list[tuple[str, str]] = []
 @pytest.fixture
 def fresh_kernels():
     """Empty _series_exact's, _series_residue's and _spec_step's caches and
-    _running, and again after the test; the test may call the fixture's value
-    to empty them in between, as before a second run of the same points, or
-    in a fresh worker."""
+    _running, and drop the kept factorial table (_table), which families
+    and binomial scalars share, and again after the test; the test may call
+    the fixture's value to empty them in between, as before a second run of
+    the same points, or in a fresh worker."""
     def clear():
         congruences._series_exact.cache_clear()
         congruences._series_residue.cache_clear()
         congruences._spec_step.cache_clear()
         congruences._running.clear()
+        congruences._table = None
     clear()
     yield clear
     clear()

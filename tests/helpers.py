@@ -2,7 +2,7 @@
 against, the Pochhammer symbol (rising factorial), the binomial C(a, k) for
 rational a and the harmonic number H_n^(order), each written as its plain
 sum or product; a rational's p-adic valuation and unit; and whether a case
-has a residue path."""
+has a residue path or a Lucas check."""
 from fractions import Fraction
 from math import factorial, prod
 
@@ -27,10 +27,21 @@ def harmonic(n, order=1):
 
 def has_residue_path(case):
     """Whether the residue backend takes the case: a series when its kernel
-    is a spec, a scalar when it has a Lucas reduction, and every family."""
+    is a spec, a scalar when its left side is a binomial product, and every
+    family."""
     if case.kind == "series":
         return case.kernel in SERIES
-    return case.kind == "family" or case.lucas is not None
+    return case.kind == "family" or case.member_lhs is not None
+
+
+def lucas_checked(case, p, r):
+    """Whether backend "both" checks the case's left side against its Lucas
+    product at (p, r): it has a description, read at its first member (None
+    for a binomial scalar), that divides by no binomial."""
+    if case.member_lhs is None:
+        return False
+    k = case.members(p, r)[0] if case.kind == "family" else None
+    return all(j > 0 for *_, j in case.member_lhs(p, r, k)[2:])
 
 
 def vp_unit(x, p, M):

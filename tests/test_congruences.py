@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from supercong import congruences, wz
-from supercong.combinat import binomial, binomial_product
+from supercong import combinat, congruences, wz
+from supercong.combinat import Factorials, binomial, binomial_product
 from supercong.congruences import (_SUMS, BackendIneligible, CheckParams,
                                    PrimeBelowFloor, UnknownCase, _derive, _open, _Pass,
                                    _theta, evaluate_case, get_case, list_cases)
@@ -432,3 +432,50 @@ def test_residue_backend_matches_exact():
             else:
                 assert res.observed_valuation == exact.observed_valuation
             assert res.lhs == residue(exact.lhs, p, exact.claimed_exponent), (case.id, p)
+
+
+def test_binomial_scalars_read_the_table_on_residue(monkeypatch, fresh_kernels):
+    """On residue a binomial scalar's left side is its description's (v, u)
+    pair from the factorial table, written p^v u mod p^m: no exact binomial
+    is built, and it equals the exact value reduced, also when p divides
+    it.  A description with a binomial outside 0 <= m <= n is refused by
+    the table's reach check, not read.  BIN-3.5's and BIN-3.7's right sides
+    are still the exact h1 sum, reduced: they step h1's pass to their caps."""
+    calls = []
+
+    def counted(n, k):
+        calls.append((n, k))
+        return binomial(n, k)
+    congruences._spec_step("h1")            # derive h1's step, whose seed reads C(1, 1), first
+    monkeypatch.setattr(combinat, "binomial", counted)
+    points = [("WOLST-BIN", 7, 1), ("BIN-3.5", 7, 2), ("BIN-3.7", 7, 2)]
+    points += [(cid, p, r) for cid in ("BIN-3.4", "BIN-3.6") for p, r in ((7, 2), (11, 2), (5, 3))]
+    for cid, p, r in points:
+        case, params = get_case(cid), CheckParams(p=p, r=r)
+        res = evaluate_case(case, params, "residue")
+        assert calls == [], (cid, p, r)
+        m = case.claimed(p, r)
+        assert res.lhs == residue(case.lhs_scalar(p, r), p, m), (cid, p, r)
+        assert res.rhs == residue(case.rhs(p, r), p, m), (cid, p, r)
+        assert res.passed is evaluate_case(case, params).passed, (cid, p, r)
+        calls.clear()
+    # a stand-in whose left side 3 C(P, 1) = 3P has v = r: 0 when v >= m = 2
+    stand_in = dataclasses.replace(get_case("BIN-3.6"),
+                                   member_lhs=lambda p, r, _: (3, 0, (p ** r, 1, 1)))
+    for r, want in ((1, 21), (2, 0)):
+        assert evaluate_case(stand_in, CheckParams(p=7, r=r), "residue").lhs == want, r
+    for cid, cap in (("BIN-3.5", 48), ("BIN-3.7", 3)):
+        fresh_kernels()
+        evaluate_case(get_case(cid), CheckParams(p=7, r=2), "residue")
+        assert list(congruences._running) == [("h1", ())]
+        assert congruences._running["h1", ()].k == cap + 1, cid
+
+    def forbidden(*args):
+        raise AssertionError("pair() read a binomial outside 0 <= m <= n")
+    monkeypatch.setattr(Factorials, "pair", forbidden)
+    for n, k in ((14, 15), (13, -1)):
+        stand_in = dataclasses.replace(get_case("BIN-3.6"),
+                                       member_lhs=lambda p, r, _, n=n, k=k: (1, 0, (n, k, 1)))
+        with pytest.raises(ValueError, match=rf"^BIN-3\.6: its left side at p=7, r=2 has a "
+                                             rf"binomial C\({n}, {k}\) outside 0 <= m <= n$"):
+            evaluate_case(stand_in, CheckParams(p=7, r=2), "residue")

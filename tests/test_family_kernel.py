@@ -11,13 +11,13 @@ from fractions import Fraction
 import pytest
 
 from supercong import congruences
-from supercong.combinat import Factorials, binomial
+from supercong.combinat import Factorials, binomial, lucas_product
 from supercong.congruences import (BackendDisagreement, CheckParams, _family_items, _score,
                                    evaluate_case, get_case, list_cases)
 from supercong.exactnum import INFINITE, residue, vp
 from supercong.harness import SweepConfig, _ser_record, run_sweep
 
-from helpers import vp_unit
+from helpers import lucas_checked, vp_unit
 
 FAMILIES = list_cases(status="fact-family")
 # (7, 2) and (11, 2) step BIN-3.11 by q = p^(r-1) > 1 along n and m
@@ -146,12 +146,13 @@ STATEMENT_LHS = {
 
 
 def test_derived_lucas_matches_statement():
-    assert sorted(STATEMENT_LHS) == sorted(c.id for c in FAMILIES if c.lucas is not None)
     for p, r in POINTS:
+        assert sorted(STATEMENT_LHS) == sorted(c.id for c in FAMILIES if lucas_checked(c, p, r))
         for cid, lhs in STATEMENT_LHS.items():
             case = get_case(cid)
             for k in case.members(p, r):
-                assert case.lucas(p, r, k) == lhs(p, p ** r, k) % p, (cid, p, r, k)
+                assert lucas_product(p, *case.member_lhs(p, r, k)) == lhs(p, p ** r, k) % p, \
+                    (cid, p, r, k)
 
 
 def wrong_kernel_at(monkeypatch, x, table="U", by=2):

@@ -174,6 +174,38 @@ def test_stretch_that_raises_leaves_the_cached_pass_as_it_was(monkeypatch, fresh
     assert [outcome(res) for res in harness._run_unit(unit, "both", False)] == fresh
 
 
+@pytest.mark.parametrize("part", ["A", "B", "T"])
+@pytest.mark.parametrize("kernel, at, first, upper", [("GUO64", (7, 2), 1, 24),
+                                                      ("guo64", (), 0, 30)])
+def test_any_product_that_raises_leaves_the_pass_as_it_was(monkeypatch, part, kernel, at,
+                                                           first, upper):
+    """Whichever of A, B and T the outermost tree of a stretch returns
+    raises when multiplied, a fresh pass, a certificate row's or a spec's
+    (which keeps its ratios), holds what it held, and then reads as a
+    fresh pass does."""
+    real_split, depth, armed = congruences._split, [0], [True]
+
+    def split(*args):
+        depth[0] += 1
+        try:
+            tree = list(real_split(*args))
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0 and armed:
+            armed.clear()
+            tree["ABT".index(part)] = RaisingProduct()
+        return tuple(tree)
+
+    want = congruences._open(kernel, at).read(first, upper)
+    run = congruences._open(kernel, at)
+    held = {key: list(v) if isinstance(v, list) else v for key, v in vars(run).items()}
+    monkeypatch.setattr(congruences, "_split", split)
+    with pytest.raises(MemoryError):
+        run.read(first, upper)
+    assert not armed and vars(run) == held
+    assert run.read(first, upper) == want
+
+
 def test_certificate_slices_divide_exactly(fresh_kernels):
     """Every slice of every certificate row, and LEM-2.1's two windows, read
     as the sweep reads them (in ascending upper, harness._units), at primes
