@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
 from typing import Optional
 
 from . import congruences, wz
@@ -156,16 +155,13 @@ def _cmd_wz_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = parse_config(args.config) if args.config else SweepConfig()
-    # each sweep flag's dest is its SweepConfig field; a flag given overrides
+    # each sweep flag's dest is its option's name; a flag given overrides
     # the file, and --pmax or --primes replaces the file's grid
-    overrides = {f.name: getattr(args, f.name) for f in fields(SweepConfig)
-                 if getattr(args, f.name) is not None}
+    overrides = {name: getattr(args, name) for name in SweepConfig._fields
+                 if getattr(args, name) is not None}
     if "pmax" in overrides or "primes" in overrides:
         overrides = {"pmax": None, "primes": None, **overrides}
-    try:
-        config = replace(config, **overrides)
-    except ValueError as e:
-        raise ConfigInvalid(str(e)) from None
+    config = config._replace(**overrides)
 
     report = run_sweep(config)
     for res in report.results:

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from fnmatch import fnmatch
 from functools import lru_cache, partial
 from itertools import chain, count, islice
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional
 
 from .combinat import (Factorials, binomial_product, euler_number, fermat_quotient,
                        lucas_product)
@@ -75,17 +75,14 @@ def _sign_pr(p: int, r: int) -> int:
     return -1 if (p ** r - 1) // 2 % 2 else 1
 
 
-@dataclass(frozen=True)
-class CheckParams:
+class CheckParams(namedtuple("CheckParams", "p r delta k upper_override",
+                             defaults=(1, None, None, None))):
     """Evaluation point: prime p, exponent r, optional delta / member / cap."""
 
-    p: int
-    r: int = 1
-    delta: Optional[int] = None
-    k: Optional[int] = None
-    upper_override: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not is_prime(self.p) or self.p < 3:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.r < 1:
@@ -94,49 +91,42 @@ class CheckParams:
             raise ValueError(f"delta must be 1 or 2, got {self.delta}")
         if self.upper_override is not None and self.upper_override < 0:
             raise ValueError("upper_override must be >= 0")
+        return self
+
+    @classmethod
+    def _make(cls, values):             # so that _replace validates too
+        return cls(*values)
 
 
-@dataclass(frozen=True)
-class CongruenceCase:
-    id: str
-    status: str
-    statement: str
-    kind: str                                   # series | scalar | family | identity
-    claimed_exponent: Optional[Callable[[int, int], int]]
-    rhs: Callable[[int, int], Rational]
-    # (p, r, delta) -> the last index the case reads of its kernel (a cap)
-    upper: Optional[Callable[[int, int, int], int]] = None
-    # scalar / identity
-    lhs_scalar: Optional[Callable[[int, int], Rational]] = None
-    # family, binomial products; a binomial scalar's left side is member_lhs at k = None
-    members: Optional[Callable[[int, int], range]] = None
-    member_lhs: Optional[Callable[[int, int, Optional[int]], tuple]] = None
-    member_rhs: Optional[Callable[[int, int, int], tuple]] = None
-    uses_r: bool = True
-    uses_delta: bool = False
-    r_floor: int = 1
-    # the cached kernel the case reads (a series spec, a _SUMS entry);
-    # cases naming the same one share its work at a (p, r)
-    kernel: Optional[str] = None
+class CongruenceCase(namedtuple("CongruenceCase", (
+        "id status statement"
+        " kind"                 # series | scalar | family | identity
+        " claimed_exponent"     # None, or (p, r) -> int
+        " rhs"                  # (p, r) -> Rational
+        # the fields from here on have defaults
+        " upper"        # (p, r, delta) -> the last index the case reads of its kernel (a cap)
+        " lhs_scalar"           # scalar / identity: (p, r) -> Rational
+        # family, binomial products: (p, r) -> range, and (p, r, k) -> a
+        # description; a binomial scalar's left side is member_lhs at k = None
+        " members member_lhs member_rhs"
+        " uses_r uses_delta r_floor"
+        # the cached kernel the case reads (a series spec, a _SUMS entry);
+        # cases naming the same one share its work at a (p, r)
+        " kernel"), defaults=(None, None, None, None, None, True, False, 1, None))):
+    """A catalog entry: a statement, its claimed exponent and how to evaluate it."""
+
+    __slots__ = ()
 
     def claimed(self, p: int, r: int) -> Optional[int]:
         return None if self.claimed_exponent is None else self.claimed_exponent(p, r)
 
 
-@dataclass
-class CheckResult:
-    case_id: str
-    params: CheckParams
-    lhs: Union[Rational, int]
-    rhs: Union[Rational, int]
-    observed_valuation: Valuation
-    claimed_exponent: Optional[int]
-    passed: bool
-    backend: str
-    elapsed_ms: float = 0.0
-    status: str = ""
-    informational: bool = False
-    note: str = ""
+class CheckResult(namedtuple("CheckResult", (
+        "case_id params lhs rhs observed_valuation claimed_exponent passed backend"
+        " elapsed_ms status informational note"), defaults=(0.0, "", False, ""))):
+    """One evaluated point; lhs and rhs are Rationals, or ints mod p^m on backend residue."""
+
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------------
@@ -215,8 +205,8 @@ def _spec_step(name: str) -> tuple[tuple[int, int], Callable]:
     return _derive(name, spec.desc, spec.poly, spec.start)
 
 
-# a plain class: the dataclass decorator would add about 1.7 ms on a 2-vCPU host
-# (2-3 % of the import that every CLI run pays), and NamedTuple about 0.2 ms
+# a plain class: a spec needs no equality or immutability, and a namedtuple
+# subclass takes about nine times as long to define (0.05 ms, 2-vCPU host)
 class SeriesSpec:
     """t_k = binomial_product(*desc(k)) for k = start .. upper, where desc(k)
     = (c, e, *factors) has e and every binomial argument linear in k and c =

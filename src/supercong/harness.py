@@ -6,9 +6,10 @@ Importing this module loads no process-pool machinery: concurrent.futures
 _pool, when a sweep starts more than one worker, and csv and json by the
 report functions that read or write them.  So importing the package, and
 every command but a pooled sweep, never pays for them, nor for pathlib:
-paths go through os.path and open().  Each SweepConfig field is one sweep
-option, declared once: its name is the config-file key, the report echo's
-key and the sweep flag's dest.
+paths go through os.path and open().  Each sweep option is declared once,
+in _OPTIONS with its default and its parser: its name is a SweepConfig
+field, the config-file key, the report echo's key and the sweep flag's
+dest.
 
 Report formats:
   json-lines -- one meta object (tool, version, config echo, summary counts)
@@ -27,7 +28,7 @@ import io
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
 from typing import Optional, Union
@@ -75,26 +76,34 @@ def _parse_bool(value: str) -> bool:
     return value == "true"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Grid + reporting options; `primes` and `pmax` are mutually exclusive.
-    Each field is one option: a config-file key read by its "parse"
-    metadata (str when it has none), and the dest of its sweep flag."""
+# one entry per sweep option: (name, default, parser of its config-file
+# value); a value has its parser's type, or is None where that is the default
+_OPTIONS = (
+    ("primes", None, parse_int_list),
+    ("pmax", None, int),
+    ("r_max", 2, int),
+    ("deltas", (1, 2), parse_int_list),
+    ("glob", None, str),
+    ("status", None, str),
+    ("backend", "both", str),
+    ("include_p3", False, _parse_bool),
+    ("strict_conjectures", False, _parse_bool),
+    ("report_path", None, str),
+    ("report_format", "json-lines", str),
+    ("jobs", 1, int),
+)
 
-    primes: Optional[tuple[int, ...]] = field(default=None, metadata={"parse": parse_int_list})
-    pmax: Optional[int] = field(default=None, metadata={"parse": int})
-    r_max: int = field(default=2, metadata={"parse": int})
-    deltas: tuple[int, ...] = field(default=(1, 2), metadata={"parse": parse_int_list})
-    glob: Optional[str] = None
-    status: Optional[str] = None
-    backend: str = "both"
-    include_p3: bool = field(default=False, metadata={"parse": _parse_bool})
-    strict_conjectures: bool = field(default=False, metadata={"parse": _parse_bool})
-    report_path: Optional[str] = None
-    report_format: str = "json-lines"
-    jobs: int = field(default=1, metadata={"parse": int})
 
-    def __post_init__(self):
+class SweepConfig(namedtuple("SweepConfig", [name for name, _, _ in _OPTIONS],
+                             defaults=[default for _, default, _ in _OPTIONS])):
+    """Grid + reporting options, one field per entry of _OPTIONS; `primes`
+    and `pmax` are mutually exclusive.  Every construction validates,
+    _replace's included."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.primes is not None and self.pmax is not None:
             raise ConfigInvalid("give either primes or pmax, not both")
         if self.pmax is not None and self.pmax < 5:
@@ -135,6 +144,11 @@ class SweepConfig:
             raise ConfigInvalid(f"cannot write report {path}: no such directory")
         if path and not os.access(path if os.path.exists(path) else parent, os.W_OK):
             raise ConfigInvalid(f"cannot write report {path}: permission denied")
+        return self
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
     def resolved_primes(self) -> list[int]:
         if self.primes is not None:
@@ -143,15 +157,15 @@ class SweepConfig:
 
     def echo(self) -> dict:
         """The report's config: every option but pmax and report_path, primes resolved."""
-        options = {f.name: getattr(self, f.name) for f in fields(self)
-                   if f.name not in ("pmax", "report_path")}
+        options = {name: value for name, value in self._asdict().items()
+                   if name not in ("pmax", "report_path")}
         return {**options, "primes": self.resolved_primes(), "deltas": list(self.deltas)}
 
 
 def parse_config(path: Union[str, os.PathLike]) -> SweepConfig:
-    """Read a flat key = value config file whose keys are SweepConfig's
-    fields; unknown keys and bad values error with their line number."""
-    parsers = {f.name: f.metadata.get("parse", str) for f in fields(SweepConfig)}
+    """Read a flat key = value config file whose keys are the names in
+    _OPTIONS; unknown keys and bad values error with their line number."""
+    parsers = {name: parse for name, _, parse in _OPTIONS}
     kwargs = {}
     try:
         with open(path) as f:
@@ -181,12 +195,12 @@ def parse_config(path: Union[str, os.PathLike]) -> SweepConfig:
         raise ConfigInvalid(f"{path}: {e}") from None
 
 
-@dataclass
 class SweepReport:
-    config: SweepConfig
-    results: list[CheckResult]
-    errors: list[dict] = field(default_factory=list)
-    wall_s: float = 0.0                 # object-level only, never serialized
+    def __init__(self, config: SweepConfig, results: list[CheckResult],
+                 errors: Optional[list[dict]] = None, wall_s: float = 0.0):
+        self.config, self.results = config, results
+        self.errors = [] if errors is None else errors
+        self.wall_s = wall_s            # object-level only, never serialized
 
     def summary(self) -> dict:
         counts = {"pass": 0, "fail": 0, "informational": 0, "error": len(self.errors)}
@@ -426,11 +440,11 @@ def read_report(path: Union[str, os.PathLike]) -> tuple[Optional[dict], list[dic
 # --------------------------------------------------------------------------
 # baseline comparison
 
-@dataclass
 class BaselineDiff:
-    changes: list[dict] = field(default_factory=list)
-    new_keys: list[tuple] = field(default_factory=list)
-    missing_keys: list[tuple] = field(default_factory=list)
+    def __init__(self):
+        self.changes: list[dict] = []
+        self.new_keys: list[tuple] = []
+        self.missing_keys: list[tuple] = []
 
     @property
     def clean(self) -> bool:

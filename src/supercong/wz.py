@@ -24,39 +24,31 @@ Fraction. The tests check every cell against its definition string.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable
 
 from .combinat import binomial_product
 from .exactnum import Rational
 
-Cell = Callable[[int, int], tuple[int, int]]
 
-
-@dataclass(frozen=True)
-class WzPair:
+class WzPair(namedtuple("WzPair", "id f g series definition")):
     """A registered pair: evaluators plus the summand linkage.  f and g
     give a cell as an unreduced (numerator, denominator) pair, the
     denominator nonzero and of either sign; eval_F and eval_G give it as a
-    Fraction."""
+    Fraction.  series is the catalog series (congruences.SERIES) whose
+    terms F(n,0) gives."""
 
-    id: str
-    f: Cell
-    g: Cell
-    series: str         # catalog series (congruences.SERIES) whose terms F(n,0) gives
-    definition: str
+    __slots__ = ()
 
 
-@dataclass
 class GridReport:
     """Outcome of an exhaustive grid check; pass means no violations."""
 
-    pair_id: str
-    n_max: int
-    k_max: int
-    cells_checked: int = 0
-    violations: list = field(default_factory=list)  # (n, k, lhs, rhs)
+    def __init__(self, pair_id: str, n_max: int, k_max: int):
+        self.pair_id, self.n_max, self.k_max = pair_id, n_max, k_max
+        self.cells_checked = 0
+        self.violations: list = []      # (n, k, lhs, rhs)
 
     @property
     def passed(self) -> bool:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -192,6 +191,17 @@ def test_sweep_config_file(capsys, tmp_path):
     assert code == 2 and "unknown key" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--jobs", "0", "jobs must be >= 1, got 0"),
+    ("--rmax", "0", "r_max must be >= 1, got 0"),
+    ("--deltas", "3", "deltas must be a non-empty subset of 1,2, got (3,)")])
+def test_flag_overrides_of_a_config_file_are_validated(capsys, tmp_path, flag, value, message):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("primes = 5\nr_max = 1\nglob = WOLST-*\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), flag, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_report_path_errors_are_usage_errors(capsys, tmp_path):
     # a missing directory is refused before the sweep runs
     missing = tmp_path / "missing" / "run.jsonl"
@@ -301,14 +311,14 @@ def test_each_option_has_one_home(monkeypatch, capsys, tmp_path):
         "report_format": ("csv", ("--format", "csv")),
         "jobs": ("2", ("--jobs", "2")),
     }
-    assert list(options) == [f.name for f in dataclasses.fields(harness.SweepConfig)]
+    assert list(options) == list(harness.SweepConfig._fields)
     cfg, default = tmp_path / "sweep.cfg", harness.SweepConfig()
     for name, (value, flag) in options.items():
         cfg.write_text(f"{name} = {value}\n")
         from_file = harness.parse_config(cfg)
         set_value = getattr(from_file, name)
         assert set_value != getattr(default, name), name
-        assert from_file == dataclasses.replace(default, **{name: set_value})
+        assert from_file == default._replace(**{name: set_value})
         assert sweep_config(monkeypatch, capsys, *flag) == from_file, name
         assert sweep_config(monkeypatch, capsys, "--config", str(cfg)) == from_file, name
 

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -369,6 +368,8 @@ def test_point_guards():
         CheckParams(p=5, r=0)
     with pytest.raises(ValueError):
         CheckParams(p=5, delta=3)
+    with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
+        CheckParams(p=5)._replace(r=0)      # _replace validates as construction does
     with pytest.raises(ValueError):
         run("VH-4K1", p=5, r=2)          # statement has no exponent r
     with pytest.raises(ValueError):
@@ -385,8 +386,7 @@ def test_backend_guards():
     # a family is refused at the first member side with p in its denominator,
     # as a series is at its first such term; FACT-INV's sides have none
     assert run("FACT-INV", p=5, backend="residue").passed
-    over_k = dataclasses.replace(get_case("FACT-INV"),
-                                 member_lhs=lambda p, r, k: (1, 0, (k, 1, -1)))
+    over_k = get_case("FACT-INV")._replace(member_lhs=lambda p, r, k: (1, 0, (k, 1, -1)))
     with pytest.raises(BackendIneligible, match=r"^FACT-INV: the left side of member k=28 "
                        r"has p = 7 in its denominator; use the exact backend$"):
         evaluate_case(over_k, CheckParams(p=7, r=2), "residue")
@@ -460,8 +460,7 @@ def test_binomial_scalars_read_the_table_on_residue(monkeypatch, fresh_kernels):
         assert res.passed is evaluate_case(case, params).passed, (cid, p, r)
         calls.clear()
     # a stand-in whose left side 3 C(P, 1) = 3P has v = r: 0 when v >= m = 2
-    stand_in = dataclasses.replace(get_case("BIN-3.6"),
-                                   member_lhs=lambda p, r, _: (3, 0, (p ** r, 1, 1)))
+    stand_in = get_case("BIN-3.6")._replace(member_lhs=lambda p, r, _: (3, 0, (p ** r, 1, 1)))
     for r, want in ((1, 21), (2, 0)):
         assert evaluate_case(stand_in, CheckParams(p=7, r=r), "residue").lhs == want, r
     for cid, cap in (("BIN-3.5", 48), ("BIN-3.7", 3)):
@@ -474,8 +473,8 @@ def test_binomial_scalars_read_the_table_on_residue(monkeypatch, fresh_kernels):
         raise AssertionError("pair() read a binomial outside 0 <= m <= n")
     monkeypatch.setattr(Factorials, "pair", forbidden)
     for n, k in ((14, 15), (13, -1)):
-        stand_in = dataclasses.replace(get_case("BIN-3.6"),
-                                       member_lhs=lambda p, r, _, n=n, k=k: (1, 0, (n, k, 1)))
+        stand_in = get_case("BIN-3.6")._replace(
+            member_lhs=lambda p, r, _, n=n, k=k: (1, 0, (n, k, 1)))
         with pytest.raises(ValueError, match=rf"^BIN-3\.6: its left side at p=7, r=2 has a "
                                              rf"binomial C\({n}, {k}\) outside 0 <= m <= n$"):
             evaluate_case(stand_in, CheckParams(p=7, r=2), "residue")

@@ -2,7 +2,6 @@
 (valuation, unit) pair from one factorial table, against the same
 description evaluated factor by factor, the scorer that picks the worst
 member from those pairs, and the Lucas check derived from the description."""
-import dataclasses
 import functools
 import math
 from collections import Counter
@@ -126,8 +125,8 @@ def test_single_member_matches_full_list():
 def test_out_of_range_binomial_is_refused():
     # a negative list index would read the table from its top
     case = get_case("BIN-3.9")
-    bad = dataclasses.replace(
-        case, member_lhs=lambda p, r, k: (1, 0, (7 - k, k, 1)))
+    bad = case._replace(
+        member_lhs=lambda p, r, k: (1, 0, (7 - k, k, 1)))
     with pytest.raises(ValueError, match=r"BIN-3\.9: member k=4 .* C\(3, 4\) outside"):
         evaluate_case(bad, CheckParams(p=11), "exact")
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import sys
 from fractions import Fraction as F
@@ -33,6 +32,8 @@ def test_config_validation():
     for kw in BAD_CONFIGS:
         with pytest.raises(ConfigInvalid):
             SweepConfig(**kw)
+        with pytest.raises(ConfigInvalid):
+            SweepConfig()._replace(**kw)
     cfg = SweepConfig(primes=(3, 5), include_p3=True)
     assert cfg.resolved_primes() == [3, 5]
 
@@ -136,7 +137,7 @@ def test_strict_conjectures_bucket():
     plain = run_sweep(cfg)
     assert plain.summary() == {"pass": 0, "fail": 0, "informational": 1,
                                "error": 0}
-    strict = run_sweep(dataclasses.replace(cfg, strict_conjectures=True))
+    strict = run_sweep(cfg._replace(strict_conjectures=True))
     assert strict.summary() == {"pass": 1, "fail": 0, "informational": 0,
                                 "error": 0}
     # only conjectures are promoted; informational-status cases stay demoted
@@ -174,8 +175,8 @@ def test_report_round_trip(tmp_path):
     pairs = json.loads(lines[1], object_pairs_hook=list)
     assert [k for k, _ in pairs] == list(RECORD_FIELDS)
 
-    as_csv = dataclasses.replace(
-        report, config=dataclasses.replace(report.config, report_format="csv"))
+    as_csv = harness.SweepReport(report.config._replace(report_format="csv"), report.results,
+                                 report.errors, report.wall_s)
     cv = write_report(as_csv, tmp_path / "run.csv")
     meta_csv, csv_records = read_report(cv)
     assert meta_csv is None
@@ -251,9 +252,9 @@ def test_parallel_matches_serial(monkeypatch):
     cfg = SweepConfig(primes=(5, 7), r_max=1, glob="[MW]*")
     serial = run_sweep(cfg)
     assert started == []
-    parallel = run_sweep(dataclasses.replace(cfg, jobs=2))
+    parallel = run_sweep(cfg._replace(jobs=2))
     assert started == [2]
-    strip = lambda rs: [dataclasses.replace(r, elapsed_ms=0.0) for r in rs]
+    strip = lambda rs: [r._replace(elapsed_ms=0.0) for r in rs]
     assert strip(serial.results) == strip(parallel.results)
     ident = [r for r in parallel.results if r.case_id == "MAO-I2-IDENT"]
     # the infinite valuation must survive the worker process boundary
@@ -279,7 +280,7 @@ def test_per_point_error_isolation(monkeypatch):
 def test_report_repr_names_failing_points_under_digit_limit():
     report = run_sweep(SweepConfig(primes=(5, 7), r_max=1, glob="GUO-64"))
     huge = F(10 ** 5000 + 1, 3)
-    report.results[1] = dataclasses.replace(report.results[1], lhs=huge, passed=False)
+    report.results[1] = report.results[1]._replace(lhs=huge, passed=False)
     report.errors.append({"case_id": "GZ-10N2", "p": 7, "r": 2, "delta": None,
                           "error": "MemoryError: "})
     limit = sys.get_int_max_str_digits()

@@ -1,15 +1,20 @@
 """The package's public surface: every name in __all__ resolves, once, and
 the star import brings them all; importing the CLI loads only what every
-command reads; every module parses as Python 3.10, the oldest supported;
+command reads; the record types keep their repr, immutability, pickling and
+echo order; every module parses as Python 3.10, the oldest supported;
 no module keeps an import or a private name that nothing reads; and no
 code tests a valuation against INFINITE by identity."""
 import ast
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import supercong
-from supercong import harness
+from supercong import harness, wz
+from supercong.congruences import CheckParams, evaluate_case, get_case, list_cases
 
 
 def test_all_names_resolve_once():
@@ -26,14 +31,41 @@ def test_all_names_resolve_once():
 def test_cli_import_loads_no_pool_or_report_modules():
     # concurrent.futures (and multiprocessing) load only when a sweep starts a
     # pool, csv and json only when a report is written or read; paths go
-    # through os.path, so pathlib never loads (on 3.11 site may preload it)
+    # through os.path, so pathlib never loads (on 3.11 site may preload it);
+    # the records are named tuples and plain classes, so neither dataclasses
+    # nor the inspect module it imports loads
     probe = ("import sys; before = set(sys.modules); import supercong.cli; "
              "print(*sorted(set(sys.modules) - before))")
     added = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                            text=True, check=True).stdout.split()
     assert "supercong.cli" in added and "supercong.harness" in added
-    deferred = ("concurrent", "multiprocessing", "csv", "json", "pathlib")
+    deferred = ("concurrent", "multiprocessing", "csv", "json", "pathlib",
+                "dataclasses", "inspect")
     assert [name for name in added if name.lstrip("_").split(".")[0] in deferred] == []
+
+
+def test_records_keep_their_semantics():
+    # a BackendDisagreement message embeds the repr of its point
+    assert repr(CheckParams(p=11, r=2)) == \
+        "CheckParams(p=11, r=2, delta=None, k=None, upper_override=None)"
+    config = harness.SweepConfig()
+    for record, name in ((CheckParams(p=5), "p"), (get_case("GUO-64"), "id"),
+                         (config, "jobs"), (wz.PAIRS["GUO64"], "id")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    # results cross the pool pickled: one per case kind, and the sweep's config
+    first = {}
+    for case in list_cases():
+        first.setdefault(case.kind, case.id)
+    assert sorted(first) == ["family", "identity", "scalar", "series"]
+    for case_id in first.values():
+        res = evaluate_case(case_id, CheckParams(p=5), "exact")
+        assert pickle.loads(pickle.dumps(res)) == res, case_id
+    assert pickle.loads(pickle.dumps(config)) == config
+    # the report's meta line writes the config echo in this key order
+    assert list(config.echo()) == ["primes", "r_max", "deltas", "glob", "status", "backend",
+                                   "include_p3", "strict_conjectures", "report_format",
+                                   "jobs"]
 
 
 def test_modules_parse_as_python_3_10():

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 from math import factorial, prod
 
@@ -240,7 +239,7 @@ def counted(pair):
             return fn(n, k)
         return cell
 
-    return dataclasses.replace(pair, f=count("f", pair.f), g=count("g", pair.g)), calls
+    return pair._replace(f=count("f", pair.f), g=count("g", pair.g)), calls
 
 
 def test_telescoping_evaluates_each_cell_once():
@@ -273,8 +272,8 @@ def shifted(cell, cells, d):
 
 def test_telescoping_violations_in_grid_order():
     good = PAIRS["GUO64"]
-    bad = dataclasses.replace(good, f=shifted(good.f, ((3, 5), (7, 0)), 1),
-                              g=shifted(good.g, ((4, 2),), -1))
+    bad = good._replace(f=shifted(good.f, ((3, 5), (7, 0)), 1),
+                        g=shifted(good.g, ((4, 2),), -1))
     report = check_telescoping(bad, 12, 12)
     assert [v[:2] for v in report.violations] == \
         [(3, 2), (3, 5), (3, 6), (4, 2), (7, 1)]
