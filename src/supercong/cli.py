@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from . import congruences, wz
 from .congruences import (BackendIneligible, CheckParams, PrimeBelowFloor,
@@ -96,7 +95,7 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _point(case_id: str, p: int, r: int, delta: Optional[int]) -> str:
+def _point(case_id: str, p: int, r: int, delta: int | None) -> str:
     return f"{case_id} p={p} r={r}" + (f" delta={delta}" if delta else "")
 
 
@@ -197,7 +196,7 @@ def _cmd_regress(args) -> int:
     return 1
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     allow_long_int_str()

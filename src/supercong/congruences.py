@@ -32,12 +32,12 @@ from __future__ import annotations
 import numbers
 import time
 from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from fnmatch import fnmatch
 from functools import lru_cache, partial
 from itertools import chain, count, islice
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Optional
 
 from .combinat import (Factorials, binomial_product, euler_number, fermat_quotient,
                        lucas_product)
@@ -117,7 +117,7 @@ class CongruenceCase(namedtuple("CongruenceCase", (
 
     __slots__ = ()
 
-    def claimed(self, p: int, r: int) -> Optional[int]:
+    def claimed(self, p: int, r: int) -> int | None:
         return None if self.claimed_exponent is None else self.claimed_exponent(p, r)
 
 
@@ -346,8 +346,8 @@ class _Pass:
         t0 = Fraction(t0)
         self.step, self.lo, self.poly = step, lo, poly
         self.k, self.x, self.s, self.d = lo, 0, t0.numerator, t0.denominator
-        self.total: Optional[Fraction] = None   # the last sum read, until renormalised
-        self.ratios: Optional[list[tuple[int, int]]] = [] if keep else None
+        self.total: Fraction | None = None   # the last sum read, until renormalised
+        self.ratios: list[tuple[int, int]] | None = [] if keep else None
 
     def _renormalise(self) -> None:
         """Hold the sum read last and the seed in lowest terms over the lcm
@@ -360,7 +360,7 @@ class _Pass:
             x, s = (v.numerator * (d // v.denominator) for v in (total, seed))
             self.x, self.s, self.d, self.total = x, s, d, None
 
-    def _step(self, end: int, poly: Optional[tuple[int, ...]] = None) -> None:
+    def _step(self, end: int, poly: tuple[int, ...] | None = None) -> None:
         """Step the terms k .. end, if any, by one (A, B, T) tree: form x B +
         s T, s A and d B, then assign them and extend ratios if kept.  poly
         is the pass's unless given: () makes every T 0, for an unread sum."""
@@ -406,7 +406,7 @@ def _open(name: str, at: tuple = ()) -> _Pass:
 
 
 @lru_cache(maxsize=1)
-def _series_exact(name: str, upper: int, at: tuple, first: Optional[int] = None) -> Rational:
+def _series_exact(name: str, upper: int, at: tuple, first: int | None = None) -> Rational:
     """Exact kernel: the sum of the terms of kernel name from first (its
     first index for None) to upper, a read of the running pass (_running),
     at = () for a spec and (p, r) for a _SUMS entry.  A read at or beyond
@@ -862,7 +862,7 @@ def get_case(case) -> CongruenceCase:
         raise UnknownCase(f"unknown case id {case!r}; see list_cases()") from None
 
 
-def list_cases(status: Optional[str] = None, glob: Optional[str] = None
+def list_cases(status: str | None = None, glob: str | None = None
                ) -> list[CongruenceCase]:
     if status is not None and status not in STATUSES:
         raise ValueError(f"unknown status {status!r}; known: {', '.join(STATUSES)}")
@@ -936,7 +936,7 @@ def series_sum_residue(case, params: CheckParams, m: int) -> int:
         raise BackendIneligible(f"{case.id}: {e}; use the exact backend") from None
 
 
-_table: Optional[Factorials] = None     # the one factorial table kept (_factorials)
+_table: Factorials | None = None     # the one factorial table kept (_factorials)
 
 
 def _factorials(p: int, M: int, n: int) -> Factorials:
@@ -991,7 +991,7 @@ def _exact_valuation(a: int, b: int, c: int, d: int, p: int) -> Valuation:
     return _vp_int(a * d - c * b, p) - _vp_int(b * d, p)
 
 
-def _pair_valuation(lhs: tuple, rhs: tuple, p: int, mod: int) -> Optional[Valuation]:
+def _pair_valuation(lhs: tuple, rhs: tuple, p: int, mod: int) -> Valuation | None:
     """vp(lhs - rhs) for two (v, u) pairs with units mod p^M, mod = p^M, or
     None when their units agree mod p^M (see _score)."""
     (vl, ul), (vr, ur) = lhs, rhs
@@ -1006,7 +1006,7 @@ def _pair_valuation(lhs: tuple, rhs: tuple, p: int, mod: int) -> Optional[Valuat
 
 
 def _score(items: list, p: int, M: int,
-           exact: Optional[Callable[[int], tuple]] = None) -> tuple:
+           exact: Callable[[int], tuple] | None = None) -> tuple:
     """(k, lhs, rhs, valuation) of the first family member of least
     valuation, with k None and valuation INFINITE (M without exact) for no
     members.  p is the point's odd prime, checked once by CheckParams, so
@@ -1189,7 +1189,7 @@ def evaluate_case(case, params: CheckParams, backend: str = "exact", *,
                        informational=informational, note=note)
 
 
-def _passes(observed: Valuation, claimed: Optional[int]) -> bool:
+def _passes(observed: Valuation, claimed: int | None) -> bool:
     if claimed is None:
         return observed == INFINITE
     return observed >= claimed

@@ -2,10 +2,10 @@
 
 Everything downstream computes with `Rational` (an alias for
 `fractions.Fraction`: immutable, always in lowest terms, positive
-denominator). A valuation is a plain int, or `INFINITE` (`math.inf`) for
-the valuation of 0: it compares greater than every integer, so that
-"observed >= claimed" stays well defined when a difference vanishes
-exactly, and `INFINITE - n == INFINITE`. An infinity made by arithmetic or
+denominator). A valuation, typed `Valuation` (`int | float`), is a plain
+int, or `INFINITE` (`math.inf`) for the valuation of 0: it compares greater
+than every integer, so that "observed >= claimed" stays well defined when a
+difference vanishes exactly, and `INFINITE - n == INFINITE`. An infinity made by arithmetic or
 by unpickling is another float object, so test it with `==`, not `is`.
 A residue ring Z/p^m is named by its two numbers, p and m.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 Rational = Fraction
 
@@ -24,7 +23,7 @@ class PNotIntegral(ArithmeticError):
 
 INFINITE = math.inf
 
-Valuation = Union[int, float]
+Valuation = int | float
 
 
 def is_prime(n: int) -> bool:

@@ -31,10 +31,9 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
-from typing import Optional, Union
 
-from .congruences import (BACKENDS, SERIES, STATUSES, CheckParams, CheckResult,
-                          evaluate_case, get_case, is_prime, list_cases)
+from .congruences import (BACKENDS, P_FLOOR, SERIES, STATUSES, CheckParams,
+                          CheckResult, evaluate_case, get_case, is_prime, list_cases)
 
 TOOL = "supercong"
 TOOL_VERSION = "0.1.0"
@@ -50,9 +49,10 @@ def allow_long_int_str() -> None:
 
     Exact numerators and denominators at large p^r run to tens of thousands
     of digits; the entry points that print them call this, so importing the
-    package leaves the interpreter as it was."""
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
+    package leaves the interpreter as it was.  A limit switched off (0) stays
+    off, and one already above 2 000 000 digits is kept."""
+    if hasattr(sys, "set_int_max_str_digits") and 0 < sys.get_int_max_str_digits() < 2_000_000:
+        sys.set_int_max_str_digits(2_000_000)
 
 
 def demoted(res: CheckResult, strict_conjectures: bool) -> bool:
@@ -106,8 +106,8 @@ class SweepConfig(namedtuple("SweepConfig", [name for name, _, _ in _OPTIONS],
         self = super().__new__(cls, *args, **kwargs)
         if self.primes is not None and self.pmax is not None:
             raise ConfigInvalid("give either primes or pmax, not both")
-        if self.pmax is not None and self.pmax < 5:
-            raise ConfigInvalid(f"pmax must be >= 5, got {self.pmax}")
+        if self.pmax is not None and self.pmax < P_FLOOR:
+            raise ConfigInvalid(f"pmax must be >= {P_FLOOR}, got {self.pmax}")
         if self.primes is not None:
             if not self.primes:
                 raise ConfigInvalid("primes must be non-empty")
@@ -153,7 +153,7 @@ class SweepConfig(namedtuple("SweepConfig", [name for name, _, _ in _OPTIONS],
     def resolved_primes(self) -> list[int]:
         if self.primes is not None:
             return sorted(set(self.primes))
-        return [p for p in range(5, (self.pmax or 47) + 1) if is_prime(p)]
+        return [p for p in range(P_FLOOR, (self.pmax or 47) + 1) if is_prime(p)]
 
     def echo(self) -> dict:
         """The report's config: every option but pmax and report_path, primes resolved."""
@@ -162,7 +162,7 @@ class SweepConfig(namedtuple("SweepConfig", [name for name, _, _ in _OPTIONS],
         return {**options, "primes": self.resolved_primes(), "deltas": list(self.deltas)}
 
 
-def parse_config(path: Union[str, os.PathLike]) -> SweepConfig:
+def parse_config(path: str | os.PathLike) -> SweepConfig:
     """Read a flat key = value config file whose keys are the names in
     _OPTIONS; unknown keys and bad values error with their line number."""
     parsers = {name: parse for name, _, parse in _OPTIONS}
@@ -197,7 +197,7 @@ def parse_config(path: Union[str, os.PathLike]) -> SweepConfig:
 
 class SweepReport:
     def __init__(self, config: SweepConfig, results: list[CheckResult],
-                 errors: Optional[list[dict]] = None, wall_s: float = 0.0):
+                 errors: list[dict] | None = None, wall_s: float = 0.0):
         self.config, self.results = config, results
         self.errors = [] if errors is None else errors
         self.wall_s = wall_s            # object-level only, never serialized
@@ -230,7 +230,7 @@ class SweepReport:
                 f"erroring={errs[:5]})")
 
 
-def _plan(config: SweepConfig) -> list[tuple[str, int, int, Optional[int]]]:
+def _plan(config: SweepConfig) -> list[tuple[str, int, int, int | None]]:
     tasks = []
     for case in list_cases(status=config.status, glob=config.glob):
         for p in config.resolved_primes():
@@ -242,7 +242,7 @@ def _plan(config: SweepConfig) -> list[tuple[str, int, int, Optional[int]]]:
     return tasks
 
 
-def _units(config: SweepConfig) -> list[list[tuple[str, int, int, Optional[int]]]]:
+def _units(config: SweepConfig) -> list[list[tuple[str, int, int, int | None]]]:
     """The planned tasks grouped into units, each run in one process, so that
     a cached sum is computed once.  A case's kernel is the cached sum it
     reads (a series spec, a certificate sum in _SUMS) or else its id.  Every
@@ -264,8 +264,8 @@ def _units(config: SweepConfig) -> list[list[tuple[str, int, int, Optional[int]]
     return sorted(units.values(), key=lambda unit: -max(p ** r for _, p, r, _ in unit))
 
 
-def _run_task(task: tuple[str, int, int, Optional[int]], backend: str,
-              include_p3: bool) -> Union[CheckResult, tuple]:
+def _run_task(task: tuple[str, int, int, int | None], backend: str,
+              include_p3: bool) -> CheckResult | tuple:
     case_id, p, r, d = task
     try:
         params = CheckParams(p=p, r=r, delta=d)
@@ -322,7 +322,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 # --------------------------------------------------------------------------
 # serialization
 
-def _ser_value(x) -> Union[str, int]:
+def _ser_value(x) -> str | int:
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     return int(x)
@@ -345,7 +345,7 @@ def _ser_record(res: CheckResult) -> dict:
     }
 
 
-def write_report(report: SweepReport, path: Union[str, os.PathLike]) -> Union[str, os.PathLike]:
+def write_report(report: SweepReport, path: str | os.PathLike) -> str | os.PathLike:
     """Write the report in its config's report_format and return its path; a
     path that cannot be written raises ConfigInvalid."""
     allow_long_int_str()
@@ -362,15 +362,7 @@ def write_report(report: SweepReport, path: Union[str, os.PathLike]) -> Union[st
         writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS, lineterminator="\n")
         writer.writeheader()
         for rec in records:
-            row = {}
-            for k, v in rec.items():
-                if v is None:
-                    row[k] = ""
-                elif isinstance(v, bool):
-                    row[k] = "true" if v else "false"
-                else:
-                    row[k] = v
-            writer.writerow(row)
+            writer.writerow({**rec, "pass": "true" if rec["pass"] else "false"})
         text = buf.getvalue()
     try:
         with open(path, "w") as f:
@@ -403,7 +395,7 @@ def _norm_record(rec: dict, where: str) -> dict:
     return out
 
 
-def read_report(path: Union[str, os.PathLike]) -> tuple[Optional[dict], list[dict]]:
+def read_report(path: str | os.PathLike) -> tuple[dict | None, list[dict]]:
     """Parse a report file (either format); returns (meta-or-None, records)."""
     try:
         with open(path) as f:

@@ -25,8 +25,8 @@ Fraction. The tests check every cell against its definition string.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .combinat import binomial_product
 from .exactnum import Rational

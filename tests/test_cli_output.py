@@ -31,3 +31,13 @@ def test_import_leaves_int_str_limit_and_cli_prints_long_values():
     lhs = proc.stdout.split(" lhs=")[1].split()[0]
     assert max(len(part) for part in lhs.split("/")) > int(out[0])
     assert proc.stdout.rstrip().endswith("-> PASS")
+
+
+def test_int_str_limit_is_raised_only_when_it_is_lower():
+    # 0 means the limit is switched off, and lifting must not switch it back on
+    probe = ("import sys; import supercong.harness as h; h.allow_long_int_str(); "
+             "print(sys.get_int_max_str_digits())")
+    for given, after in (("0", "0"), ("3000000", "3000000"), ("4300", "2000000")):
+        out = subprocess.run([sys.executable, "-X", f"int_max_str_digits={given}", "-c", probe],
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == [after], given

@@ -182,6 +182,11 @@ def test_report_round_trip(tmp_path):
     assert meta_csv is None
     assert csv_records == records
     assert cv.read_text().splitlines()[0] == ",".join(RECORD_FIELDS)
+    # None is an empty field, and pass is written in lower case
+    ident_row = dict(zip(RECORD_FIELDS, cv.read_text().splitlines()[2].split(",")))
+    assert ident_row["case_id"] == "MAO-I2-IDENT"
+    assert (ident_row["delta"], ident_row["claimed_exponent"]) == ("", "")
+    assert (ident_row["observed_valuation"], ident_row["pass"]) == ("inf", "true")
 
 
 def test_read_report_errors(tmp_path):

@@ -2,12 +2,16 @@
 the star import brings them all; importing the CLI loads only what every
 command reads; the record types keep their repr, immutability, pickling and
 echo order; every module parses as Python 3.10, the oldest supported;
-no module keeps an import or a private name that nothing reads; and no
-code tests a valuation against INFINITE by identity."""
+no module imports typing, and every annotation resolves; no module keeps
+an import or a private name that nothing reads; and no code tests a
+valuation against INFINITE by identity."""
 import ast
+import importlib
+import os
 import pickle
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -33,14 +37,16 @@ def test_cli_import_loads_no_pool_or_report_modules():
     # pool, csv and json only when a report is written or read; paths go
     # through os.path, so pathlib never loads (on 3.11 site may preload it);
     # the records are named tuples and plain classes, so neither dataclasses
-    # nor the inspect module it imports loads
+    # nor the inspect module it imports loads; annotations need no typing.
+    # -S keeps site (and the .pth files it runs) from loading any of them first
     probe = ("import sys; before = set(sys.modules); import supercong.cli; "
              "print(*sorted(set(sys.modules) - before))")
-    added = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                           text=True, check=True).stdout.split()
+    env = {**os.environ, "PYTHONPATH": str(Path(supercong.__file__).parent.parent)}
+    added = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                           text=True, check=True, env=env).stdout.split()
     assert "supercong.cli" in added and "supercong.harness" in added
     deferred = ("concurrent", "multiprocessing", "csv", "json", "pathlib",
-                "dataclasses", "inspect")
+                "dataclasses", "inspect", "typing")
     assert [name for name in added if name.lstrip("_").split(".")[0] in deferred] == []
 
 
@@ -74,6 +80,48 @@ def test_modules_parse_as_python_3_10():
     assert len(sources) >= 8
     for source in sources:
         ast.parse(source.read_text(), str(source), feature_version=(3, 10))
+
+
+def test_no_module_imports_typing():
+    # hints are PEP 604 unions and collections.abc generics, which
+    # `from __future__ import annotations` keeps as strings
+    found = []
+    for source in sorted(Path(supercong.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{source.name}:{node.lineno}" for module in modules
+                      if module.split(".")[0] == "typing"]
+    assert found == []
+
+
+def test_every_annotation_resolves():
+    # a hint naming what its module does not define (an Optional left with no
+    # import) raises NameError here, though nothing else evaluates it
+    names = ("cli", "combinat", "congruences", "exactnum", "harness", "wz")
+    checked = []
+    for name in names:
+        module = importlib.import_module(f"supercong.{name}")
+        objects = [module]
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if isinstance(obj, type):
+                objects.append(obj)
+                for attr in vars(obj).values():
+                    attr = getattr(attr, "__func__", attr)
+                    objects += [f for f in (attr, getattr(attr, "fget", None))
+                                if callable(f) and hasattr(f, "__code__")]
+            elif callable(obj):
+                objects.append(obj)
+        for obj in objects:
+            typing.get_type_hints(obj)
+        checked += objects
+    assert len(checked) >= 120
 
 
 def test_modules_read_every_name_they_import():
